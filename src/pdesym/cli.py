@@ -217,12 +217,6 @@ def _cmd_gen(args) -> None:
     )
 
 
-def _coeff_vector(record: dict) -> np.ndarray:
-    if record["q2"] != 0.0:
-        return np.array([record["q1"], record["q2"]])
-    return np.array([record["q1"]])
-
-
 def _cmd_refine(args) -> None:
     record = datagen.load_equation_record(args.equation)
     field = solver.read_grid_file(args.observations)
@@ -237,7 +231,7 @@ def _cmd_refine(args) -> None:
     if args.alpha0:
         alpha0 = np.array([float(v) for v in args.alpha0.split(",")])
     else:
-        alpha0 = _coeff_vector(record)
+        alpha0 = datagen.coeff_vector(record["q1"], record["q2"])
     obs = smc.ObservationSeq.from_field(field, n_frames=cfg.steps + 1)
     law = datagen.law_from_record(record)
     start = time.perf_counter()

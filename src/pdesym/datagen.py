@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteState
-from .expr import FIELD, Binary, Const, Deriv, Equation, Expr, Int, Unary, to_infix
-from .solver import ConservationLaw, Grid1D, solve, write_grid_file
+from .expr import FIELD, Binary, Const, Deriv, Equation, Expr, to_infix
+from .solver import FLUXES, ConservationLaw, Grid1D, solve, write_grid_file
 from .tokens import round_sig3, to_canonical_tokens
 
 logger = logging.getLogger(__name__)
@@ -82,25 +82,31 @@ def law_for(spec: FamilySpec, q1: float, q2: float) -> ConservationLaw:
     return ConservationLaw(spec.flux_kind, q1, q2)
 
 
-_FLUX_EXPRS = {
-    "quadratic": Binary("pow", FIELD, Int(2)),
-    "cubic": Binary("pow", FIELD, Int(3)),
-    "sine": Unary("sin", FIELD),
-}
-
-
 def equation_for(spec: FamilySpec, q1: float, q2: float) -> Equation:
     """Residual u_t + q1*(f(u))_x - q2*u_xx as an expression tree."""
     residual: Expr = Binary(
         "add",
         Deriv(FIELD, "t", 1),
-        Binary("mul", Const(q1), Deriv(_FLUX_EXPRS[spec.flux_kind], "x", 1)),
+        Binary("mul", Const(q1), Deriv(FLUXES[spec.flux_kind].expr, "x", 1)),
     )
     if q2 != 0.0:
         residual = Binary(
             "sub", residual, Binary("mul", Const(q2), Deriv(FIELD, "x", 2))
         )
     return Equation(residual)
+
+
+def coeff_vector(q1: float, q2: float) -> np.ndarray:
+    """The coefficients the filter refines: (q1, q2) for a viscous law,
+    (q1,) for an inviscid one."""
+    return np.array([q1, q2]) if q2 != 0.0 else np.array([q1])
+
+
+def equation_from_vector(spec: FamilySpec, alpha: np.ndarray) -> Equation:
+    """Inverse of :func:`coeff_vector` for a family's residual."""
+    q1 = float(alpha[0])
+    q2 = float(alpha[1]) if alpha.size > 1 else 0.0
+    return equation_for(spec, q1, q2)
 
 
 def sample_params(spec: FamilySpec, rng) -> tuple[float, float]:

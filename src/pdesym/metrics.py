@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canon import canonical_key, canonicalize, product_factors, sum_terms
+from .canon import _term_parts, canonicalize, sum_terms
 from .errors import (
     DecodeError,
     DegenerateReference,
@@ -31,12 +31,11 @@ from .expr import (
     Expr,
     Field,
     Int,
-    Unary,
     Var,
     evaluate,
     substitute_field,
 )
-from .solver import ConservationLaw, SpaceTimeField, solve
+from .solver import FLUXES, ConservationLaw, SpaceTimeField, solve
 from .tokens import TokenSeq, from_tokens
 
 
@@ -212,13 +211,6 @@ def denormalize(field: SpaceTimeField, mean: float, std: float) -> SpaceTimeFiel
 # ---------------------------------------------------------------------------
 # equation -> solvable law extraction
 
-_FLUX_PATTERNS: list[tuple[Expr, str, float]] = [
-    (Binary("pow", FIELD, Int(2)), "quadratic", 1.0),
-    (Binary("pow", FIELD, Int(3)), "cubic", 1.0),
-    (Unary("sin", FIELD), "sine", 1.0),
-]
-
-
 def law_from_equation(eq: Equation) -> ConservationLaw:
     """Extract (flux_kind, q1, q2) from a conservation-law residual.
 
@@ -233,36 +225,17 @@ def law_from_equation(eq: Equation) -> ConservationLaw:
     flux_kind = None
     q2 = 0.0
     for term in sum_terms(residual):
-        coeff, factors = _split_term(term)
-        keys = tuple(sorted(canonical_key(f) for f in factors))
-        matched = False
-        if len(factors) == 1:
-            f = factors[0]
-            if f == Deriv(FIELD, "t", 1):
-                coeff_t = coeff
-                matched = True
-            elif f == Deriv(FIELD, "x", 2):
-                q2 = -coeff
-                matched = True
-            elif isinstance(f, Deriv) and f.var == "x" and f.order == 1:
-                for pattern, kind, scale in _FLUX_PATTERNS:
-                    if f.child == pattern:
-                        flux_kind, q1 = kind, coeff * scale
-                        matched = True
-                        break
-        elif len(factors) == 2:
-            ux = Deriv(FIELD, "x", 1)
-            pairs = {
-                tuple(sorted((canonical_key(FIELD), canonical_key(ux)))): ("quadratic", 0.5),
-                tuple(sorted((canonical_key(Binary("pow", FIELD, Int(2))), canonical_key(ux)))): ("cubic", 1.0 / 3.0),
-                tuple(sorted((canonical_key(Unary("cos", FIELD)), canonical_key(ux)))): ("sine", 1.0),
-            }
-            if keys in pairs:
-                flux_kind, scale = pairs[keys]
-                q1 = coeff * scale
-                matched = True
-        if not matched:
-            raise NotSolvable(f"unrecognized term in residual: {term!r}")
+        coeff, factors = _term_parts(term)
+        if factors == [Deriv(FIELD, "t", 1)]:
+            coeff_t = coeff
+        elif factors == [Deriv(FIELD, "x", 2)]:
+            q2 = -coeff
+        else:
+            match = _flux_term(factors)
+            if match is None:
+                raise NotSolvable(f"unrecognized term in residual: {term!r}")
+            flux_kind, scale = match
+            q1 = coeff * scale
     if coeff_t is None or coeff_t == 0.0:
         raise NotSolvable("residual has no u_t term")
     if flux_kind is None or q1 is None:
@@ -274,8 +247,12 @@ def law_from_equation(eq: Equation) -> ConservationLaw:
     return ConservationLaw(flux_kind, q1, q2)
 
 
-def _split_term(term: Expr) -> tuple[float, list[Expr]]:
-    factors = product_factors(term)
-    if isinstance(factors[0], Const):
-        return factors[0].value, factors[1:]
-    return 1.0, factors
+def _flux_term(factors: list[Expr]):
+    """(flux kind, scale) of a ``(f(u))_x`` or expanded ``g(u) u_x`` term."""
+    ux = Deriv(FIELD, "x", 1)
+    for kind, flux in FLUXES.items():
+        if factors == [Deriv(flux.expr, "x", 1)]:
+            return kind, 1.0
+        if len(factors) == 2 and ux in factors and flux.product in factors:
+            return kind, flux.scale
+    return None

@@ -6,7 +6,9 @@ is propagate -> reweight -> resample:
 * propagate adds zero-mean Gaussian process noise (variance
   ``process_var``) to every coordinate;
 * reweight simulates each particle one observation interval forward with
-  the deterministic solver and scores it against the observed frame under
+  ``solver.advance_ensemble``, the integrator ``solve`` uses (a particle
+  carrying the coefficients that generated noise-free data reproduces each
+  frame bit for bit), and scores it against the observed frame under
   the observation model ``u_obs = H(alpha, u_prev) + sigma`` with iid
   per-point Gaussian noise of scale ``eps = obs_scale * ||u(., t=0)||_2``,
   so ``log w_i = -sum_j (u_obs_j - u_hat_ij)^2 / (2 eps^2)``; the
@@ -26,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllWeightsDegenerate, ZeroCoefficient
-from .solver import (
-    CFL_SAFETY,
-    DT_MAX_DEFAULT,
-    ConservationLaw,
-    Grid1D,
-    SpaceTimeField,
-)
+from .solver import ConservationLaw, Grid1D, SpaceTimeField, advance_ensemble
 
 LIKELIHOODS = ("norm", "pointwise")
 
@@ -149,90 +145,6 @@ def _coefficient_arrays(particles: np.ndarray, template: ConservationLaw):
         q2 = particles[:, 1].astype(float)
     valid = np.all(np.isfinite(particles), axis=1) & (q2 >= 0.0)
     return q1, q2, valid
-
-
-def _rhs_batch(flux_kind: str, q1c: np.ndarray, q2c, U: np.ndarray,
-               dx: float) -> np.ndarray:
-    """Row-wise copy of ``solver._rhs``: same operations in the same order,
-    with per-row coefficients broadcast as columns, so each row is
-    bit-identical to the scalar path."""
-    up = np.roll(U, -1, axis=1)
-    if flux_kind == "quadratic":
-        f = q1c * U * U
-        fp = q1c * up * up
-        a = np.maximum(np.abs(q1c * 2.0 * U), np.abs(q1c * 2.0 * up))
-    elif flux_kind == "cubic":
-        f = q1c * U * U * U
-        fp = q1c * up * up * up
-        a = np.maximum(np.abs(q1c * 3.0 * U * U), np.abs(q1c * 3.0 * up * up))
-    else:
-        f = q1c * np.sin(U)
-        fp = q1c * np.sin(up)
-        a = np.maximum(np.abs(q1c * np.cos(U)), np.abs(q1c * np.cos(up)))
-    flux = 0.5 * (f + fp) - 0.5 * a * (up - U)
-    out = -(flux - np.roll(flux, 1, axis=1)) / dx
-    if q2c is not None:
-        out = out + q2c * (up - 2.0 * U + np.roll(U, 1, axis=1)) / (dx * dx)
-    return out
-
-
-def _max_speed_batch(flux_kind: str, q1c: np.ndarray, U: np.ndarray) -> np.ndarray:
-    if flux_kind == "quadratic":
-        return np.max(np.abs(q1c * 2.0 * U), axis=1)
-    if flux_kind == "cubic":
-        return np.max(np.abs(q1c * 3.0 * U * U), axis=1)
-    return np.max(np.abs(q1c * np.cos(U)), axis=1)
-
-
-def advance_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray,
-                     u_start: np.ndarray, dt_total: float, grid: Grid1D):
-    """Advance one state under many coefficient vectors simultaneously.
-
-    Batched twin of ``solver._advance``: every row follows exactly the
-    forward map the scalar integrator would apply for that row's
-    coefficients (same CFL substeps, same floating-point operation order),
-    so results agree bit for bit. Rows whose state stops being finite (or
-    whose step size degenerates) are frozen and reported as failed.
-
-    Returns ``(states, ok)`` with ``states`` of shape (M, nx) and ``ok`` a
-    boolean mask of rows that completed with finite values.
-    """
-    m = q1.size
-    dx = grid.dx
-    q1c = q1[:, None]
-    has_diffusion = bool(np.any(q2 > 0.0))
-    q2c = q2[:, None] if has_diffusion else None
-    U = np.broadcast_to(np.asarray(u_start, dtype=float), (m, grid.nx)).copy()
-    remaining = np.full(m, float(dt_total))
-    alive = np.ones(m, dtype=bool)
-    with np.errstate(all="ignore"):
-        while True:
-            alive &= np.isfinite(U).all(axis=1)
-            run = alive & (remaining > 0.0)
-            if not run.any():
-                break
-            speed = _max_speed_batch(flux_kind, q1c, U)
-            adv = np.where(speed > 0.0, dx / speed, np.inf)
-            dif = np.where(q2 > 0.0, dx * dx / (2.0 * q2), np.inf)
-            lim = np.minimum(adv, dif)
-            dt = np.where(np.isfinite(lim), CFL_SAFETY * lim, DT_MAX_DEFAULT)
-            bad = run & ~((dt > 0.0) & np.isfinite(dt))
-            if bad.any():
-                alive &= ~bad
-                run &= ~bad
-                if not run.any():
-                    break
-            clip = dt >= remaining
-            dt = np.where(clip, remaining, dt)
-            remaining = np.where(run, np.where(clip, 0.0, remaining - dt), remaining)
-            dtc = dt[:, None]
-            k1 = _rhs_batch(flux_kind, q1c, q2c, U, dx)
-            um = U + dtc * k1
-            k2 = _rhs_batch(flux_kind, q1c, q2c, um, dx)
-            stepped = U + (0.5 * dtc) * (k1 + k2)
-            U = np.where(run[:, None], stepped, U)
-    ok = alive & (remaining == 0.0) & np.isfinite(U).all(axis=1)
-    return U, ok
 
 
 def weights_from_sq_residuals(sq_residuals: np.ndarray, eps: float) -> np.ndarray:

@@ -13,7 +13,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datagen import FAMILIES, equation_for, grid_for, law_for, sample_ic, sample_params
+from .datagen import (
+    FAMILIES,
+    coeff_vector,
+    equation_for,
+    equation_from_vector,
+    grid_for,
+    law_for,
+    sample_ic,
+    sample_params,
+)
 from .metrics import symbolic_error, time_series_error
 from .smc import FilterConfig, ObservationSeq, refine
 from .solver import solve
@@ -42,16 +51,6 @@ class StudyRow:
         }
 
 
-def _coeff_vector(q1: float, q2: float) -> np.ndarray:
-    return np.array([q1, q2]) if q2 != 0.0 else np.array([q1])
-
-
-def _equation_from_vector(spec, alpha: np.ndarray):
-    q1 = float(alpha[0])
-    q2 = float(alpha[1]) if alpha.size > 1 else 0.0
-    return equation_for(spec, q1, q2)
-
-
 def run_trial(family: str, trial_seed, coeff_error: float, cfg: FilterConfig):
     """One trial; returns (sym_without, sym_with, ts_without, ts_with)."""
     spec = FAMILIES[family]
@@ -65,7 +64,7 @@ def run_trial(family: str, trial_seed, coeff_error: float, cfg: FilterConfig):
     law = law_for(spec, q1, q2)
     truth_traj = solve(law, u0, grid, spec.t_f, spec.nt)
 
-    alpha_true = _coeff_vector(q1, q2)
+    alpha_true = coeff_vector(q1, q2)
     signs = rng_sign.choice([-1.0, 1.0], size=alpha_true.size)
     alpha0 = alpha_true * (1.0 + coeff_error * signs)
 
@@ -74,8 +73,8 @@ def run_trial(family: str, trial_seed, coeff_error: float, cfg: FilterConfig):
     result = refine(alpha0, obs, law, trial_cfg)
 
     eq_true = equation_for(spec, q1, q2)
-    eq_without = _equation_from_vector(spec, alpha0)
-    eq_with = _equation_from_vector(spec, result.alpha)
+    eq_without = equation_from_vector(spec, alpha0)
+    eq_with = equation_from_vector(spec, result.alpha)
 
     metric_seed = int(rng_metric.integers(2**63))
     sym_without = symbolic_error(eq_without, eq_true, seed=metric_seed)

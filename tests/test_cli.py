@@ -75,6 +75,22 @@ def test_numeric_error_exit_code(capsys):
     assert json.loads(err)["error"] == "DivisionByZero"
 
 
+def test_truncated_grid_is_a_data_error(tmp_path, capsys):
+    from pdesym.datagen import FAMILIES, equation_record
+
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_text(json.dumps(equation_record("x", FAMILIES["icl_sine"], 1.0, 0.0)))
+    grid_path = tmp_path / "traj.grid"
+    grid_path.write_bytes(b"PDEGRID1\x00\x00")
+    code, _, err = run_cli(
+        capsys, "refine", "--equation", str(eq_path), "--observations", str(grid_path)
+    )
+    assert code == 2
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "ValueError"
+
+
 def test_solve_writes_readable_grid(tmp_path, capsys):
     grid_path = tmp_path / "traj.grid"
     code, out, _ = run_cli(

@@ -17,7 +17,6 @@ from pdesym.smc import (
     weights_from_sq_residuals,
 )
 from pdesym.solver import ConservationLaw, solve
-from pdesym.solver import _advance as scalar_advance
 
 
 def _observations(family="inviscid_burgers", q1=0.5, q2=0.0, seed=0, frames=11):
@@ -159,17 +158,29 @@ def test_negative_viscosity_particles_are_rejected():
 
 
 def test_batched_advance_matches_scalar_solver_bitwise():
-    obs, law = _observations(family="cl_sine", q1=1.0, q2=0.05)
+    """Every row of a batch equals that row advanced alone, which is the
+    one-row path ``solve`` takes; a failing row disturbs none of the others."""
+    obs, _ = _observations(family="cl_sine", q1=1.0, q2=0.05)
+    u0, dt, grid = obs.states[0], 1 / 31, obs.grid
     rng = np.random.default_rng(11)
     q1 = rng.uniform(0.9, 1.1, 25)
     q2 = rng.uniform(0.04, 0.06, 25)
-    states, ok = advance_ensemble("sine", q1, q2, obs.states[0], 1 / 31, obs.grid)
-    assert ok.all()
-    for i in range(25):
-        ref = scalar_advance(
-            ConservationLaw("sine", q1[i], q2[i]), obs.states[0].copy(), 1 / 31, obs.grid
-        )
-        assert np.array_equal(states[i], ref)
+    mixed = q2.copy()
+    mixed[::3] = 0.0
+    with_inf = q1.copy()
+    with_inf[7] = np.inf
+    for q1s, q2s in ((q1, q2), (q1, mixed), (with_inf, mixed)):
+        states, ok = advance_ensemble("sine", q1s, q2s, u0, dt, grid)
+        assert ok.tolist() == np.isfinite(q1s).tolist()
+        for i in range(q1s.size):
+            solo, solo_ok = advance_ensemble(
+                "sine", q1s[i : i + 1], q2s[i : i + 1], u0, dt, grid
+            )
+            assert solo_ok[0] == ok[i]
+            if ok[i]:
+                assert np.array_equal(states[i], solo[0])
+    traj = solve(ConservationLaw("sine", q1[0], q2[0]), u0, grid, dt, 2)
+    assert np.array_equal(traj.values[1], advance_ensemble("sine", q1, q2, u0, dt, grid)[0][0])
 
 
 # ---------------------------------------------------------------------------

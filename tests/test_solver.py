@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -187,11 +190,43 @@ def test_grid_file_round_trip(tmp_path):
     assert raw.startswith(b"PDEGRID1")
 
 
-def test_grid_file_rejects_bad_magic(tmp_path):
+def _grid_bytes(header, n_values, hlen=None) -> bytes:
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    size = len(blob) if hlen is None else hlen
+    return b"PDEGRID1" + struct.pack("<I", size) + blob + b"\x00" * (8 * n_values)
+
+
+_GOOD_HEADER = {"nt": 2, "nx": 8, "t": [0.0, 1.0], "x0": 0.0, "dx": 0.125}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"NOTAGRID" + b"\x00" * 16,
+        b"PDEGRID1\x00\x00",
+        _grid_bytes(_GOOD_HEADER, 16, hlen=10_000),
+        _grid_bytes(b"\xff\xfe", 16),
+        _grid_bytes(b"{nt", 16),
+        _grid_bytes([2, 8], 16),
+        _grid_bytes({k: v for k, v in _GOOD_HEADER.items() if k != "dx"}, 16),
+        _grid_bytes({**_GOOD_HEADER, "nx": "8"}, 16),
+        _grid_bytes({**_GOOD_HEADER, "t": 5}, 16),
+        _grid_bytes({**_GOOD_HEADER, "t": ["a", "b"]}, 16),
+        _grid_bytes({**_GOOD_HEADER, "dx": float("inf")}, 16),
+        _grid_bytes({**_GOOD_HEADER, "dx": 10**400}, 16),
+        _grid_bytes(_GOOD_HEADER, 15),
+    ],
+    ids=["bad-magic", "truncated", "header-past-end", "not-utf8", "not-json",
+         "not-object", "missing-key", "nx-not-int", "t-not-list", "t-not-numbers",
+         "dx-infinite", "dx-beyond-float", "short-payload"],
+)
+def test_grid_file_rejects_bad_magic(tmp_path, raw):
     path = tmp_path / "bad.grid"
-    path.write_bytes(b"NOTAGRID" + b"\x00" * 16)
-    with pytest.raises(ValueError):
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="not a PDEGRID1 file"):
         read_grid_file(path)
+    path.write_bytes(_grid_bytes(_GOOD_HEADER, 16))
+    assert read_grid_file(path).values.shape == (2, 8)
 
 
 def test_validation_errors():
