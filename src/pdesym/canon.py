@@ -4,15 +4,21 @@
 mathematically equivalent inputs serialize to identical token sequences:
 
 1. rewrite ``a - b`` as ``a + (-1)*b`` and ``-a`` as ``(-1)*a``;
-2. flatten nested sums/products into n-ary lists;
-3. fold constant subexpressions (exact for dyadic rationals, otherwise
-   round-to-nearest floating arithmetic);
-4. collect like terms by the multiset of their non-constant factors,
-   summing coefficients and dropping zero terms;
-5. normalize each term to ``coefficient * sorted factors`` (identical
-   factors are merged into integer powers);
-6. order terms and factors by a total key;
-7. re-binarize left to right.
+2. flatten the sum into its terms, each a coefficient times a list of
+   non-constant factors, folding constant subexpressions into the
+   coefficient;
+3. merge identical factors of a term into integer powers and sort them by
+   a total key;
+4. collect like terms once over the flattened sum: coefficients of terms
+   with the same factors are summed exactly (as fractions of the input
+   floats), exact zeros are dropped and each sum is rounded once;
+5. order terms by their factors' keys, the constant term last;
+6. re-binarize left to right.
+
+:func:`terms` returns the result of steps 1-5 as ``(coefficient,
+factors)`` pairs and :func:`build` performs step 6, so ``canonicalize(e)``
+is ``build(terms(e))``. A multi-term operand of a product stays one opaque
+factor: products do not distribute over sums.
 
 Derivatives of the field are normalized as well: same-variable nests merge
 (``(u_x)_x`` becomes ``u_xx``), derivatives distribute over sums, and
@@ -23,8 +29,9 @@ over products, or trigonometric rewriting is performed.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, UnsupportedNode
 from .expr import (
     Binary,
     Const,
@@ -79,205 +86,252 @@ def canonical_key(e: Expr):
     raise TypeError(f"cannot key {type(e).__name__}")
 
 
-def sum_terms(e: Expr) -> list[Expr]:
-    """Flatten a left-nested chain of additions into its operand list."""
-    if isinstance(e, Binary) and e.op == "add":
-        return sum_terms(e.left) + [e.right]
-    return [e]
-
-
-def product_factors(e: Expr) -> list[Expr]:
-    """Flatten a left-nested chain of multiplications into its operand list."""
-    if isinstance(e, Binary) and e.op == "mul":
-        return product_factors(e.left) + [e.right]
-    return [e]
-
-
-def _term_parts(e: Expr) -> tuple[float, list[Expr]]:
-    """Split a canonical non-sum expression into (coefficient, factors)."""
-    if isinstance(e, Const):
-        return e.value, []
-    chain = product_factors(e)
-    if isinstance(chain[0], Const):
-        return chain[0].value, chain[1:]
-    return 1.0, chain
-
-
-def _split_operand(e: Expr) -> tuple[float, list[Expr]]:
-    """Like ``_term_parts`` but keeps multi-term sums as opaque factors."""
-    if isinstance(e, Binary) and e.op == "add":
-        return 1.0, [e]
-    return _term_parts(e)
-
-
-def _merge_factors(factors: list[Expr]) -> list[Expr]:
-    """Merge repeated bases into integer powers and sort by key."""
-    merged: dict[tuple, list] = {}
-    for f in factors:
-        if isinstance(f, Binary) and f.op == "pow" and isinstance(f.right, Int):
-            base, n = f.left, f.right.value
-        else:
-            base, n = f, 1
-        k = canonical_key(base)
-        if k in merged:
-            merged[k][1] += n
-        else:
-            merged[k] = [base, n]
-    out = []
-    for base, n in merged.values():
-        if n == 0:
-            continue
-        out.append(base if n == 1 else Binary("pow", base, Int(n)))
-    out.sort(key=canonical_key)
-    return out
-
-
-def _build_term(coeff: float, factors: list[Expr]) -> Expr:
-    if not factors:
-        return Const(coeff)
-    node = factors[0] if coeff == 1.0 else Const(coeff)
-    rest = factors if coeff != 1.0 else factors[1:]
-    for f in rest:
-        node = Binary("mul", node, f)
-    return node
-
-
-def _term_sort_key(item):
-    coeff, factors = item
-    if not factors:
-        return (1, (), coeff)
-    return (0, tuple(canonical_key(f) for f in factors), coeff)
-
-
-def _build_sum(terms: list[tuple[float, list[Expr]]]) -> Expr:
-    groups: dict[tuple, list] = {}
-    for coeff, factors in terms:
-        k = tuple(canonical_key(f) for f in factors)
-        if k in groups:
-            groups[k][0] += coeff
-        else:
-            groups[k] = [coeff, factors]
-    kept = [(c, fs) for c, fs in groups.values() if c != 0.0]
-    if not kept:
-        return Const(0.0)
-    kept.sort(key=_term_sort_key)
-    node = _build_term(*kept[0])
-    for c, fs in kept[1:]:
-        node = Binary("add", node, _build_term(c, fs))
-    return node
-
-
 def canonicalize(e):
     """Reduce an expression (or equation) to its canonical form.
 
     Idempotent: re-canonicalizing a canonical tree is the identity.
-    Raises :class:`DivisionByZero` when constant folding divides by zero.
+    Raises :class:`DivisionByZero` when constant folding divides by zero
+    and :class:`UnsupportedNode` when a constant is not finite.
     """
     if isinstance(e, Equation):
-        return Equation(_canon(e.residual))
-    return _canon(e)
+        return Equation(build(terms(e.residual)))
+    return build(terms(e))
 
 
-def _canon(e: Expr) -> Expr:
-    if isinstance(e, (Const, Field, Var, Placeholder)):
-        return e
+def terms(e: Expr) -> list[tuple[float, tuple[Expr, ...]]]:
+    """The canonical terms of ``e`` as ``(coefficient, factors)`` pairs.
+
+    Factors are the term's non-constant factors, merged and sorted; the
+    constant term has none. Terms are sorted by their factors' keys with
+    the constant term last. No terms means zero.
+    """
+    return _round(_collect(_terms(e)))
+
+
+def build(terms) -> Expr:
+    """Binarize ``(coefficient, factors)`` pairs left to right, in the order
+    given, as a sum of products; a coefficient of 1 is left out of a term
+    that has factors. No terms give ``Const(0.0)``."""
+    node = None
+    for coeff, factors in terms:
+        if factors and coeff == 1.0:
+            term, rest = factors[0], factors[1:]
+        else:
+            term, rest = Const(coeff), factors
+        for f in rest:
+            term = Binary("mul", term, f)
+        node = term if node is None else Binary("add", node, term)
+    return Const(0.0) if node is None else node
+
+
+def term_head(coeff: float, factors: tuple[Expr, ...]):
+    """Split a canonical term into its head and its remaining factors.
+
+    The head of a masked term (coefficient 1 and a leading placeholder) is
+    that :class:`Placeholder`; the head of any other term is its
+    coefficient.
+    """
+    if coeff == 1.0 and factors and isinstance(factors[0], Placeholder):
+        return factors[0], factors[1:]
+    return coeff, factors
+
+
+# Internally a term is (exact coefficient, factors, factor keys), so each
+# factor is keyed once, when it is made.
+_ONE = Fraction(1)
+
+
+def _round(ts) -> list[tuple[float, tuple[Expr, ...]]]:
+    """Round exact coefficients to floats (the one rounding point), dropping
+    terms that underflow to zero."""
+    try:
+        rounded = [(float(c), fs) for c, fs, _ in ts]
+    except OverflowError:
+        raise UnsupportedNode("coefficient is too large for a float") from None
+    return [t for t in rounded if t[0] != 0.0]
+
+
+def _factor(f: Expr) -> list:
+    return [(_ONE, (f,), (canonical_key(f),))]
+
+
+def _constant(value) -> list:
+    return [(Fraction(value), (), ())] if value != 0 else []
+
+
+def _terms(e: Expr) -> list:
+    """Uncollected terms of ``e``; a sum's left spine is walked in a loop."""
+    if isinstance(e, Binary) and e.op in ("add", "sub"):
+        spine = []
+        while isinstance(e, Binary) and e.op in ("add", "sub"):
+            spine.append(e)
+            e = e.left
+        out = _terms(e)
+        for node in reversed(spine):
+            right = _terms(node.right)
+            if node.op == "sub":
+                right = _product(_constant(-1), _collect(right))
+            out += right
+        return out
+    if isinstance(e, Const):
+        if not math.isfinite(e.value):
+            raise UnsupportedNode(f"non-finite constant {e.value!r}")
+        return _constant(e.value)
     if isinstance(e, Int):
-        return Const(float(e.value))
+        return _constant(e.value)
+    if isinstance(e, (Field, Var, Placeholder)):
+        return _factor(e)
     if isinstance(e, Unary):
         if e.fn == "neg":
-            return _canon(Binary("mul", Const(-1.0), e.child))
-        child = _canon(e.child)
+            return _product(_constant(-1), _collect(_terms(e.child)))
+        child = build(terms(e.child))
         if isinstance(child, Const):
             fn = math.sin if e.fn == "sin" else math.cos
-            return Const(fn(child.value))
-        return Unary(e.fn, child)
+            return _constant(fn(child.value))
+        return _factor(Unary(e.fn, child))
     if isinstance(e, Deriv):
-        return _canon_deriv(e)
+        return _deriv_terms(e)
     if isinstance(e, Binary):
-        if e.op == "sub":
-            return _canon(
-                Binary("add", e.left, Binary("mul", Const(-1.0), e.right))
-            )
+        if e.op == "mul":
+            return _product(_collect(_terms(e.left)), _collect(_terms(e.right)))
         if e.op == "div":
-            return _canon_div(e.left, e.right)
-        if e.op == "pow":
-            return _canon_pow(e.left, e.right)
-        if e.op == "add":
-            terms = []
-            for side in (e.left, e.right):
-                canon_side = _canon(side)
-                for part in sum_terms(canon_side):
-                    coeff, factors = _term_parts(part)
-                    terms.append((coeff, _merge_factors(factors)))
-            return _build_sum(terms)
-        # mul
-        lc, lf = _split_operand(_canon(e.left))
-        rc, rf = _split_operand(_canon(e.right))
-        coeff = lc * rc
-        if coeff == 0.0:
-            return Const(0.0)
-        factors = _merge_factors(lf + rf)
-        if not factors:
-            return Const(coeff)
-        return _build_sum([(coeff, factors)])
+            left = _collect(_terms(e.left))
+            denom = _collect(_terms(e.right))
+            if not denom:
+                raise DivisionByZero("division by constant zero")
+            if len(denom) == 1 and not denom[0][1]:
+                return _product(left, _constant(1 / denom[0][0]))
+            inverse = Binary("pow", build(_round(denom)), Int(-1))
+            return _product(left, _collect(_terms(inverse)))
+        # pow: the result is one factor unless it folded to another form
+        result = _canon_pow(e.left, e.right)
+        if isinstance(result, Binary) and result.op == "pow":
+            return _factor(result)
+        return _terms(result)
     raise TypeError(f"cannot canonicalize {type(e).__name__}")
 
 
-def _canon_div(left: Expr, right: Expr) -> Expr:
-    denom = _canon(right)
-    if isinstance(denom, Const):
-        if denom.value == 0.0:
-            raise DivisionByZero("division by constant zero")
-        return _canon(Binary("mul", left, Const(1.0 / denom.value)))
-    return _canon(Binary("mul", left, Binary("pow", denom, Int(-1))))
+def _collect(ts: list) -> list:
+    """Sum like terms exactly, drop zeros and sort, constants last."""
+    if len(ts) < 2:
+        return ts
+    groups: dict[tuple, list] = {}
+    for coeff, factors, keys in ts:
+        group = groups.get(keys)
+        if group is None:
+            groups[keys] = [coeff, factors, keys]
+        else:
+            group[0] += coeff
+    for keys, (coeff, factors, _) in groups.items():
+        s = _bare_sum(coeff, factors)
+        if s is not None:
+            # like opaque sums whose coefficients add up to 1 (rounded) dissolve
+            del groups[keys]
+            return _collect([tuple(g) for g in groups.values()] + _terms(s))
+    kept = [tuple(g) for g in groups.values() if g[0] != 0]
+    kept.sort(key=lambda t: (not t[2], t[2]))
+    return kept
+
+
+def _bare_sum(coeff, factors: tuple[Expr, ...]) -> Expr | None:
+    """The sum a term stands for when it is 1 times a single sum factor.
+
+    The coefficient counts as 1 when it rounds to 1.0, the test
+    :func:`build` uses to leave it out, so no canonical tree holds a bare
+    sum as a term.
+    """
+    if len(factors) == 1 and isinstance(factors[0], Binary) and factors[0].op == "add":
+        if 0 < coeff < 2 and float(coeff) == 1.0:
+            return factors[0]
+    return None
+
+
+def _product(left: list, right: list) -> list:
+    """Terms of the product of two collected operands.
+
+    A multi-term operand stays one opaque factor; a product that comes out
+    as 1 times a single sum factor dissolves back into that sum's terms.
+    """
+    if not left or not right:
+        return []
+    coeff = _ONE
+    pairs = []
+    for side in (left, right):
+        if len(side) == 1:
+            c, factors, keys = side[0]
+            coeff *= c
+            pairs += zip(factors, keys)
+        else:
+            s = build(_round(side))
+            pairs.append((s, canonical_key(s)))
+    factors, keys = _merge_factors(pairs)
+    s = _bare_sum(coeff, factors)
+    if s is not None:
+        return _terms(s)
+    return [(coeff, factors, keys)]
+
+
+def _merge_factors(pairs) -> tuple[tuple[Expr, ...], tuple]:
+    """Merge repeated bases of ``(factor, key)`` pairs into integer powers
+    and sort by key."""
+    merged: dict[tuple, list] = {}
+    for f, k in pairs:
+        if isinstance(f, Binary) and f.op == "pow" and isinstance(f.right, Int):
+            base, n, kb = f.left, f.right.value, k[2]  # k[2] keys the base
+        else:
+            base, n, kb = f, 1, k
+        if kb in merged:
+            merged[kb][1] += n
+        else:
+            merged[kb] = [base, n]
+    out = []
+    for kb, (base, n) in merged.items():
+        if n == 1:
+            out.append((kb, base))
+        elif n != 0:
+            f = Binary("pow", base, Int(n))
+            out.append((canonical_key(f), f))
+    out.sort(key=lambda p: p[0])
+    return tuple(f for _, f in out), tuple(k for k, _ in out)
 
 
 def _canon_pow(base: Expr, exponent: Expr) -> Expr:
-    exp = _canon(exponent)
-    if isinstance(exp, Const) and float(exp.value).is_integer() and abs(exp.value) < 2**31:
+    exp = build(terms(exponent))
+    if isinstance(exp, Const) and exp.value.is_integer() and abs(exp.value) < 2**31:
         exp = Int(int(exp.value))
-    b = _canon(base)
-    if isinstance(exp, Int):
-        n = exp.value
-        if n == 0:
-            return Const(1.0)
-        if n == 1:
-            return b
-        if isinstance(b, Const):
-            if b.value == 0.0 and n < 0:
-                raise DivisionByZero("zero raised to a negative power")
-            return Const(float(b.value**n))
-        if isinstance(b, Binary) and b.op == "pow" and isinstance(b.right, Int):
-            return _canon_pow(b.left, Int(b.right.value * n))
-        return Binary("pow", b, Int(n))
-    if isinstance(b, Const) and isinstance(exp, Const):
-        return Const(float(b.value**exp.value))
+    b = build(terms(base))
+    if isinstance(exp, Int) and exp.value in (0, 1):
+        return b if exp.value == 1 else Const(1.0)
+    if isinstance(b, Const) and isinstance(exp, (Int, Const)):
+        if b.value == 0.0 and exp.value < 0:
+            raise DivisionByZero("zero raised to a negative power")
+        try:
+            value = b.value**exp.value
+        except OverflowError:
+            raise UnsupportedNode("constant power is too large for a float") from None
+        if isinstance(value, complex):
+            raise UnsupportedNode("constant power has no real value")
+        return Const(value)
+    if isinstance(exp, Int) and isinstance(b, Binary) and b.op == "pow" and isinstance(b.right, Int):
+        return _canon_pow(b.left, Int(b.right.value * exp.value))
     return Binary("pow", b, exp)
 
 
-def _canon_deriv(e: Deriv) -> Expr:
-    child = _canon(e.child)
-    if isinstance(child, (Const, Placeholder)):
-        return Const(0.0)
-    parts = sum_terms(child)
-    if len(parts) > 1:
-        node = Deriv(parts[0], e.var, e.order)
-        for p in parts[1:]:
-            node = Binary("add", node, Deriv(p, e.var, e.order))
-        return _canon(node)
-    coeff, factors = _term_parts(child)
-    if coeff == 0.0:
-        return Const(0.0)
-    if coeff != 1.0:
-        inner = Deriv(_build_term(1.0, factors), e.var, e.order)
-        return _canon(Binary("mul", Const(coeff), inner))
-    if isinstance(child, Var):
-        if child.name == e.var and e.order == 1:
-            return Const(1.0)
-        return Const(0.0)
-    if isinstance(child, Deriv):
-        return _normalize_deriv_nest(child, e.var, e.order)
-    return Deriv(child, e.var, e.order)
+def _deriv_terms(e: Deriv) -> list:
+    """Distribute a derivative over the terms of its child."""
+    out = []
+    for coeff, factors, _ in _collect(_terms(e.child)):
+        if factors in ((), (Placeholder(),)):
+            continue
+        single = factors[0] if len(factors) == 1 else None
+        if isinstance(single, Var):
+            unit = _constant(1) if single.name == e.var and e.order == 1 else []
+        elif isinstance(single, Deriv):
+            unit = _factor(_normalize_deriv_nest(single, e.var, e.order))
+        else:
+            unit = _factor(Deriv(build([(1.0, factors)]), e.var, e.order))
+        out += [(coeff * c, fs, ks) for c, fs, ks in unit]
+    return out
 
 
 def _normalize_deriv_nest(inner: Deriv, var: str, order: int) -> Expr:

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import datagen, metrics, perturb, smc, solver, study
-from .canon import canonicalize
+from .canon import build, terms
 from .errors import (
     AllWeightsDegenerate,
     CFLViolation,
@@ -32,7 +32,14 @@ from .errors import (
     ZeroCoefficient,
 )
 from .expr import parse_infix, to_infix
-from .tokens import Dialect, TokenSeq, from_tokens, to_canonical_tokens, to_manual_tokens
+from .tokens import (
+    Dialect,
+    TokenSeq,
+    canonical_tokens_of_terms,
+    from_tokens,
+    to_canonical_tokens,
+    to_manual_tokens,
+)
 
 _DATA_ERRORS = (
     ParseError,
@@ -136,10 +143,9 @@ def _cmd_parse(args) -> None:
 
 
 def _cmd_canon(args) -> None:
-    eq = _parse_input(args.expr)
-    seq = to_canonical_tokens(eq)
-    payload = _tokens_payload(seq)
-    payload["canonical_infix"] = to_infix(canonicalize(eq.residual))
+    ts = terms(_parse_input(args.expr).residual)
+    payload = _tokens_payload(canonical_tokens_of_terms(ts))
+    payload["canonical_infix"] = to_infix(build(ts))
     _emit(args, payload)
 
 

@@ -140,9 +140,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^=()])"
 )
 
-_PAREN_SUFFIXES = {"_t": ("t", 1), "_x": ("x", 1), "_xx": ("x", 2), "_xxx": ("x", 3)}
-
-
 def _tokenize(src: str):
     tokens = []
     pos = 0
@@ -249,9 +246,10 @@ class _Parser:
             node = self.expr()
             self.expect_op(")")
             kind2, tok2, _ = self.cur
-            if kind2 == "ident" and tok2 in _PAREN_SUFFIXES:
+            # a derivative suffix is a shorthand spelling without its "u"
+            if kind2 == "ident" and "u" + tok2 in DERIV_SHORTHAND:
                 self.advance()
-                var, order = _PAREN_SUFFIXES[tok2]
+                var, order = DERIV_SHORTHAND["u" + tok2]
                 return Deriv(node, var, order)
             return node
         raise ParseError("expected expression", pos)

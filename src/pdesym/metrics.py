@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canon import _term_parts, canonicalize, sum_terms
+from .canon import build, terms
 from .errors import (
     DecodeError,
     DegenerateReference,
@@ -219,20 +219,19 @@ def law_from_equation(eq: Equation) -> ConservationLaw:
     q1 = c/3) and ``cos(u)*u_x`` (sine, q1 = c). Raises
     :class:`NotSolvable` for anything else.
     """
-    residual = canonicalize(eq.residual)
     coeff_t = None
     q1 = None
     flux_kind = None
     q2 = 0.0
-    for term in sum_terms(residual):
-        coeff, factors = _term_parts(term)
-        if factors == [Deriv(FIELD, "t", 1)]:
+    for coeff, factors in terms(eq.residual):
+        if factors == (Deriv(FIELD, "t", 1),):
             coeff_t = coeff
-        elif factors == [Deriv(FIELD, "x", 2)]:
+        elif factors == (Deriv(FIELD, "x", 2),):
             q2 = -coeff
         else:
             match = _flux_term(factors)
             if match is None:
+                term = build([(coeff, factors)])
                 raise NotSolvable(f"unrecognized term in residual: {term!r}")
             flux_kind, scale = match
             q1 = coeff * scale
@@ -247,11 +246,11 @@ def law_from_equation(eq: Equation) -> ConservationLaw:
     return ConservationLaw(flux_kind, q1, q2)
 
 
-def _flux_term(factors: list[Expr]):
+def _flux_term(factors: tuple[Expr, ...]):
     """(flux kind, scale) of a ``(f(u))_x`` or expanded ``g(u) u_x`` term."""
     ux = Deriv(FIELD, "x", 1)
     for kind, flux in FLUXES.items():
-        if factors == [Deriv(flux.expr, "x", 1)]:
+        if factors == (Deriv(flux.expr, "x", 1),):
             return kind, 1.0
         if len(factors) == 2 and ux in factors and flux.product in factors:
             return kind, flux.scale

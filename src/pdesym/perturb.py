@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canon import canonicalize, product_factors, sum_terms
+from .canon import build, term_head, terms
 from .expr import (
     FIELD,
     Binary,
@@ -123,17 +123,8 @@ def mask_coefficients(eq: Equation) -> Equation:
     that serializes as the ``[?]`` token. Term structure and order are
     otherwise unchanged.
     """
-    residual = canonicalize(eq.residual)
-    masked_terms = []
-    for term in sum_terms(residual):
-        factors = product_factors(term)
-        if isinstance(factors[0], (Const, Placeholder)):
-            factors = factors[1:]
-        node: Expr = Placeholder()
-        for f in factors:
-            node = Binary("mul", node, f)
-        masked_terms.append(node)
-    out = masked_terms[0]
-    for t in masked_terms[1:]:
-        out = Binary("add", out, t)
-    return Equation(out)
+    masked = []
+    for coeff, factors in terms(eq.residual) or [(0.0, ())]:
+        _, rest = term_head(coeff, factors)
+        masked.append((1.0, (Placeholder(), *rest)))
+    return Equation(build(masked))

@@ -82,8 +82,10 @@ class ConservationLaw:
     def __post_init__(self):
         if self.flux_kind not in FLUXES:
             raise ValueError(f"flux_kind must be one of {tuple(FLUXES)}")
-        if self.q2 < 0.0:
-            raise ValueError("viscosity q2 must be >= 0")
+        if not math.isfinite(self.q1):
+            raise ValueError("q1 must be finite")
+        if not (math.isfinite(self.q2) and self.q2 >= 0.0):
+            raise ValueError("viscosity q2 must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ class Grid1D:
     def __post_init__(self):
         if self.nx < 8:
             raise ValueError("nx must be >= 8")
-        if self.dx <= 0.0:
-            raise ValueError("dx must be positive")
+        if not (math.isfinite(self.dx) and self.dx > 0.0):
+            raise ValueError("dx must be finite and positive")
 
     @property
     def length(self) -> float:

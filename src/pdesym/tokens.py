@@ -23,9 +23,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .canon import canonicalize, product_factors, sum_terms
+from .canon import build, term_head, terms
 from .errors import DecodeError, UnsupportedNode
 from .expr import (
+    DERIV_SHORTHAND,
     FIELD,
     SHORTHAND_BY_DERIV,
     Binary,
@@ -172,31 +173,24 @@ def _emit_manual(e: Expr, out: list[str]) -> None:
 
 def to_canonical_tokens(e) -> TokenSeq:
     """Canonicalize, then serialize with explicit per-term coefficients."""
-    residual = canonicalize(_residual_of(e))
-    terms = sum_terms(residual)
-    out: list[str] = []
-    if len(terms) >= 2:
-        out.append(ADD_TOKEN)
-    for term in terms:
-        _emit_term(term, out)
+    return canonical_tokens_of_terms(terms(_residual_of(e)))
+
+
+def canonical_tokens_of_terms(ts) -> TokenSeq:
+    """Serialize :func:`canon.terms` output with explicit per-term
+    coefficients; no terms serialize as zero."""
+    ts = ts or [(0.0, ())]
+    out: list[str] = [ADD_TOKEN] if len(ts) >= 2 else []
+    for coeff, factors in ts:
+        out.append(MUL_TOKEN)
+        head, rest = term_head(coeff, factors)
+        if isinstance(head, Placeholder):
+            out.append(PLACEHOLDER_TOKEN)
+        else:
+            out.append(_canonical_number_token(head, coefficient=True))
+        for f in rest:
+            _emit_canonical(f, out)
     return TokenSeq(Dialect.CANONICAL, tuple(out))
-
-
-def _emit_term(term: Expr, out: list[str]) -> None:
-    out.append(MUL_TOKEN)
-    factors = product_factors(term)
-    head = factors[0]
-    if isinstance(head, Const):
-        out.append(_canonical_number_token(head.value, coefficient=True))
-        rest = factors[1:]
-    elif isinstance(head, Placeholder):
-        out.append(PLACEHOLDER_TOKEN)
-        rest = factors[1:]
-    else:
-        out.append("1")
-        rest = factors
-    for f in rest:
-        _emit_canonical(f, out)
 
 
 def _emit_canonical(e: Expr, out: list[str]) -> None:
@@ -314,9 +308,7 @@ def _decode_manual(cur: _Cursor) -> Expr:
         return Unary(tok, _decode_manual(cur))
     if tok == "u":
         return FIELD
-    if tok in ("u_t", "u_x", "u_xx", "u_xxx"):
-        from .expr import DERIV_SHORTHAND
-
+    if tok in DERIV_SHORTHAND:
         var, order = DERIV_SHORTHAND[tok]
         return Deriv(FIELD, var, order)
     if tok == PLACEHOLDER_TOKEN:
@@ -335,49 +327,35 @@ def _decode_canonical(cur: _Cursor) -> Expr:
     first = cur.peek()
     if first == ADD_TOKEN:
         cur.next()
-        terms = []
+        ts = []
         while not cur.done:
             if cur.peek() != MUL_TOKEN:
                 raise DecodeError(
                     f"every term must start with {MUL_TOKEN!r}, found {cur.peek()!r}"
                 )
-            terms.append(_decode_term(cur))
-        if len(terms) < 2:
+            ts.append(_decode_term(cur))
+        if len(ts) < 2:
             raise DecodeError("a sum needs at least two terms")
-        node = terms[0]
-        for t in terms[1:]:
-            node = Binary("add", node, t)
-        return node
+        return build(ts)
     if first == MUL_TOKEN:
-        return _decode_term(cur)
+        return build([_decode_term(cur)])
     raise DecodeError(
         f"canonical sequence must start with {ADD_TOKEN!r} or {MUL_TOKEN!r}"
     )
 
 
-def _decode_term(cur: _Cursor) -> Expr:
+def _decode_term(cur: _Cursor) -> tuple[float, list[Expr]]:
     cur.expect(MUL_TOKEN)
     tok = cur.next()
     if tok == PLACEHOLDER_TOKEN:
-        coeff: Expr | None = Placeholder()
+        coeff, factors = 1.0, [Placeholder()]
     elif _NUM_RE.match(tok):
-        coeff = Const(float(tok))
+        coeff, factors = float(tok), []
     else:
         raise DecodeError(f"expected a coefficient token, found {tok!r}")
-    factors = []
     while not cur.done and cur.peek() != MUL_TOKEN:
         factors.append(_decode_atom(cur))
-    if not factors:
-        return coeff
-    if isinstance(coeff, Const) and coeff.value == 1.0:
-        node = factors[0]
-        rest = factors[1:]
-    else:
-        node = coeff
-        rest = factors
-    for f in rest:
-        node = Binary("mul", node, f)
-    return node
+    return coeff, factors
 
 
 def _decode_atom(cur: _Cursor) -> Expr:

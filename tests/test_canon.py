@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from pdesym.expr import (
     Binary,
     Const,
     Deriv,
+    Equation,
     Int,
     Unary,
     Var,
@@ -71,6 +74,14 @@ def test_like_term_collection():
     assert canon("5.0*x - 5.0*x") == Const(0.0)
     assert canon("2.0*x + 3.0*x") == Binary("mul", Const(5.0), Var("x"))
     assert canon("u - u") == Const(0.0)
+    assert to_canonical_tokens(parse_infix("0.5*(x + y) + u + 0.5*(x + y)")) == (
+        to_canonical_tokens(parse_infix("u + x + y"))
+    )
+    # coefficients that round to 1.0 without being exactly 1 dissolve too
+    for text in ("u + 0.1*(10*(x + y))", "u + 0.3*(x + y) + 0.7*(x + y)"):
+        once = canon(text)
+        assert once == canon("u + x + y")
+        assert canonicalize(once) == once
 
 
 def test_constant_folding():
@@ -88,6 +99,8 @@ def test_division_by_zero():
         canon("x/0.0")
     with pytest.raises(DivisionByZero):
         canon("0.0^-1")
+    with pytest.raises(DivisionByZero):
+        canonicalize(Binary("pow", Const(0.0), Const(-0.5)))
 
 
 def test_factor_power_merging():
@@ -118,6 +131,59 @@ def test_mixed_partials_commute_but_do_not_tokenize():
 def test_equivalent_examples():
     assert equivalent(parse_infix("x - 1 + 1 + y"), parse_infix("y + x"))
     assert not equivalent(parse_infix("u_t"), parse_infix("u_x"))
+
+
+def test_non_finite_constants_are_typed_errors():
+    for src in ("2^100000", "u_t + 1e999*u_x", "(1e200*x)*1e200"):
+        with pytest.raises(UnsupportedNode):
+            canon(src)
+        with pytest.raises(UnsupportedNode):
+            to_canonical_tokens(parse_infix(src))
+    with pytest.raises(UnsupportedNode):
+        canonicalize(Binary("pow", Const(-8.0), Const(0.5)))
+
+
+_LIKE_TERM_FACTORS = [
+    FIELD,
+    Deriv(FIELD, "x", 1),
+    Deriv(FIELD, "x", 2),
+    Deriv(Binary("pow", FIELD, Int(2)), "x", 1),
+    Unary("sin", FIELD),
+    Var("x"),
+]
+# three-decimal coefficients in thousandths; a multiple of 125 would be dyadic
+_MILLIS = st.integers(-2000, 2000).filter(lambda k: k % 125 != 0)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_like_term_splits_tokenize_alike_however_grouped(data):
+    picks = data.draw(st.lists(st.sampled_from(_LIKE_TERM_FACTORS), min_size=2,
+                               max_size=4, unique=True))
+    parts = []
+    for factor in picks:
+        millis = data.draw(st.lists(_MILLIS, min_size=2, max_size=4))
+        parts += [Binary("mul", Const(k / 1000), factor) for k in millis]
+
+    def group(items):
+        if len(items) == 1:
+            return items[0]
+        cut = data.draw(st.integers(1, len(items) - 1))
+        return Binary("add", group(items[:cut]), group(items[cut:]))
+
+    fixed = parts[0]
+    for p in parts[1:]:
+        fixed = Binary("add", fixed, p)
+    tree = group(data.draw(st.permutations(parts)))
+    if data.draw(st.booleans()):
+        tree = swap_branches(tree, PerturbConfig(seed=data.draw(st.integers(0, 2**31))))
+    assert to_canonical_tokens(Equation(tree)) == to_canonical_tokens(Equation(fixed))
+
+
+def test_long_flat_sum_collects_to_one_term():
+    tree = parse_infix(" + ".join(["0.001*x"] * 3000)).residual
+    coeff = float(3000 * Fraction(0.001))
+    assert canonicalize(tree) == Binary("mul", Const(coeff), Var("x"))
 
 
 def test_canonical_key_is_total_order_on_distinct_nodes():

@@ -63,10 +63,19 @@ def test_usage_error_exit_code(capsys):
     assert json.loads(err)["error"] == "_UsageError"
 
 
-def test_data_error_exit_code(capsys):
+def test_data_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "canon", "--expr", "tan(u)")
     assert code == 2
     assert "UnknownSymbol" in err
+    code, _, err = run_cli(capsys, "canon", "--expr", "2^100000")
+    assert code == 2
+    assert json.loads(err)["error"] == "UnsupportedNode"
+    code, _, err = run_cli(
+        capsys, "solve", "--family", "icl_sine", "--q1", "nan",
+        "--output-grid", str(tmp_path / "traj.grid"),
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_numeric_error_exit_code(capsys):

@@ -236,6 +236,13 @@ def test_validation_errors():
         ConservationLaw("quartic", 0.5, 0.0)
     with pytest.raises(ValueError):
         Grid1D(nx=4, dx=0.1)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            Grid1D(nx=8, dx=bad)
+        with pytest.raises(ValueError):
+            ConservationLaw("quadratic", bad, 0.0)
+        with pytest.raises(ValueError):
+            ConservationLaw("quadratic", 0.5, bad)
     with pytest.raises(ValueError):
         solve(ConservationLaw("sine", 1.0), np.zeros(128), _grid(), -1.0, 4)
     with pytest.raises(ValueError):
