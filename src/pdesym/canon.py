@@ -192,23 +192,48 @@ def _terms(e: Expr) -> list:
     if isinstance(e, Deriv):
         return _deriv_terms(e)
     if isinstance(e, Binary):
-        if e.op == "mul":
-            return _product(_collect(_terms(e.left)), _collect(_terms(e.right)))
-        if e.op == "div":
-            left = _collect(_terms(e.left))
-            denom = _collect(_terms(e.right))
-            if not denom:
-                raise DivisionByZero("division by constant zero")
-            if len(denom) == 1 and not denom[0][1]:
-                return _product(left, _constant(1 / denom[0][0]))
-            inverse = Binary("pow", build(_round(denom)), Int(-1))
-            return _product(left, _collect(_terms(inverse)))
+        if e.op in ("mul", "div"):
+            return _product_terms(e)
         # pow: the result is one factor unless it folded to another form
         result = _canon_pow(e.left, e.right)
         if isinstance(result, Binary) and result.op == "pow":
             return _factor(result)
         return _terms(result)
     raise TypeError(f"cannot canonicalize {type(e).__name__}")
+
+
+def _product_terms(e: Binary) -> list:
+    """Terms of a product or quotient. The parser groups a pure ``*`` chain
+    to the right and a chain holding ``/`` to the left; either spine is
+    walked in a loop, so a long chain does not recurse."""
+    if e.op == "mul" and isinstance(e.right, Binary) and e.right.op == "mul":
+        lefts = []
+        while isinstance(e, Binary) and e.op == "mul":
+            lefts.append(_collect(_terms(e.left)))
+            e = e.right
+        out = _terms(e)
+        for left in reversed(lefts):
+            out = _product(left, _collect(out))
+        return out
+    spine = []
+    while isinstance(e, Binary) and e.op in ("mul", "div"):
+        spine.append(e)
+        e = e.left
+    out = _terms(e)
+    for node in reversed(spine):
+        left, right = _collect(out), _collect(_terms(node.right))
+        out = _quotient(left, right) if node.op == "div" else _product(left, right)
+    return out
+
+
+def _quotient(left: list, denom: list) -> list:
+    """Terms of the quotient of two collected operands."""
+    if not denom:
+        raise DivisionByZero("division by constant zero")
+    if len(denom) == 1 and not denom[0][1]:
+        return _product(left, _constant(1 / denom[0][0]))
+    inverse = Binary("pow", build(_round(denom)), Int(-1))
+    return _product(left, _collect(_terms(inverse)))
 
 
 def _collect(ts: list) -> list:

@@ -19,7 +19,8 @@ Grammar accepted by :func:`parse_infix` (whitespace-insensitive)::
 Juxtaposition is not multiplication; an explicit ``*`` is required.
 Chains of ``+``/``-`` group to the left; pure ``*`` chains group to the
 right (``a*b*c`` is ``a*(b*c)``), while any chain containing ``/`` groups
-to the left so division keeps its usual meaning.
+to the left so division keeps its usual meaning. Parentheses, unary
+minus and function calls may nest at most :data:`MAX_DEPTH` levels deep.
 """
 from __future__ import annotations
 
@@ -44,6 +45,10 @@ DERIV_SHORTHAND = {
 SHORTHAND_BY_DERIV = {v: k for k, v in DERIV_SHORTHAND.items()}
 
 _RESERVED_IDENTS = {"u", "sin", "cos"} | set(DERIV_SHORTHAND)
+
+#: deepest nesting the parser and the token decoders accept; trees within it
+#: stay well inside Python's recursion limit in every recursive walk
+MAX_DEPTH = 100
 
 
 class Expr:
@@ -162,6 +167,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.idx = 0
+        self.depth = 0
 
     @property
     def cur(self):
@@ -182,11 +188,20 @@ class _Parser:
         kind, tok, _ = self.cur
         return kind == "op" and tok in texts
 
+    def enter(self) -> None:
+        """Count one more level of nesting; every recursion of the parser
+        passes through a parenthesis, a function call or a unary minus."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.cur[2])
+        self.depth += 1
+
     def expr(self) -> Expr:
+        self.enter()
         node = self.term()
         while self.at_op("+", "-"):
             _, op, _ = self.advance()
             node = Binary("add" if op == "+" else "sub", node, self.term())
+        self.depth -= 1
         return node
 
     def term(self) -> Expr:
@@ -211,7 +226,9 @@ class _Parser:
     def factor(self) -> Expr:
         if self.at_op("-"):
             self.advance()
+            self.enter()
             operand = self.factor()
+            self.depth -= 1
             if isinstance(operand, Const):
                 return Const(-operand.value)
             if isinstance(operand, Int):

@@ -28,6 +28,7 @@ from .errors import DecodeError, UnsupportedNode
 from .expr import (
     DERIV_SHORTHAND,
     FIELD,
+    MAX_DEPTH,
     SHORTHAND_BY_DERIV,
     Binary,
     Const,
@@ -136,39 +137,45 @@ def _residual_of(e) -> Expr:
 
 
 def to_manual_tokens(e) -> TokenSeq:
-    """Prefix serialization of the tree exactly as stored (no reordering)."""
+    """Prefix serialization of the tree exactly as stored (no reordering).
+
+    The walk keeps its own stack, so a long operator chain emits without
+    recursion."""
     out: list[str] = []
-    _emit_manual(_residual_of(e), out)
+    todo = [_residual_of(e)]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Binary):
+            out.append(_OP_TOKENS[e.op])
+            todo.append(e.right)
+            todo.append(e.left)
+        elif isinstance(e, Unary):
+            out.append(e.fn)
+            todo.append(e.child)
+        else:
+            out.append(_manual_leaf(e))
     return TokenSeq(Dialect.MANUAL, tuple(out))
 
 
-def _emit_manual(e: Expr, out: list[str]) -> None:
-    if isinstance(e, Binary):
-        out.append(_OP_TOKENS[e.op])
-        _emit_manual(e.left, out)
-        _emit_manual(e.right, out)
-    elif isinstance(e, Unary):
-        out.append(e.fn)
-        _emit_manual(e.child, out)
-    elif isinstance(e, Deriv):
+def _manual_leaf(e: Expr) -> str:
+    if isinstance(e, Deriv):
         if e.child != FIELD or (e.var, e.order) not in SHORTHAND_BY_DERIV:
             raise UnsupportedNode(
                 "manual dialect has shorthand tokens only for field derivatives "
                 "up to u_xxx and u_t"
             )
-        out.append(SHORTHAND_BY_DERIV[(e.var, e.order)])
-    elif isinstance(e, Field):
-        out.append("u")
-    elif isinstance(e, Var):
-        out.append(e.name)
-    elif isinstance(e, Const):
-        out.append(repr(e.value))
-    elif isinstance(e, Int):
-        out.append(str(e.value))
-    elif isinstance(e, Placeholder):
-        out.append(PLACEHOLDER_TOKEN)
-    else:
-        raise UnsupportedNode(f"cannot serialize {type(e).__name__}")
+        return SHORTHAND_BY_DERIV[(e.var, e.order)]
+    if isinstance(e, Field):
+        return "u"
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Const):
+        return repr(e.value)
+    if isinstance(e, Int):
+        return str(e.value)
+    if isinstance(e, Placeholder):
+        return PLACEHOLDER_TOKEN
+    raise UnsupportedNode(f"cannot serialize {type(e).__name__}")
 
 
 def to_canonical_tokens(e) -> TokenSeq:
@@ -276,8 +283,8 @@ def from_tokens(ts: TokenSeq) -> Equation:
     """Decode a token sequence; inverse of the matching serializer.
 
     Raises :class:`DecodeError` for malformed prefix structure, dangling
-    brackets, arity violations, trailing tokens or out-of-vocabulary
-    tokens.
+    brackets, arity violations, trailing tokens, out-of-vocabulary tokens
+    or operators nested deeper than ``MAX_DEPTH``.
     """
     cur = _Cursor(list(ts.tokens))
     if cur.done:
@@ -297,15 +304,21 @@ def _number_node(tok: str) -> Expr:
     return Int(int(tok))
 
 
-def _decode_manual(cur: _Cursor) -> Expr:
+def _check_depth(depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise DecodeError(f"nesting deeper than {MAX_DEPTH} levels")
+
+
+def _decode_manual(cur: _Cursor, depth: int = 0) -> Expr:
+    _check_depth(depth)
     tok = cur.next()
     if tok in _MANUAL_OPS:
         op = _MANUAL_OPS[tok]
-        left = _decode_manual(cur)
-        right = _decode_manual(cur)
+        left = _decode_manual(cur, depth + 1)
+        right = _decode_manual(cur, depth + 1)
         return Binary(op, left, right)
     if tok in ("sin", "cos", "neg"):
-        return Unary(tok, _decode_manual(cur))
+        return Unary(tok, _decode_manual(cur, depth + 1))
     if tok == "u":
         return FIELD
     if tok in DERIV_SHORTHAND:
@@ -358,24 +371,25 @@ def _decode_term(cur: _Cursor) -> tuple[float, list[Expr]]:
     return coeff, factors
 
 
-def _decode_atom(cur: _Cursor) -> Expr:
+def _decode_atom(cur: _Cursor, depth: int = 0) -> Expr:
+    _check_depth(depth)
     tok = cur.next()
     if tok == ADD_TOKEN:
-        left = _decode_atom(cur)
-        return Binary("add", left, _decode_atom(cur))
+        left = _decode_atom(cur, depth + 1)
+        return Binary("add", left, _decode_atom(cur, depth + 1))
     if tok == MUL_TOKEN:
-        left = _decode_atom(cur)
-        return Binary("mul", left, _decode_atom(cur))
+        left = _decode_atom(cur, depth + 1)
+        return Binary("mul", left, _decode_atom(cur, depth + 1))
     if tok == POW_TOKEN:
-        base = _decode_atom(cur)
-        exp = _decode_atom(cur)
+        base = _decode_atom(cur, depth + 1)
+        exp = _decode_atom(cur, depth + 1)
         if not isinstance(exp, Int):
             raise DecodeError("integer exponent expected after pow")
         return Binary("pow", base, exp)
     if tok in ("sin", "cos"):
-        return Unary(tok, _decode_atom(cur))
+        return Unary(tok, _decode_atom(cur, depth + 1))
     if tok == PARTIAL_TOKEN:
-        return _decode_deriv(cur)
+        return _decode_deriv(cur, depth)
     if tok == FIELD_TOKEN:
         return FIELD
     if tok == PLACEHOLDER_TOKEN:
@@ -390,9 +404,9 @@ def _decode_atom(cur: _Cursor) -> Expr:
     raise DecodeError(f"unknown token {tok!r}")
 
 
-def _decode_deriv(cur: _Cursor) -> Expr:
+def _decode_deriv(cur: _Cursor, depth: int) -> Expr:
     cur.expect("(")
-    child = _decode_atom(cur)
+    child = _decode_atom(cur, depth + 1)
     cur.expect(",")
     tok = cur.next()
     if tok == "(":

@@ -186,6 +186,20 @@ def test_long_flat_sum_collects_to_one_term():
     assert canonicalize(tree) == Binary("mul", Const(coeff), Var("x"))
 
 
+def test_long_product_chains_collect_to_one_power():
+    """The parser groups a pure ``*`` chain into a right spine and a chain
+    with ``/`` into a left spine; both are walked without recursion."""
+    x3000 = Binary("pow", Var("x"), Int(3000))
+    tree = parse_infix("*".join(["x"] * 3000)).residual
+    assert canonicalize(tree) == x3000
+    tree = parse_infix("*".join(["x"] * 3000) + "/2").residual
+    assert canonicalize(tree) == Binary("mul", Const(0.5), x3000)
+    tree = parse_infix("x/2*" + "*".join(["x"] * 2999)).residual
+    assert canonicalize(tree) == Binary("mul", Const(0.5), x3000)
+    tree = parse_infix("x/" + "/".join(["x"] * 2999) + "*u").residual
+    assert canonicalize(tree) == Binary("mul", FIELD, Binary("pow", Var("x"), Int(-2998)))
+
+
 def test_canonical_key_is_total_order_on_distinct_nodes():
     nodes = [
         FIELD,

@@ -78,6 +78,26 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_deep_input_is_a_data_error(tmp_path, capsys):
+    from pdesym.datagen import FAMILIES, equation_record
+
+    code, _, err = run_cli(capsys, "canon", "--expr", "(" * 3000 + "u" + ")" * 3000)
+    assert code == 2
+    assert json.loads(err)["error"] == "ParseError"
+    truth = tmp_path / "eq.json"
+    truth.write_text(json.dumps(equation_record("x", FAMILIES["icl_sine"], 1.0, 0.0)))
+    code, _, err = run_cli(
+        capsys, "eval", "--truth", str(truth), "--dialect", "manual",
+        "--learned-tokens", " ".join(["neg"] * 5000 + ["u"]),
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "DecodeError"
+    # a long product chain is not nested input: it canonicalizes
+    code, out, _ = run_cli(capsys, "canon", "--expr", "*".join(["x"] * 3000))
+    assert code == 0
+    assert json.loads(out)["canonical_infix"] == "x^3000"
+
+
 def test_numeric_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "canon", "--expr", "u/0.0")
     assert code == 3

@@ -4,6 +4,7 @@ import pytest
 from pdesym.errors import ParseError, UnknownSymbol, UnsupportedNode
 from pdesym.expr import (
     FIELD,
+    MAX_DEPTH,
     Binary,
     Const,
     Deriv,
@@ -84,6 +85,23 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         parse_infix("u_t @ u_x")
     assert err.value.offset == 4
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["(" * 3000 + "u" + ")" * 3000, "-" * 3000 + "u", "sin(" * 3000 + "u" + ")" * 3000],
+    ids=["parentheses", "unary-minus", "sin"],
+)
+def test_deep_nesting_is_a_parse_error(src):
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_DEPTH} levels"):
+        parse_infix(src)
+
+
+def test_nesting_limit_counts_parentheses_minus_and_calls():
+    deepest = "sin(-(" * 33 + "u" + "))" * 33  # 99 levels around u
+    assert to_infix(parse_infix(deepest).residual).count("sin") == 33
+    with pytest.raises(ParseError):
+        parse_infix("(" + deepest + ")")
 
 
 def test_unknown_symbols():

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from pdesym import solver
 from pdesym.datagen import FAMILIES, grid_for, law_for, sample_ic
 from pdesym.errors import AllWeightsDegenerate, ZeroCoefficient
 from pdesym.smc import (
@@ -17,6 +20,9 @@ from pdesym.smc import (
     weights_from_sq_residuals,
 )
 from pdesym.solver import ConservationLaw, solve
+
+# a worker thread that forgets numpy's per-thread error state fails the suite
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _observations(family="inviscid_burgers", q1=0.5, q2=0.0, seed=0, frames=11):
@@ -181,6 +187,40 @@ def test_batched_advance_matches_scalar_solver_bitwise():
                 assert np.array_equal(states[i], solo[0])
     traj = solve(ConservationLaw("sine", q1[0], q2[0]), u0, grid, dt, 2)
     assert np.array_equal(traj.values[1], advance_ensemble("sine", q1, q2, u0, dt, grid)[0][0])
+
+
+@pytest.mark.parametrize("flux_kind", sorted(solver.FLUXES))
+def test_split_batch_matches_rows_advanced_alone(flux_kind, monkeypatch):
+    """A batch split across worker threads gives every row the bits and the
+    ``ok`` flag of that row advanced alone, with failing rows in the first
+    and the last block."""
+    family = {"quadratic": "burgers", "cubic": "cl_cubic", "sine": "cl_sine"}[flux_kind]
+    obs, law = _observations(family=family, q1=FAMILIES[family].q1, q2=0.05)
+    monkeypatch.setattr(solver, "_cores", lambda: 2)
+    blocks = []
+    advance_rows = solver._advance_rows
+
+    def recording(flux, q1, *rest):
+        blocks.append((q1.size, threading.current_thread() is threading.main_thread()))
+        advance_rows(flux, q1, *rest)
+
+    monkeypatch.setattr(solver, "_advance_rows", recording)
+    u0, dt, grid = obs.states[0], 1 / 124, obs.grid
+    rng = np.random.default_rng(21)
+    q1 = law.q1 * rng.uniform(0.9, 1.1, 301)
+    q2 = rng.uniform(0.04, 0.06, 301)
+    q2[::3] = 0.0
+    q1[[0, 300]] = [np.inf, np.nan]  # frozen before the first substep
+    q1[[1, 299]] = 0.0  # no wave speed: a zero divisor in every step limit
+    q2[[2, 298]] = -5.0  # anti-diffusive, whether or not its block is viscous
+    states, ok = advance_ensemble(flux_kind, q1, q2, u0, dt, grid)
+    assert sorted(blocks) == [(150, False), (151, False)]
+    expected_ok = np.isfinite(q1)
+    for i in range(q1.size):
+        solo, solo_ok = advance_ensemble(flux_kind, q1[i : i + 1], q2[i : i + 1], u0, dt, grid)
+        assert solo_ok[0] == ok[i] == expected_ok[i]
+        assert np.array_equal(states[i], solo[0], equal_nan=True)
+    assert blocks[2:] == [(1, True)] * q1.size
 
 
 # ---------------------------------------------------------------------------

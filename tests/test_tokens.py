@@ -9,6 +9,7 @@ from pdesym.canon import canonicalize
 from pdesym.errors import DecodeError, UnsupportedNode
 from pdesym.expr import (
     FIELD,
+    MAX_DEPTH,
     Binary,
     Const,
     Deriv,
@@ -17,6 +18,7 @@ from pdesym.expr import (
     Unary,
     Var,
     parse_infix,
+    to_infix,
 )
 from pdesym.tokens import (
     Dialect,
@@ -187,6 +189,45 @@ def test_decoding_single_term_with_trailing_term_fails():
     toks = ("×", "1", "u(x,t)", "×", "1", "u(x,t)")
     with pytest.raises(DecodeError):
         from_tokens(TokenSeq(Dialect.CANONICAL, toks))
+
+
+@pytest.mark.parametrize(
+    "toks",
+    [
+        (Dialect.MANUAL, ["neg"] * 5000 + ["u"]),
+        (Dialect.MANUAL, ["+"] * 3000 + ["u"] * 3001),
+        (Dialect.CANONICAL, ["×", "1"] + ["sin"] * 5000 + ["u(x,t)"]),
+        (
+            Dialect.CANONICAL,
+            ["×", "1"] + ["∂", "("] * 3000 + ["u(x,t)"] + [",", "x", ")"] * 3000,
+        ),
+    ],
+    ids=["manual-neg", "manual-sum", "canonical-sin", "canonical-deriv"],
+)
+def test_deep_nesting_is_a_decode_error(toks):
+    with pytest.raises(DecodeError, match=f"nesting deeper than {MAX_DEPTH} levels"):
+        from_tokens(TokenSeq(*toks))
+
+
+def test_manual_tokens_of_long_chains():
+    product = parse_infix("*".join(["x"] * 3000))
+    assert to_manual_tokens(product).tokens == ("×", "x") * 2999 + ("x",)
+    total = parse_infix(" + ".join(["x"] * 3000))
+    assert to_manual_tokens(total).tokens == ("+",) * 2999 + ("x",) * 3000
+
+
+def test_deepest_accepted_nesting_survives_every_walk():
+    """A tree as deep as the parser and the decoders accept goes through
+    every serializer, decoder and canonicalization without recursing too
+    deep."""
+    levels = MAX_DEPTH - 1
+    eq = parse_infix("sin(" * levels + "u" + ")" * levels + " + u_x")
+    manual = to_manual_tokens(eq)
+    assert from_tokens(manual) == eq
+    canonical = to_canonical_tokens(eq)
+    assert canonical.tokens.count("sin") == levels
+    assert from_tokens(canonical) == Equation(canonicalize(eq.residual))
+    assert parse_infix(to_infix(eq.residual)) == eq
 
 
 def test_serialization_is_deterministic():
