@@ -159,20 +159,44 @@ def _constant(value) -> list:
     return [(Fraction(value), (), ())] if value != 0 else []
 
 
+_COMBINE_OPS = ("add", "sub", "mul", "div")
+
+
 def _terms(e: Expr) -> list:
-    """Uncollected terms of ``e``; a sum's left spine is walked in a loop."""
-    if isinstance(e, Binary) and e.op in ("add", "sub"):
-        spine = []
-        while isinstance(e, Binary) and e.op in ("add", "sub"):
-            spine.append(e)
-            e = e.left
-        out = _terms(e)
-        for node in reversed(spine):
-            right = _terms(node.right)
-            if node.op == "sub":
-                right = _product(_constant(-1), _collect(right))
-            out += right
-        return out
+    """Uncollected terms of ``e``.
+
+    Sums, differences, products and quotients are evaluated in post-order
+    from an explicit stack: a chain of them does not recurse, whichever
+    side it grows on (the parser grows sums and quotients to the left and
+    pure ``*`` chains to the right; branch swaps mix the two)."""
+    values = []
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        if type(node) is str:  # an operator whose operands are done
+            right = values.pop()
+            values.append(_combine(node, values.pop(), right))
+        elif isinstance(node, Binary) and node.op in _COMBINE_OPS:
+            todo += (node.op, node.right, node.left)
+        else:
+            values.append(_atom_terms(node))
+    return values[0]
+
+
+def _combine(op: str, left: list, right: list) -> list:
+    """Terms of ``left op right`` from the uncollected terms of each side."""
+    if op == "add":
+        return left + right
+    if op == "sub":
+        return left + _product(_constant(-1), _collect(right))
+    if op == "mul":
+        return _product(_collect(left), _collect(right))
+    return _quotient(_collect(left), _collect(right))
+
+
+def _atom_terms(e: Expr) -> list:
+    """Uncollected terms of a node that is not a sum, difference, product
+    or quotient."""
     if isinstance(e, Const):
         if not math.isfinite(e.value):
             raise UnsupportedNode(f"non-finite constant {e.value!r}")
@@ -192,38 +216,12 @@ def _terms(e: Expr) -> list:
     if isinstance(e, Deriv):
         return _deriv_terms(e)
     if isinstance(e, Binary):
-        if e.op in ("mul", "div"):
-            return _product_terms(e)
         # pow: the result is one factor unless it folded to another form
         result = _canon_pow(e.left, e.right)
         if isinstance(result, Binary) and result.op == "pow":
             return _factor(result)
         return _terms(result)
     raise TypeError(f"cannot canonicalize {type(e).__name__}")
-
-
-def _product_terms(e: Binary) -> list:
-    """Terms of a product or quotient. The parser groups a pure ``*`` chain
-    to the right and a chain holding ``/`` to the left; either spine is
-    walked in a loop, so a long chain does not recurse."""
-    if e.op == "mul" and isinstance(e.right, Binary) and e.right.op == "mul":
-        lefts = []
-        while isinstance(e, Binary) and e.op == "mul":
-            lefts.append(_collect(_terms(e.left)))
-            e = e.right
-        out = _terms(e)
-        for left in reversed(lefts):
-            out = _product(left, _collect(out))
-        return out
-    spine = []
-    while isinstance(e, Binary) and e.op in ("mul", "div"):
-        spine.append(e)
-        e = e.left
-    out = _terms(e)
-    for node in reversed(spine):
-        left, right = _collect(out), _collect(_terms(node.right))
-        out = _quotient(left, right) if node.op == "div" else _product(left, right)
-    return out
 
 
 def _quotient(left: list, denom: list) -> list:

@@ -1,10 +1,13 @@
 """Dataset generation for the six conservation-law families.
 
-For every (family, parameter draw, initial condition) triple the generator
-solves the law on the family grid, writes one ``traj_<id>.grid`` trajectory
-(PDEGRID1) and one ``eq_<id>.json`` equation file, and finally an index
-``manifest.json``. Output is fully deterministic given the manifest seed;
-regenerating produces byte-identical files.
+For each family the generator first draws every (parameter draw, initial
+condition) row, each from its own ``SeedSequence`` stream, then solves all
+the rows on the family grid as one ensemble (``solver.solve_ensemble``;
+each row is bit-identical to that row solved alone). It writes one
+``traj_<id>.grid`` trajectory (PDEGRID1) and one ``eq_<id>.json`` equation
+file per row that stayed finite, skipping with a warning any row that blew
+up, and finally an index ``manifest.json``. Output is fully deterministic
+given the manifest seed; regenerating produces byte-identical files.
 
 Coefficients are jittered by Unif(0.9, 1.1) per nonzero base value and
 rounded to three significant digits, matching the float-token grid of the
@@ -20,9 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteState
 from .expr import FIELD, Binary, Const, Deriv, Equation, Expr, to_infix
-from .solver import FLUXES, ConservationLaw, Grid1D, solve, write_grid_file
+from .solver import (
+    FLUXES,
+    ConservationLaw,
+    Grid1D,
+    SpaceTimeField,
+    solve_ensemble,
+    write_grid_file,
+)
 from .tokens import round_sig3, to_canonical_tokens
 
 logger = logging.getLogger(__name__)
@@ -159,38 +168,42 @@ def generate(manifest: DatasetManifest, outdir) -> dict:
     for fam_idx, name in enumerate(manifest.families):
         spec = FAMILIES[name]
         grid = grid_for(spec)
+        rows = []  # (entry id, q1, q2, u0) of every draw of the family
         for p in range(manifest.params_per_family):
             seq = np.random.SeedSequence((manifest.seed, split_code, fam_idx, p))
             children = seq.spawn(1 + manifest.ics_per_param)
             q1, q2 = sample_params(spec, np.random.default_rng(children[0]))
-            law = law_for(spec, q1, q2)
             for i in range(manifest.ics_per_param):
-                entry_id = f"{name}_{p:03d}_{i:03d}"
                 u0 = sample_ic(spec, np.random.default_rng(children[1 + i]))
-                try:
-                    field_out = solve(law, u0, grid, spec.t_f, spec.nt)
-                except NonFiniteState:
-                    logger.warning("skipping %s: solver state blew up", entry_id)
-                    continue
-                record = equation_record(entry_id, spec, q1, q2)
-                eq_path = outdir / f"eq_{entry_id}.json"
-                traj_path = outdir / f"traj_{entry_id}.grid"
-                eq_path.write_text(
-                    json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False)
-                    + "\n",
-                    encoding="utf-8",
-                )
-                write_grid_file(field_out, traj_path)
-                entries.append(
-                    {
-                        "id": entry_id,
-                        "family": name,
-                        "q1": q1,
-                        "q2": q2,
-                        "equation": eq_path.name,
-                        "trajectory": traj_path.name,
-                    }
-                )
+                rows.append((f"{name}_{p:03d}_{i:03d}", q1, q2, u0))
+        ids, q1s, q2s, u0s = zip(*rows)
+        times, values, ok = solve_ensemble(
+            spec.flux_kind, np.array(q1s), np.array(q2s), np.array(u0s), grid,
+            spec.t_f, spec.nt,
+        )
+        for entry_id, q1, q2, traj, row_ok in zip(ids, q1s, q2s, values, ok):
+            if not row_ok:
+                logger.warning("skipping %s: solver state blew up", entry_id)
+                continue
+            record = equation_record(entry_id, spec, q1, q2)
+            eq_path = outdir / f"eq_{entry_id}.json"
+            traj_path = outdir / f"traj_{entry_id}.grid"
+            eq_path.write_text(
+                json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False)
+                + "\n",
+                encoding="utf-8",
+            )
+            write_grid_file(SpaceTimeField(grid, times, traj), traj_path)
+            entries.append(
+                {
+                    "id": entry_id,
+                    "family": name,
+                    "q1": q1,
+                    "q2": q2,
+                    "equation": eq_path.name,
+                    "trajectory": traj_path.name,
+                }
+            )
     index = {
         "seed": manifest.seed,
         "split": manifest.split,

@@ -249,7 +249,10 @@ class _Parser:
         if kind != "num" or "." in tok or "e" in tok or "E" in tok:
             raise ParseError("integer exponent required", pos)
         self.advance()
-        return Int(sign * int(tok))
+        try:
+            return Int(sign * int(tok))
+        except ValueError:  # beyond the digit limit of int()
+            raise ParseError("exponent too long", pos) from None
 
     def base(self) -> Expr:
         kind, tok, pos = self.cur
@@ -335,11 +338,28 @@ def _spine_has_div(e: Expr) -> bool:
 
 
 def to_infix(e: Expr) -> str:
-    """Render a tree as an infix string that reparses to the same tree."""
-    return _infix(e, 0)
+    """Render a tree as an infix string that reparses to the same tree.
+
+    The walk keeps its own stack of pending strings and subtrees, so a long
+    chain prints in linear time without recursion."""
+    out = []
+    todo = [(e, 0, None)]
+    while todo:
+        item = todo.pop()
+        if type(item) is not str:
+            item = _infix(*item)
+            if type(item) is not str:
+                todo += item
+                continue
+        out.append(item)
+    return "".join(out)
 
 
-def _infix(e: Expr, parent_prec: int) -> str:
+def _infix(e: Expr, parent_prec: int, has_div: bool | None):
+    """``e`` under a parent of precedence ``parent_prec``: a leaf's string,
+    or a list of strings and ``(subtree, precedence, has_div)`` items still
+    to print, last first. ``has_div`` is :func:`_spine_has_div` of ``e``
+    when a parent on the same product spine already found it, else None."""
     if isinstance(e, Const):
         s = repr(e.value)
         return f"({s})" if e.value < 0 and parent_prec >= 2 else s
@@ -357,34 +377,33 @@ def _infix(e: Expr, parent_prec: int) -> str:
             raise UnsupportedNode(f"no infix form for derivative {key}")
         if e.child == FIELD:
             return SHORTHAND_BY_DERIV[key]
-        return f"({_infix(e.child, 0)})_{e.var * e.order}"
+        return [f")_{e.var * e.order}", (e.child, 0, None), "("]
     if isinstance(e, Unary):
-        if e.fn == "neg":
-            inner = _infix(e.child, _PREC["neg"])
-            s = f"-{inner}"
-            return f"({s})" if parent_prec >= _PREC["neg"] else s
-        return f"{e.fn}({_infix(e.child, 0)})"
-    if isinstance(e, Binary):
+        if e.fn != "neg":
+            return [")", (e.child, 0, None), f"{e.fn}("]
+        prec = _PREC["neg"]
+        body = [(e.child, prec, None), "-"]
+    elif isinstance(e, Binary):
+        prec = _PREC[e.op]
         if e.op == "pow":
-            base = _infix(e.left, _PREC["pow"])
             if not isinstance(e.right, Int):
                 raise UnsupportedNode("non-integer exponent has no infix form")
-            exp = str(e.right.value) if e.right.value >= 0 else f"(-{-e.right.value})"
-            s = f"{base}^{exp}"
-            return f"({s})" if parent_prec >= _PREC["pow"] else s
-        prec = _PREC[e.op]
-        glyph = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[e.op]
-        if e.op == "mul":
+            n = e.right.value
+            body = [f"^{n}" if n >= 0 else f"^(-{-n})", (e.left, prec, None)]
+        elif e.op == "mul":
             # pure * chains group to the right when parsed; a division in
-            # the right spine would make the chain re-fold left, so bracket
-            left = _infix(e.left, prec)
-            right = _infix(e.right, prec if _spine_has_div(e.right) else prec - 1)
+            # the right spine would make the chain re-fold left, so bracket.
+            # The spine below a * has the same answer as the * itself.
+            if has_div is None:
+                has_div = _spine_has_div(e.right)
+            right_prec = prec if has_div else prec - 1
+            body = [(e.right, right_prec, has_div), "*", (e.left, prec, None)]
         else:
-            left = _infix(e.left, prec - 1)
-            right = _infix(e.right, prec)
-        s = f"{left}{glyph}{right}"
-        return f"({s})" if parent_prec >= prec else s
-    raise UnsupportedNode(f"cannot print {type(e).__name__}")
+            glyph = {"add": " + ", "sub": " - ", "div": "/"}[e.op]
+            body = [(e.right, prec, None), glyph, (e.left, prec - 1, None)]
+    else:
+        raise UnsupportedNode(f"cannot print {type(e).__name__}")
+    return [")", *body, "("] if parent_prec >= prec else body
 
 
 # ---------------------------------------------------------------------------

@@ -70,21 +70,39 @@ def swap_branches(e, cfg: PerturbConfig):
 
 
 def _swap(e: Expr, prob: float, rng) -> Expr:
-    if isinstance(e, Binary):
-        eligible = e.op in ("add", "sub", "mul")
-        fire = eligible and prob > 0.0 and rng.random() < prob
-        left = _swap(e.left, prob, rng)
-        right = _swap(e.right, prob, rng)
-        if fire and e.op == "sub":
-            return Binary("add", Binary("mul", Const(-1.0), right), left)
-        if fire:
-            return Binary(e.op, right, left)
-        return Binary(e.op, left, right)
-    if isinstance(e, Unary):
-        return Unary(e.fn, _swap(e.child, prob, rng))
-    if isinstance(e, Deriv):
-        return Deriv(_swap(e.child, prob, rng), e.var, e.order)
-    return e
+    """Swap each add/mul/sub node with probability ``prob``.
+
+    Nodes are visited in pre-order with an explicit stack, so the draws
+    come node, left operand, right operand, and a long chain does not
+    recurse; the tree is then rebuilt bottom-up from that order."""
+    order, fired = [], []
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if isinstance(node, Binary):
+            eligible = node.op in ("add", "sub", "mul")
+            fired.append(eligible and prob > 0.0 and rng.random() < prob)
+            todo += (node.right, node.left)
+        elif isinstance(node, (Unary, Deriv)):
+            todo.append(node.child)
+    built = []  # in reverse pre-order a node's children are built first
+    for node in reversed(order):
+        if isinstance(node, Binary):
+            left, right = built.pop(), built.pop()
+            fire = fired.pop()
+            if fire and node.op == "sub":
+                node = Binary("add", Binary("mul", Const(-1.0), right), left)
+            elif fire:
+                node = Binary(node.op, right, left)
+            else:
+                node = Binary(node.op, left, right)
+        elif isinstance(node, Unary):
+            node = Unary(node.fn, built.pop())
+        elif isinstance(node, Deriv):
+            node = Deriv(built.pop(), node.var, node.order)
+        built.append(node)
+    return built[0]
 
 
 @dataclass(frozen=True)

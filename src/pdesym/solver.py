@@ -8,11 +8,15 @@ substeps under a CFL bound with safety factor 0.4. Everything is pure and
 deterministic: identical inputs give bit-identical outputs.
 
 One kernel, :func:`advance_ensemble`, advances batches of independent rows
-(a particle filter's ensemble, or the single row of :func:`solve`). It
-splits a large batch into contiguous blocks, one thread per core, and runs
-each block in padded workspaces allocated once per call. Every row's
-arithmetic is the same whatever block it lands in, so the split changes no
-bit of the result.
+over one interval (a particle filter's ensemble, say). It splits a large
+batch into contiguous blocks, one thread per core, and runs each block in
+padded workspaces allocated once per call; the shifted views a substep
+reads and writes are built with each workspace and again only when
+finished rows are compacted away. :func:`solve_ensemble` samples whole
+trajectories of a batch (one family of a dataset) with one kernel call per
+output interval, and :func:`solve` is its one-row case. Every row's
+arithmetic is the same whatever batch or block it lands in, so batching and
+splitting change no bit of the result.
 
 The module also owns the ``PDEGRID1`` binary trajectory format: magic bytes
 ``PDEGRID1``, a little-endian uint32 header length, a UTF-8 JSON header
@@ -167,16 +171,63 @@ def _padded(u: np.ndarray) -> np.ndarray:
     return np.concatenate((u[:, -1:], u, u[:, :1]), axis=1)
 
 
-def _fill_ghosts(ub: np.ndarray) -> None:
-    """Reset the periodic ghost cells of the padded rows ``ub``."""
-    ub[:, 0] = ub[:, -2]
-    ub[:, -1] = ub[:, 1]
+class _Shifted:
+    """Rows ``a`` and their views ``lo = a[:, :-1]`` and ``hi = a[:, 1:]``,
+    one cell apart. Building a view costs about as much as a ufunc on a
+    short row, so the kernel builds its views once per workspace size."""
+
+    __slots__ = ("a", "lo", "hi")
+
+    def __init__(self, a: np.ndarray):
+        self.a, self.lo, self.hi = a, a[:, :-1], a[:, 1:]
 
 
-def _scratch(ub: np.ndarray):
-    """Scratch rows for :func:`_rhs` on padded rows shaped like ``ub``."""
-    rows, width = ub.shape
-    return np.empty_like(ub), np.empty((rows, width - 1)), np.empty((rows, width - 1))
+class _Padded(_Shifted):
+    """Padded rows with the views of their interior ``mid``, its
+    neighbours ``left`` and ``right``, the two ghost columns ``ghosts`` and
+    the interior columns ``sources`` they copy."""
+
+    __slots__ = ("mid", "left", "right", "ghosts", "sources")
+
+    def __init__(self, a: np.ndarray):
+        super().__init__(a)
+        width = a.shape[1]
+        self.mid, self.left, self.right = a[:, 1:-1], a[:, :-2], a[:, 2:]
+        # columns 0 and width - 1 hold copies of columns width - 2 and 1
+        self.ghosts = a[:, :: width - 1]
+        self.sources = a[:, width - 2 : 0 : 3 - width]
+
+    def fill_ghosts(self) -> None:
+        np.copyto(self.ghosts, self.sources)
+
+
+class _Workspace:
+    """Padded state ``u``, Heun midpoint ``um``, wave speeds ``w``, the
+    :func:`_rhs` scratch rows ``f``, ``face`` and ``tmp`` and the stage
+    slopes ``k1``/``k2`` of a block of rows, with their views."""
+
+    __slots__ = ("u", "um", "w", "f", "face", "tmp", "k1", "k2")
+
+    def __init__(self, u, um, w, f, face, tmp, k1, k2):
+        self.u, self.um = _Padded(u), _Padded(um)
+        self.w, self.f = _Shifted(w), _Shifted(f)
+        self.face, self.tmp = _Shifted(face), _Shifted(tmp)
+        self.k1, self.k2 = k1, k2
+
+    @classmethod
+    def around(cls, ub: np.ndarray) -> "_Workspace":
+        """A workspace whose padded state is ``ub``."""
+        rows, width = ub.shape
+        faces = (rows, width - 1)
+        return cls(ub, np.empty_like(ub), np.empty_like(ub), np.empty_like(ub),
+                   np.empty(faces), np.empty(faces),
+                   np.empty((rows, width - 2)), np.empty((rows, width - 2)))
+
+    def head(self, m: int) -> "_Workspace":
+        """The same buffers cut to their first ``m`` rows."""
+        return _Workspace(*(v.a[:m] for v in (self.u, self.um, self.w, self.f,
+                                              self.face, self.tmp)),
+                          self.k1[:m], self.k2[:m])
 
 
 def _columns(flux: Flux, q1: np.ndarray, q2: np.ndarray, dx: float):
@@ -202,27 +253,27 @@ def _stable_dt(w: np.ndarray, dif: np.ndarray, dx: float,
     return dt
 
 
-def _rhs(flux: Flux, q1c, q2c, ub: np.ndarray, w: np.ndarray, dx: float,
-         scratch=(None, None, None), out=None) -> np.ndarray:
-    """Semi-discrete right-hand side of each padded row ``ub`` given its wave
-    speeds ``w = |q1 f'(ub)|``: the (rows, nx) interior values, written into
-    ``out``. ``scratch`` holds rows from :func:`_scratch`; any buffer left as
-    None is allocated."""
-    f, face, tmp = scratch
-    f = flux.flux(q1c, ub, f)
+def _rhs(flux: Flux, q1c, q2c, u: _Padded, ws: _Workspace, dx: float,
+         out=None) -> np.ndarray:
+    """Semi-discrete right-hand side of the padded rows ``u`` given their
+    wave speeds ``ws.w = |q1 f'(u)|``: the (rows, nx) interior values,
+    written into ``out`` (allocated when None) through the scratch rows of
+    ``ws``."""
+    f, face, tmp, w = ws.f, ws.face, ws.tmp, ws.w
+    flux.flux(q1c, u.a, f.a)
     # F_{i+1/2} = 0.5 (f_i + f_{i+1}) - (0.5 max(w_i, w_{i+1})) (u_{i+1} - u_i)
-    # at the nx + 1 faces of the padded row; f, w and u at i + 1 are shifted
-    # views. Every ufunc below keeps the operand order of this formula.
-    face = np.multiply(0.5, np.add(f[:, :-1], f[:, 1:], out=face), out=face)
-    tmp = np.multiply(0.5, np.maximum(w[:, :-1], w[:, 1:], out=tmp), out=tmp)
-    jump = np.subtract(ub[:, 1:], ub[:, :-1], out=f[:, 1:])  # f is spent
-    np.subtract(face, np.multiply(tmp, jump, out=tmp), out=face)
-    out = np.subtract(face[:, 1:], face[:, :-1], out=out)
+    # at the nx + 1 faces of the padded row. Every ufunc below keeps the
+    # operand order of this formula.
+    np.multiply(0.5, np.add(f.lo, f.hi, out=face.a), out=face.a)
+    np.multiply(0.5, np.maximum(w.lo, w.hi, out=tmp.a), out=tmp.a)
+    jump = np.subtract(u.hi, u.lo, out=f.hi)  # f is spent
+    np.subtract(face.a, np.multiply(tmp.a, jump, out=tmp.a), out=face.a)
+    out = np.subtract(face.hi, face.lo, out=out)
     np.divide(np.negative(out, out=out), dx, out=out)
     if q2c is not None:
         # out += (q2 ((u_{i+1} - 2.0 u_i) + u_{i-1})) / dx^2
-        lap = np.multiply(2.0, ub[:, 1:-1], out=tmp[:, 1:])
-        np.add(np.subtract(ub[:, 2:], lap, out=lap), ub[:, :-2], out=lap)
+        lap = np.multiply(2.0, u.mid, out=tmp.hi)
+        np.add(np.subtract(u.right, lap, out=lap), u.left, out=lap)
         np.divide(np.multiply(q2c, lap, out=lap), dx * dx, out=lap)
         np.add(out, lap, out=out)
     return out
@@ -233,50 +284,49 @@ def _advance_rows(flux: Flux, q1: np.ndarray, q2: np.ndarray, states: np.ndarray
     """Advance the rows of ``states`` in place over ``dt_total > 0`` and
     clear ``alive`` where a row fails; the loop behind :func:`advance_ensemble`.
 
-    The padded workspaces are allocated once and written with ``out=``
-    ufuncs. When rows finish, the live ones move to the front and every
-    workspace shrinks to a leading slice.
+    The padded workspace and its views are built once and written with
+    ``out=`` ufuncs. When rows finish, the live ones move to the front, and
+    the workspace and its views are rebuilt on a leading slice.
     """
-    q1c, sc, q2c, dif = _columns(flux, q1, q2, dx)
     rows = np.arange(states.shape[0])
     rem = np.full(rows.size, float(dt_total))
-    ub = _padded(states)
-    um, w = np.empty_like(ub), np.empty_like(ub)
-    k1, k2 = np.empty_like(states), np.empty_like(states)
-    scratch = _scratch(ub)
+    ws = _Workspace.around(_padded(states))
     # numpy's error state is per thread, so each worker sets its own
     with np.errstate(all="ignore"):
+        q1c, sc, q2c, dif = _columns(flux, q1, q2, dx)
+        u, um, w, k1, k2 = ws.u, ws.um, ws.w, ws.k1, ws.k2
         while True:
-            flux.speed(sc, ub, w)
-            dt = _stable_dt(w, dif, dx)
+            flux.speed(sc, u.a, w.a)
+            dt = _stable_dt(w.a, dif, dx)
             if not (dt.min() > 0.0 and rem.all()):
                 # retire rows whose interval is done; freeze failed rows
                 failed = ~(dt > 0.0)
                 alive[rows[failed]] = False
                 keep = ~failed & (rem > 0.0)
                 if not keep.any():
-                    states[rows] = ub[:, 1:-1]
+                    states[rows] = u.mid
                     return
-                states[rows[~keep]] = ub[~keep, 1:-1]
+                states[rows[~keep]] = u.mid[~keep]
                 m = np.count_nonzero(keep)
-                ub[:m], w[:m] = ub[keep], w[keep]
+                u.a[:m], w.a[:m] = u.a[keep], w.a[keep]
                 rows, dt, rem, q1c, sc, dif = (
                     a[keep] for a in (rows, dt, rem, q1c, sc, dif)
                 )
                 q2c = None if q2c is None else q2c[keep]
-                ub, um, w, k1, k2 = (a[:m] for a in (ub, um, w, k1, k2))
-                scratch = tuple(a[:m] for a in scratch)
+                ws = ws.head(m)
+                u, um, w, k1, k2 = ws.u, ws.um, ws.w, ws.k1, ws.k2
             np.minimum(dt, rem, out=dt)
             rem -= dt
             dtc = dt[:, None]
-            _rhs(flux, q1c, q2c, ub, w, dx, scratch, k1)
-            np.add(ub[:, 1:-1], np.multiply(dtc, k1, out=k2), out=um[:, 1:-1])
-            _fill_ghosts(um)
-            _rhs(flux, q1c, q2c, um, flux.speed(sc, um, w), dx, scratch, k2)
+            _rhs(flux, q1c, q2c, u, ws, dx, k1)
+            np.add(u.mid, np.multiply(dtc, k1, out=k2), out=um.mid)
+            um.fill_ghosts()
+            flux.speed(sc, um.a, w.a)
+            _rhs(flux, q1c, q2c, um, ws, dx, k2)
             # u + (0.5 dt) (k1 + k2)
             np.multiply(0.5 * dtc, np.add(k1, k2, out=k2), out=k2)
-            np.add(ub[:, 1:-1], k2, out=ub[:, 1:-1])
-            _fill_ghosts(ub)
+            np.add(u.mid, k2, out=u.mid)
+            u.fill_ghosts()
 
 
 def _cores() -> int:
@@ -349,41 +399,70 @@ def step(law: ConservationLaw, u: np.ndarray, dt: float, grid: Grid1D) -> np.nda
         raise CFLViolation(f"dt={dt:g} exceeds stable bound {bound:g}")
     flux = FLUXES[law.flux_kind]
     q1c, sc, q2c, _ = _law_columns(law, grid.dx)
-    ub = _padded(u[None, :])
-    out = u + dt * _rhs(flux, q1c, q2c, ub, flux.speed(sc, ub), grid.dx)[0]
+    ws = _Workspace.around(_padded(u[None, :]))
+    flux.speed(sc, ws.u.a, ws.w.a)
+    out = u + dt * _rhs(flux, q1c, q2c, ws.u, ws, grid.dx)[0]
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("state became non-finite during step")
     return out
 
 
-def solve(law: ConservationLaw, u0: np.ndarray, grid: Grid1D, t_final: float,
-          nt_out: int) -> SpaceTimeField:
-    """Integrate to t_final, sampling nt_out uniformly spaced frames.
+def solve_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray, u0: np.ndarray,
+                   grid: Grid1D, t_final: float, nt_out: int):
+    """Integrate each row ``u0[i]`` under its own coefficients
+    ``(q1[i], q2[i])`` to t_final, sampling nt_out uniformly spaced frames.
 
-    ``values[0]`` is the initial state; internal steps are clipped so every
-    output timestamp is hit exactly.
+    ``values[:, 0]`` is ``u0``; internal steps are clipped so every output
+    timestamp is hit exactly. The rows advance as one batch per output
+    interval (see :func:`advance_ensemble`), so each is bit-identical to
+    that row solved alone.
+
+    Returns ``(times, values, ok)`` with ``values`` of shape (M, nt_out, nx)
+    and ``ok`` a boolean mask of the rows that stayed finite; a failed
+    row's frames from its failure on are meaningless.
     """
+    if flux_kind not in FLUXES:
+        raise ValueError(f"flux_kind must be one of {tuple(FLUXES)}")
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
     if nt_out < 2:
         raise ValueError("nt_out must be >= 2")
+    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (grid.nx,):
-        raise ValueError("u0 must have shape (nx,)")
+    if q1.ndim != 1 or q2.shape != q1.shape or u0.shape != (q1.size, grid.nx):
+        raise ValueError("u0 must have shape (M, nx) for M coefficient pairs")
     if not np.all(np.isfinite(u0)):
         raise NonFiniteState("initial state must be finite")
     times = np.linspace(0.0, t_final, nt_out)
-    values = np.empty((nt_out, grid.nx))
-    values[0] = u0
-    q1, q2 = np.array([law.q1]), np.array([law.q2])
+    values = np.empty((q1.size, nt_out, grid.nx))
+    values[:, 0] = u0
+    ok = np.ones(q1.size, dtype=bool)
     for k in range(1, nt_out):
-        states, ok = advance_ensemble(
-            law.flux_kind, q1, q2, values[k - 1], times[k] - times[k - 1], grid
+        values[:, k], ok_k = advance_ensemble(
+            flux_kind, q1, q2, values[:, k - 1], times[k] - times[k - 1], grid
         )
-        if not ok[0]:
-            raise NonFiniteState("state became non-finite during integration")
-        values[k] = states[0]
-    return SpaceTimeField(grid, times, values)
+        ok &= ok_k
+    return times, values, ok
+
+
+def solve(law: ConservationLaw, u0: np.ndarray, grid: Grid1D, t_final: float,
+          nt_out: int) -> SpaceTimeField:
+    """Integrate to t_final, sampling nt_out uniformly spaced frames: the
+    one-row case of :func:`solve_ensemble`.
+
+    ``values[0]`` is the initial state; internal steps are clipped so every
+    output timestamp is hit exactly.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (grid.nx,):
+        raise ValueError("u0 must have shape (nx,)")
+    times, values, ok = solve_ensemble(
+        law.flux_kind, np.array([law.q1]), np.array([law.q2]), u0[None], grid,
+        t_final, nt_out,
+    )
+    if not ok[0]:
+        raise NonFiniteState("state became non-finite during integration")
+    return SpaceTimeField(grid, times, values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +497,7 @@ def _parse_header(blob: bytes):
     and finite numbers ``x0`` and ``dx``."""
     try:
         header = json.loads(blob.decode("utf-8"))
-    except ValueError:  # invalid UTF-8 or JSON
+    except (ValueError, RecursionError):  # invalid UTF-8 or JSON, or too deep
         return None
     if not (isinstance(header, dict) and isinstance(header.get("t"), list)):
         return None
@@ -430,7 +509,8 @@ def _parse_header(blob: bytes):
 
 
 def read_grid_file(path) -> SpaceTimeField:
-    """Load a PDEGRID1 file; a malformed file raises ``ValueError``."""
+    """Load a PDEGRID1 file; a malformed file raises ``ValueError`` and
+    non-finite samples raise :class:`NonFiniteState`."""
     data = Path(path).read_bytes()
     start = len(_MAGIC) + 4
     header = None

@@ -301,7 +301,14 @@ def from_tokens(ts: TokenSeq) -> Equation:
 def _number_node(tok: str) -> Expr:
     if any(c in tok for c in ".eE"):
         return Const(float(tok))
-    return Int(int(tok))
+    return Int(_int(tok))
+
+
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # beyond the digit limit of int()
+        raise DecodeError(f"integer token of {len(tok)} digits is too long") from None
 
 
 def _check_depth(depth: int) -> None:
@@ -413,7 +420,7 @@ def _decode_deriv(cur: _Cursor, depth: int) -> Expr:
         var = cur.next()
         cur.expect(",")
         order_tok = cur.next()
-        if not order_tok.isdigit() or int(order_tok) < 2:
+        if not order_tok.isdecimal() or _int(order_tok) < 2:
             raise DecodeError(f"bracketed derivative order must be >= 2, found {order_tok!r}")
         order = int(order_tok)
         cur.expect(")")

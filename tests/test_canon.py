@@ -184,14 +184,19 @@ def test_long_flat_sum_collects_to_one_term():
     tree = parse_infix(" + ".join(["0.001*x"] * 3000)).residual
     coeff = float(3000 * Fraction(0.001))
     assert canonicalize(tree) == Binary("mul", Const(coeff), Var("x"))
+    # swapped links turn the left spine into a zigzag, also walked in a loop
+    zigzag = swap_branches(tree, PerturbConfig(swap_prob=0.5, seed=1))
+    assert canonicalize(zigzag) == Binary("mul", Const(coeff), Var("x"))
 
 
 def test_long_product_chains_collect_to_one_power():
     """The parser groups a pure ``*`` chain into a right spine and a chain
-    with ``/`` into a left spine; both are walked without recursion."""
+    with ``/`` into a left spine; both, and the zigzags that branch swaps
+    make of them, are walked without recursion."""
     x3000 = Binary("pow", Var("x"), Int(3000))
     tree = parse_infix("*".join(["x"] * 3000)).residual
     assert canonicalize(tree) == x3000
+    assert canonicalize(swap_branches(tree, PerturbConfig(swap_prob=0.5, seed=2))) == x3000
     tree = parse_infix("*".join(["x"] * 3000) + "/2").residual
     assert canonicalize(tree) == Binary("mul", Const(0.5), x3000)
     tree = parse_infix("x/2*" + "*".join(["x"] * 2999)).residual

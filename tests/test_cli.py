@@ -238,3 +238,18 @@ def test_cli_normalizes_juxtaposed_input(capsys):
                              "--eq", "u_t + 0.955*cos(u)*u_x = 0")
     assert code == 0
     assert json.loads(out_a)["tokens"] == json.loads(out_b)["tokens"]
+
+
+def test_long_chains_parse_and_perturb(capsys):
+    for src in (" + ".join(["u"] * 3000), "*".join(["u"] * 3000)):
+        code, out, _ = run_cli(capsys, "parse", "--expr", src)
+        assert code == 0
+        assert len(json.loads(out)["manual"]["tokens"]) == 5999
+        for dialect in ("manual", "canonical"):
+            code, out, _ = run_cli(
+                capsys, "perturb", "--eq", src, "--noise-prob", "0", "--dialect", dialect
+            )
+            assert code == 0
+            payload = json.loads(out)
+            if dialect == "canonical":
+                assert payload["output_tokens"] == payload["input_tokens"]

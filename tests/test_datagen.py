@@ -1,9 +1,11 @@
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from pdesym import datagen
 from pdesym.datagen import (
     FAMILIES,
     DatasetManifest,
@@ -17,6 +19,9 @@ from pdesym.datagen import (
 from pdesym.metrics import law_from_equation
 from pdesym.solver import read_grid_file, solve
 from pdesym.tokens import Dialect, TokenSeq, format_sig3, from_tokens
+
+# generate runs the batched kernel, which must keep its own numpy error state
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_family_registry():
@@ -113,11 +118,13 @@ def test_generate_counts_headers_and_reproducibility(tmp_path):
 
 
 def test_generated_equations_reproduce_trajectories_bit_exactly(tmp_path):
+    """Each family is solved as one batch; every trajectory equals its row
+    solved alone."""
     manifest = DatasetManifest(
-        families=["inviscid_burgers", "cl_sine"], params_per_family=2,
-        ics_per_param=1, seed=11,
+        families=list(FAMILIES), params_per_family=2, ics_per_param=2, seed=11,
     )
     index = generate(manifest, tmp_path)
+    assert len(index["entries"]) == 6 * 2 * 2
     for entry in index["entries"]:
         record = json.loads((tmp_path / entry["equation"]).read_text())
         field = read_grid_file(tmp_path / entry["trajectory"])
@@ -130,6 +137,37 @@ def test_generated_equations_reproduce_trajectories_bit_exactly(tmp_path):
         law2 = law_from_equation(from_tokens(seq))
         assert law2 == law
         assert 0.9 * spec.q1 <= record["q1"] <= 1.1 * spec.q1
+
+
+def test_blown_up_rows_are_skipped_and_batch_mates_kept(tmp_path, monkeypatch, caplog):
+    manifest = DatasetManifest(
+        families=["inviscid_burgers", "burgers"], params_per_family=2,
+        ics_per_param=2, seed=3,
+    )
+    generate(manifest, tmp_path / "plain")
+    draws = []
+
+    def second_draw_overflows(spec, rng):
+        q1, q2 = sample_params(spec, rng)
+        draws.append(spec.name)
+        return (1e308, q2) if len(draws) in (2, 3) else (q1, q2)
+
+    monkeypatch.setattr(datagen, "sample_params", second_draw_overflows)
+    with caplog.at_level(logging.WARNING, logger="pdesym.datagen"):
+        index = generate(manifest, tmp_path / "blown")
+    skipped = ["inviscid_burgers_001_000", "inviscid_burgers_001_001",
+               "burgers_000_000", "burgers_000_001"]
+    assert [f"skipping {i}: solver state blew up" for i in skipped] == caplog.messages
+    kept = [e["id"] for e in index["entries"]]
+    assert kept == ["inviscid_burgers_000_000", "inviscid_burgers_000_001",
+                    "burgers_001_000", "burgers_001_001"]
+    for entry in index["entries"]:
+        for name in (entry["equation"], entry["trajectory"]):
+            assert (tmp_path / "blown" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "blown").iterdir()) == sorted(
+        [f"{kind}_{i}.{ext}" for i in kept for kind, ext in (("eq", "json"), ("traj", "grid"))]
+        + ["manifest.json"]
+    )
 
 
 def test_equation_record_infix_reparses(tmp_path):

@@ -18,6 +18,7 @@ from pdesym.expr import (
     substitute_field,
     to_infix,
 )
+from pdesym.tokens import to_manual_tokens
 
 from helpers import random_manual_tree
 
@@ -149,6 +150,15 @@ def _fd_partial(func, x, t, var, h=1e-6):
     if var == "x":
         return (func(x + h, t) - func(x - h, t)) / (2 * h)
     return (func(x, t + h) - func(x, t - h)) / (2 * h)
+
+
+def test_to_infix_round_trips_long_chains():
+    for src in (" + ".join(["u_x"] * 3000), "*".join(["u"] * 3000),
+                " - ".join(["x"] * 3000), "/".join(["2"] * 3000)):
+        tree = parse_infix(src).residual
+        # a prefix walk fixes the structure; == on a deep tree would recurse
+        again = parse_infix(to_infix(tree)).residual
+        assert to_manual_tokens(again) == to_manual_tokens(tree)
 
 
 def test_differentiate_against_finite_differences():

@@ -14,6 +14,7 @@ from pdesym.solver import (
     cfl_dt,
     read_grid_file,
     solve,
+    solve_ensemble,
     step,
     write_grid_file,
 )
@@ -250,3 +251,41 @@ def test_validation_errors():
         solve(ConservationLaw("sine", 1.0), np.zeros(128), _grid(), -1.0, 4)
     with pytest.raises(ValueError):
         SpaceTimeField(_grid(), np.array([0.0, 0.0]), np.zeros((2, 128)))
+
+
+def test_solve_ensemble_rows_match_solve_and_flag_failures():
+    grid = _grid()
+    u0 = np.stack([_smooth_ic(grid, seed) for seed in range(4)])
+    q1 = np.array([0.5, np.nan, 0.45, 0.55])
+    q2 = np.zeros(4)
+    times, values, ok = solve_ensemble("quadratic", q1, q2, u0, grid, 0.5, 6)
+    assert values.shape == (4, 6, grid.nx)
+    assert ok.tolist() == [True, False, True, True]
+    for i in np.flatnonzero(ok):
+        alone = solve(ConservationLaw("quadratic", q1[i], q2[i]), u0[i], grid, 0.5, 6)
+        assert np.array_equal(alone.times, times)
+        assert np.array_equal(alone.values, values[i])
+    with pytest.raises(ValueError):
+        solve_ensemble("quartic", q1, q2, u0, grid, 0.5, 6)
+    with pytest.raises(ValueError):
+        solve_ensemble("quadratic", q1, q2[:3], u0, grid, 0.5, 6)
+
+
+@pytest.mark.parametrize(
+    "t_final, nt_out, u0, error",
+    [
+        (-1.0, 4, np.zeros(128), ValueError),
+        (0.0, 4, np.zeros(128), ValueError),
+        (0.5, 1, np.zeros(128), ValueError),
+        (0.5, 4, np.zeros(127), ValueError),
+        (0.5, 4, np.full(128, np.nan), NonFiniteState),
+    ],
+    ids=["negative-horizon", "zero-horizon", "one-frame", "wrong-shape", "non-finite-u0"],
+)
+def test_solve_ensemble_rejects_what_solve_rejects(t_final, nt_out, u0, error):
+    law = ConservationLaw("sine", 1.0, 0.05)
+    with pytest.raises(error):
+        solve(law, u0, _grid(), t_final, nt_out)
+    with pytest.raises(error):
+        solve_ensemble("sine", np.array([1.0]), np.array([0.05]), u0[None], _grid(),
+                       t_final, nt_out)
