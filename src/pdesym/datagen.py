@@ -29,6 +29,7 @@ from .solver import (
     ConservationLaw,
     Grid1D,
     SpaceTimeField,
+    _finite,
     solve_ensemble,
     write_grid_file,
 )
@@ -220,7 +221,24 @@ def generate(manifest: DatasetManifest, outdir) -> dict:
 
 
 def load_equation_record(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """An equation record as :func:`equation_record` writes it. Raises
+    ``ValueError`` naming the file and the field unless the record is a
+    JSON object with a known ``family``, that family's ``flux_kind``, and
+    finite numbers ``q1`` and ``q2 >= 0``."""
+    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: an equation record must be a JSON object")
+    family = record.get("family")
+    if not (isinstance(family, str) and family in FAMILIES):
+        raise ValueError(f"{path}: 'family' must be one of {sorted(FAMILIES)}")
+    if record.get("flux_kind") != FAMILIES[family].flux_kind:
+        raise ValueError(f"{path}: 'flux_kind' must be {FAMILIES[family].flux_kind!r}")
+    for key in ("q1", "q2"):
+        if not _finite(record.get(key)):
+            raise ValueError(f"{path}: {key!r} must be a finite number")
+    if record["q2"] < 0:
+        raise ValueError(f"{path}: 'q2' must be >= 0")
+    return record
 
 
 def law_from_record(record: dict) -> ConservationLaw:

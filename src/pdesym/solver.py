@@ -3,9 +3,16 @@
     u_t + q1 * (f(u))_x = q2 * u_xx,   f in {u^2, u^3, sin(u)}
 
 using the local Lax-Friedrichs (Rusanov) flux with central second-difference
-viscosity. Time stepping is Heun's method (RK2) built from forward-Euler
-substeps under a CFL bound with safety factor 0.4. Everything is pure and
-deterministic: identical inputs give bit-identical outputs.
+viscosity. Time stepping splits the two terms (Strang): each substep is a
+half step of exact diffusion, a Heun (RK2) step of the advection term alone
+and another half step of exact diffusion. The second difference is
+circulant on the periodic grid, so its exact flow is a multiply by
+``exp(t q2 lambda_k)`` between one ``rfft`` and one ``irfft``; it needs no
+step limit, and the substeps obey only the advective CFL bound with safety
+factor 0.4. A row with ``q2 = 0`` takes exactly the Heun step. :func:`step`
+and :func:`cfl_dt` remain the explicit forward-Euler update with explicit
+diffusion and its stability bound. Everything is pure and deterministic:
+identical inputs give bit-identical outputs.
 
 One kernel, :func:`advance_ensemble`, advances batches of independent rows
 over one interval (a particle filter's ensemble, say). It splits a large
@@ -230,27 +237,29 @@ class _Workspace:
                           self.k1[:m], self.k2[:m])
 
 
-def _columns(flux: Flux, q1: np.ndarray, q2: np.ndarray, dx: float):
-    """Per-row ``q1``, wave-speed ``slope * q1`` and ``q2`` columns (``q2``
-    is None when every row has ``q2 == 0``, so a row's terms never depend on
-    the other rows) and the diffusive step limit dx^2/(2 q2), inf where
-    q2 <= 0."""
-    dif = np.divide(dx * dx, 2.0 * q2, out=np.full(q2.shape, np.inf), where=q2 > 0.0)
+def _columns(flux: Flux, q1: np.ndarray, q2: np.ndarray):
+    """Per-row ``q1``, wave-speed ``slope * q1`` and ``q2`` columns; ``q2``
+    is None when no row has ``q2 > 0``."""
     q1c = q1[:, None]
-    return q1c, q1c * flux.slope, q2[:, None] if q2.any() else None, dif
+    return q1c, q1c * flux.slope, q2[:, None] if (q2 > 0.0).any() else None
 
 
-def _law_columns(law: ConservationLaw, dx: float):
-    return _columns(FLUXES[law.flux_kind], np.array([law.q1]), np.array([law.q2]), dx)
-
-
-def _stable_dt(w: np.ndarray, dif: np.ndarray, dx: float,
-               dt_max: float = DT_MAX_DEFAULT) -> np.ndarray:
-    """Per-row 0.4 * min(dx / max|q1 f'|, dx^2/(2 q2)), or ``dt_max`` where
-    neither bound applies. A non-finite state or wave speed gives NaN or 0."""
-    dt = CFL_SAFETY * np.minimum(dx / w.max(axis=1), dif)
-    dt[dt == np.inf] = dt_max
+def _stable_dt(w: np.ndarray, dx: float) -> np.ndarray:
+    """Per-row advective limit 0.4 * dx / max|q1 f'|, or ``DT_MAX_DEFAULT``
+    where the wave speed vanishes. A non-finite state or wave speed gives
+    NaN or 0."""
+    dt = CFL_SAFETY * (dx / w.max(axis=1))
+    dt[dt == np.inf] = DT_MAX_DEFAULT
     return dt
+
+
+def _diffuse(u: np.ndarray, q2c: np.ndarray, gain: np.ndarray) -> None:
+    """Multiply each ``rfft`` mode of the rows of ``u`` with ``q2 > 0`` by
+    ``1 + gain``, in place, adding the change as an increment. Other rows
+    keep their bits, signed zeros included."""
+    modes = np.fft.rfft(u)
+    inc = np.fft.irfft(np.multiply(modes, gain, out=modes), n=u.shape[1])
+    np.copyto(u, np.add(u, inc, out=inc), where=q2c > 0.0)
 
 
 def _rhs(flux: Flux, q1c, q2c, u: _Padded, ws: _Workspace, dx: float,
@@ -258,7 +267,8 @@ def _rhs(flux: Flux, q1c, q2c, u: _Padded, ws: _Workspace, dx: float,
     """Semi-discrete right-hand side of the padded rows ``u`` given their
     wave speeds ``ws.w = |q1 f'(u)|``: the (rows, nx) interior values,
     written into ``out`` (allocated when None) through the scratch rows of
-    ``ws``."""
+    ``ws``. The central-difference viscosity is added only when ``q2c`` is
+    given, as :func:`step` does; the kernel diffuses exactly instead."""
     f, face, tmp, w = ws.f, ws.face, ws.tmp, ws.w
     flux.flux(q1c, u.a, f.a)
     # F_{i+1/2} = 0.5 (f_i + f_{i+1}) - (0.5 max(w_i, w_{i+1})) (u_{i+1} - u_i)
@@ -284,6 +294,10 @@ def _advance_rows(flux: Flux, q1: np.ndarray, q2: np.ndarray, states: np.ndarray
     """Advance the rows of ``states`` in place over ``dt_total > 0`` and
     clear ``alive`` where a row fails; the loop behind :func:`advance_ensemble`.
 
+    Each substep is a Heun step of the advection term alone, between two
+    half steps of exact diffusion on the rows with ``q2 > 0`` (Strang
+    splitting), so only the advective limit bounds the step.
+
     The padded workspace and its views are built once and written with
     ``out=`` ufuncs. When rows finish, the live ones move to the front, and
     the workspace and its views are rebuilt on a leading slice.
@@ -293,11 +307,15 @@ def _advance_rows(flux: Flux, q1: np.ndarray, q2: np.ndarray, states: np.ndarray
     ws = _Workspace.around(_padded(states))
     # numpy's error state is per thread, so each worker sets its own
     with np.errstate(all="ignore"):
-        q1c, sc, q2c, dif = _columns(flux, q1, q2, dx)
+        q1c, sc, q2c = _columns(flux, q1, q2)
+        if q2c is not None:
+            # eigenvalues of the periodic second difference at the rfft modes
+            nx = states.shape[1]
+            lam = -4.0 * np.sin(np.pi * np.arange(nx // 2 + 1) / nx) ** 2 / (dx * dx)
         u, um, w, k1, k2 = ws.u, ws.um, ws.w, ws.k1, ws.k2
         while True:
             flux.speed(sc, u.a, w.a)
-            dt = _stable_dt(w.a, dif, dx)
+            dt = _stable_dt(w.a, dx)
             if not (dt.min() > 0.0 and rem.all()):
                 # retire rows whose interval is done; freeze failed rows
                 failed = ~(dt > 0.0)
@@ -309,23 +327,30 @@ def _advance_rows(flux: Flux, q1: np.ndarray, q2: np.ndarray, states: np.ndarray
                 states[rows[~keep]] = u.mid[~keep]
                 m = np.count_nonzero(keep)
                 u.a[:m], w.a[:m] = u.a[keep], w.a[keep]
-                rows, dt, rem, q1c, sc, dif = (
-                    a[keep] for a in (rows, dt, rem, q1c, sc, dif)
-                )
+                rows, dt, rem, q1c, sc = (a[keep] for a in (rows, dt, rem, q1c, sc))
                 q2c = None if q2c is None else q2c[keep]
                 ws = ws.head(m)
                 u, um, w, k1, k2 = ws.u, ws.um, ws.w, ws.k1, ws.k2
             np.minimum(dt, rem, out=dt)
             rem -= dt
             dtc = dt[:, None]
-            _rhs(flux, q1c, q2c, u, ws, dx, k1)
+            half = 0.5 * dtc
+            if q2c is not None:
+                # exact diffusion over dt / 2: exp(dt / 2 q2 lam) - 1 per mode
+                gain = np.expm1(np.multiply(half * q2c, lam))
+                _diffuse(u.mid, q2c, gain)
+                u.fill_ghosts()
+                flux.speed(sc, u.a, w.a)
+            _rhs(flux, q1c, None, u, ws, dx, k1)
             np.add(u.mid, np.multiply(dtc, k1, out=k2), out=um.mid)
             um.fill_ghosts()
             flux.speed(sc, um.a, w.a)
-            _rhs(flux, q1c, q2c, um, ws, dx, k2)
+            _rhs(flux, q1c, None, um, ws, dx, k2)
             # u + (0.5 dt) (k1 + k2)
-            np.multiply(0.5 * dtc, np.add(k1, k2, out=k2), out=k2)
+            np.multiply(half, np.add(k1, k2, out=k2), out=k2)
             np.add(u.mid, k2, out=u.mid)
+            if q2c is not None:
+                _diffuse(u.mid, q2c, gain)
             u.fill_ghosts()
 
 
@@ -340,19 +365,22 @@ def _cores() -> int:
 def advance_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray,
                      u_start: np.ndarray, dt_total: float, grid: Grid1D):
     """Advance rows of states over ``dt_total``, each under its own
-    coefficients ``(q1[i], q2[i])``, with Heun substeps at each row's CFL
-    limit. ``u_start`` is one state shared by every row or one per row.
+    coefficients ``(q1[i], q2[i])``. Each substep, at the row's advective
+    CFL limit 0.4 dx / max|q1 f'|, is a Heun step of the advection term
+    between two half steps of exact spectral diffusion; rows with
+    ``q2 <= 0`` skip the diffusion, and a batch with none above zero skips
+    the FFTs. ``u_start`` is one state shared by every row or one per row.
 
     The rows are split into contiguous blocks, at most one per core in the
     CPU affinity mask and none smaller than 128 rows, and each block runs
     in its own thread in padded workspaces that are allocated once and
     reused for every substep. A batch too small to split (a one-row
     ``solve`` among them) runs as one block in the calling thread. Every
-    operation is elementwise or a per-row reduction, so a row's result is
-    bit-identical whatever batch or block it is advanced in, and the split
-    changes no result. A row whose state or wave speed stops being finite
-    gets a NaN or zero step; it is frozen at its last state and reported as
-    failed.
+    operation is elementwise, a per-row reduction or a per-row FFT, so a
+    row's result is bit-identical whatever batch or block it is advanced
+    in, and the split changes no result. A row whose state or wave speed
+    stops being finite gets a NaN or zero step; it is frozen at its last
+    state and reported as failed.
 
     Returns ``(states, ok)`` with ``states`` of shape (M, nx) and ``ok`` a
     boolean mask of rows that completed with finite values.
@@ -381,24 +409,27 @@ def advance_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray,
 
 def cfl_dt(law: ConservationLaw, u: np.ndarray, grid: Grid1D,
            dt_max: float = DT_MAX_DEFAULT) -> float:
-    """Stable step 0.4 * min(dx/max|q1 f'|, dx^2/(2 q2)).
+    """Stable forward-Euler step 0.4 * min(dx/max|q1 f'|, dx^2/(2 q2)).
 
     Returns ``dt_max`` when both the wave speed and the viscosity vanish.
     """
-    _, sc, _, dif = _law_columns(law, grid.dx)
-    w = FLUXES[law.flux_kind].speed(sc, np.asarray(u, dtype=float)[None, :])
+    flux = FLUXES[law.flux_kind]
+    w = flux.speed(law.q1 * flux.slope, np.asarray(u, dtype=float))
+    dif = grid.dx * grid.dx / (2.0 * law.q2) if law.q2 > 0.0 else np.inf
     with np.errstate(divide="ignore"):
-        return float(_stable_dt(w, dif, grid.dx, dt_max)[0])
+        dt = CFL_SAFETY * np.minimum(grid.dx / w.max(), dif)
+    return dt_max if dt == np.inf else float(dt)
 
 
 def step(law: ConservationLaw, u: np.ndarray, dt: float, grid: Grid1D) -> np.ndarray:
-    """One conservative forward-Euler update; enforces the CFL bound."""
+    """One conservative forward-Euler update with explicit diffusion;
+    enforces the CFL bound."""
     u = np.asarray(u, dtype=float)
     bound = cfl_dt(law, u, grid)
     if dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt={dt:g} exceeds stable bound {bound:g}")
     flux = FLUXES[law.flux_kind]
-    q1c, sc, q2c, _ = _law_columns(law, grid.dx)
+    q1c, sc, q2c = _columns(flux, np.array([law.q1]), np.array([law.q2]))
     ws = _Workspace.around(_padded(u[None, :]))
     flux.speed(sc, ws.u.a, ws.w.a)
     out = u + dt * _rhs(flux, q1c, q2c, ws.u, ws, grid.dx)[0]
@@ -509,8 +540,8 @@ def _parse_header(blob: bytes):
 
 
 def read_grid_file(path) -> SpaceTimeField:
-    """Load a PDEGRID1 file; a malformed file raises ``ValueError`` and
-    non-finite samples raise :class:`NonFiniteState`."""
+    """Load a PDEGRID1 file; a malformed file, non-finite samples among
+    them, raises ``ValueError``."""
     data = Path(path).read_bytes()
     start = len(_MAGIC) + 4
     header = None
@@ -523,5 +554,7 @@ def read_grid_file(path) -> SpaceTimeField:
     values = np.frombuffer(
         data, dtype="<f8", count=nt * nx, offset=start + hlen
     ).reshape(nt, nx)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: not a PDEGRID1 file")
     grid = Grid1D(nx=nx, dx=header["dx"], x0=header["x0"])
     return SpaceTimeField(grid, np.asarray(header["t"]), values.copy())

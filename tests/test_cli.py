@@ -1,4 +1,8 @@
 import json
+import struct
+
+import numpy as np
+import pytest
 
 from pdesym.cli import main
 
@@ -253,3 +257,69 @@ def test_long_chains_parse_and_perturb(capsys):
             payload = json.loads(out)
             if dialect == "canonical":
                 assert payload["output_tokens"] == payload["input_tokens"]
+
+
+def _record_edits():
+    def without(key):
+        return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+    def setting(key, value):
+        return lambda rec: {**rec, key: value}
+
+    return {
+        "q1-string": (setting("q1", "0.5"), "'q1'"),
+        "q1-null": (setting("q1", None), "'q1'"),
+        "q1-bool": (setting("q1", True), "'q1'"),
+        "q2-nan": (setting("q2", float("nan")), "'q2'"),
+        "q2-missing": (without("q2"), "'q2'"),
+        "top-level-list": (lambda rec: list(rec.values()), "JSON object"),
+        "unknown-family": (setting("family", "heat"), "'family'"),
+        "family-unhashable": (setting("family", ["burgers"]), "'family'"),
+        "flux-kind-mismatch": (setting("flux_kind", "cubic"), "'flux_kind'"),
+        "q2-negative": (setting("q2", -0.01), "'q2'"),
+    }
+
+
+@pytest.mark.parametrize("edit", sorted(_record_edits()))
+def test_bad_equation_record_is_a_data_error(tmp_path, capsys, edit):
+    from pdesym.datagen import FAMILIES, equation_record
+    from pdesym.solver import Grid1D, SpaceTimeField, write_grid_file
+
+    change, field = _record_edits()[edit]
+    good = equation_record("x", FAMILIES["burgers"], 0.5, 0.05)
+    good_path, bad_path = tmp_path / "good.json", tmp_path / "bad.json"
+    good_path.write_text(json.dumps(good))
+    bad_path.write_text(json.dumps(change(good)))
+    grid_path = tmp_path / "traj.grid"
+    write_grid_file(SpaceTimeField(Grid1D(8, 0.125), np.linspace(0, 1, 11), np.zeros((11, 8))),
+                    grid_path)
+    for argv in (
+        ("refine", "--equation", str(bad_path), "--observations", str(grid_path)),
+        ("eval", "--truth", str(bad_path), "--learned", str(good_path)),
+        ("eval", "--truth", str(good_path), "--learned", str(bad_path)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert str(bad_path) in payload["message"] and field in payload["message"]
+
+
+def test_non_finite_grid_samples_are_a_data_error(tmp_path, capsys):
+    from pdesym.datagen import FAMILIES, equation_record
+
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_text(json.dumps(equation_record("x", FAMILIES["icl_sine"], 1.0, 0.0)))
+    header = json.dumps({"nt": 11, "nx": 8, "t": [0.1 * k for k in range(11)],
+                         "x0": 0.0, "dx": 0.125}).encode()
+    values = np.zeros((11, 8))
+    values[4, 3] = np.nan
+    grid_path = tmp_path / "traj.grid"
+    grid_path.write_bytes(b"PDEGRID1" + struct.pack("<I", len(header)) + header
+                          + values.astype("<f8").tobytes())
+    code, _, err = run_cli(
+        capsys, "refine", "--equation", str(eq_path), "--observations", str(grid_path)
+    )
+    assert code == 2
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"{grid_path}: not a PDEGRID1 file"}

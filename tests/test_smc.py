@@ -185,8 +185,11 @@ def test_batched_advance_matches_scalar_solver_bitwise():
             assert solo_ok[0] == ok[i]
             if ok[i]:
                 assert np.array_equal(states[i], solo[0])
+                assert states[i].tobytes() == solo[0].tobytes()
     traj = solve(ConservationLaw("sine", q1[0], q2[0]), u0, grid, dt, 2)
-    assert np.array_equal(traj.values[1], advance_ensemble("sine", q1, q2, u0, dt, grid)[0][0])
+    batch = advance_ensemble("sine", q1, q2, u0, dt, grid)[0][0]
+    assert np.array_equal(traj.values[1], batch)
+    assert traj.values[1].tobytes() == batch.tobytes()
 
 
 @pytest.mark.parametrize("flux_kind", sorted(solver.FLUXES))
@@ -212,7 +215,7 @@ def test_split_batch_matches_rows_advanced_alone(flux_kind, monkeypatch):
     q2[::3] = 0.0
     q1[[0, 300]] = [np.inf, np.nan]  # frozen before the first substep
     q1[[1, 299]] = 0.0  # no wave speed: a zero divisor in every step limit
-    q2[[2, 298]] = -5.0  # anti-diffusive, whether or not its block is viscous
+    q2[[2, 298]] = -5.0  # never diffused, whether or not its block is viscous
     states, ok = advance_ensemble(flux_kind, q1, q2, u0, dt, grid)
     assert sorted(blocks) == [(150, False), (151, False)]
     expected_ok = np.isfinite(q1)
@@ -220,6 +223,7 @@ def test_split_batch_matches_rows_advanced_alone(flux_kind, monkeypatch):
         solo, solo_ok = advance_ensemble(flux_kind, q1[i : i + 1], q2[i : i + 1], u0, dt, grid)
         assert solo_ok[0] == ok[i] == expected_ok[i]
         assert np.array_equal(states[i], solo[0], equal_nan=True)
+        assert states[i].tobytes() == solo[0].tobytes()
     assert blocks[2:] == [(1, True)] * q1.size
 
 

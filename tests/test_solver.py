@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from pdesym import solver
 from pdesym.errors import CFLViolation, NonFiniteState
 from pdesym.solver import (
     CFL_SAFETY,
@@ -11,6 +12,7 @@ from pdesym.solver import (
     ConservationLaw,
     Grid1D,
     SpaceTimeField,
+    advance_ensemble,
     cfl_dt,
     read_grid_file,
     solve,
@@ -127,6 +129,22 @@ def test_inviscid_mass_conservation_over_full_trajectory(law):
     assert drift <= 1e-12 * (1.0 + abs(mass0))
 
 
+@pytest.mark.parametrize(
+    "law",
+    [l for l in ALL_LAWS if l.q2 > 0.0],
+    ids=lambda l: l.flux_kind,
+)
+def test_viscous_mass_conservation_over_full_trajectory(law):
+    # exact diffusion leaves the k = 0 mode alone, so mass moves only by
+    # the round-off of the inverse transform
+    grid = _grid()
+    u0 = _smooth_ic(grid, seed=11) + 0.3
+    field = solve(law, u0, grid, 1.0, 32)
+    mass0 = np.sum(u0) * grid.dx
+    drift = np.max(np.abs(np.sum(field.values, axis=1) * grid.dx - mass0))
+    assert drift <= 1e-12 * (1.0 + abs(mass0))
+
+
 def test_maximum_principle_inviscid():
     grid = _grid()
     law = ConservationLaw("quadratic", 0.5, 0.0)
@@ -159,6 +177,51 @@ def test_self_convergence_order_on_smooth_solution():
     order_2 = np.log2(errors[256] / errors[512])
     assert order_1 >= 0.9
     assert order_2 >= 0.9
+
+
+def test_viscous_solve_steps_at_the_advective_limit(monkeypatch):
+    # explicit diffusion would cap dt at 0.4 dx^2 / (2 q2): ~3,900 Heun
+    # substeps, ~7,800 right-hand sides; the advective limit needs ~100
+    calls = []
+    rhs = solver._rhs
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_rhs", counting)
+    grid = _grid()
+    solve(ConservationLaw("quadratic", 0.5, 0.05), _smooth_ic(grid, seed=6), grid, 1.0, 32)
+    assert 0 < len(calls) < 1000
+    assert all(q2c is None for q2c in calls)  # the kernel never differences u_xx
+
+
+@pytest.mark.parametrize("law", [l for l in ALL_LAWS if l.q2 > 0.0], ids=lambda l: l.flux_kind)
+def test_viscous_solve_matches_explicit_euler_chain(law):
+    """Against a chain of explicit forward-Euler ``step`` calls at an eighth
+    of ``cfl_dt``. That reference is first order in time: its own error is
+    about 1e-4 here and halves with its step. The bound 5e-4 is under a
+    tenth of the scheme's spatial error at 128 cells (6e-3 or more)."""
+    grid = _grid()
+    u0 = _smooth_ic(grid, seed=5)
+    u, t, t_end = u0, 0.0, 0.05
+    while t < t_end:
+        dt = min(cfl_dt(law, u, grid) / 8.0, t_end - t)
+        u, t = step(law, u, dt, grid), t + dt
+    ours = solve(law, u0, grid, t_end, 2).values[-1]
+    assert np.linalg.norm(ours - u) <= 5e-4 * np.linalg.norm(u)
+
+
+def test_inviscid_rows_keep_signed_zeros_beside_viscous_rows():
+    # a row of -0.0 stays -0.0 under the Heun step; the diffusion of its
+    # viscous batch-mate must not touch it, not even by adding +0.0
+    grid = _grid()
+    u0 = np.stack([_smooth_ic(grid, seed=1), np.full(grid.nx, -0.0)])
+    q1, q2 = np.array([0.5, 0.5]), np.array([0.05, 0.0])
+    states, ok = advance_ensemble("quadratic", q1, q2, u0, 0.01, grid)
+    alone, _ = advance_ensemble("quadratic", q1[1:], q2[1:], u0[1:], 0.01, grid)
+    assert ok.all()
+    assert states[1].tobytes() == alone[0].tobytes() == u0[1].tobytes()
 
 
 def test_vanishing_horizon_returns_initial_state():
@@ -219,10 +282,12 @@ _GOOD_HEADER = {"nt": 2, "nx": 8, "t": [0.0, 1.0], "x0": 0.0, "dx": 0.125}
         _grid_bytes({**_GOOD_HEADER, "dx": float("inf")}, 16),
         _grid_bytes({**_GOOD_HEADER, "dx": 10**400}, 16),
         _grid_bytes(_GOOD_HEADER, 15),
+        _grid_bytes(_GOOD_HEADER, 0) + struct.pack("<16d", *[0.0] * 15, float("nan")),
+        _grid_bytes(_GOOD_HEADER, 0) + struct.pack("<16d", float("-inf"), *[0.0] * 15),
     ],
     ids=["bad-magic", "truncated", "header-past-end", "not-utf8", "not-json",
          "not-object", "missing-key", "nx-not-int", "t-not-list", "t-not-numbers",
-         "dx-infinite", "dx-beyond-float", "short-payload"],
+         "dx-infinite", "dx-beyond-float", "short-payload", "nan-sample", "inf-sample"],
 )
 def test_grid_file_rejects_bad_magic(tmp_path, raw):
     path = tmp_path / "bad.grid"
