@@ -409,6 +409,16 @@ def _infix(e: Expr, parent_prec: int, has_div: bool | None):
 # ---------------------------------------------------------------------------
 # calculus on trees
 
+def int_to_float(n: int) -> float:
+    """``float(n)``; an integer beyond the float range is an unsupported node."""
+    try:
+        return float(n)
+    except OverflowError:
+        raise UnsupportedNode(
+            f"integer of {n.bit_length()} bits is outside the float range"
+        ) from None
+
+
 def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic partial derivative with respect to ``var``.
 
@@ -452,7 +462,7 @@ def differentiate(e: Expr, var: str) -> Expr:
         if isinstance(e.right, Int):
             n = e.right.value
             inner = Binary("pow", e.left, Int(n - 1)) if n != 1 else Const(1.0)
-            return Binary("mul", Const(float(n)), Binary("mul", inner, dl))
+            return Binary("mul", Const(int_to_float(n)), Binary("mul", inner, dl))
         raise UnsupportedNode("cannot differentiate a non-integer power")
     raise UnsupportedNode(f"cannot differentiate {type(e).__name__}")
 
@@ -487,12 +497,13 @@ def evaluate(e: Expr, env):
 
     ``env`` maps variable names to scalars or numpy arrays. The field,
     derivative nodes and placeholders are not evaluable directly; substitute
-    them away first (see :func:`substitute_field`).
+    them away first (see :func:`substitute_field`). Division follows numpy
+    for scalars too: a zero divisor gives inf or NaN, not an exception.
     """
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Int):
-        return float(e.value)
+        return int_to_float(e.value)
     if isinstance(e, Var):
         if e.name not in env:
             raise UnsupportedNode(f"unbound variable {e.name!r}")
@@ -517,6 +528,6 @@ def evaluate(e: Expr, env):
             if e.op == "mul":
                 return l * r
             if e.op == "div":
-                return l / r
+                return np.divide(l, r)
             return np.power(l, r)
     raise UnsupportedNode(f"cannot evaluate {type(e).__name__}")

@@ -102,6 +102,49 @@ def test_deep_input_is_a_data_error(tmp_path, capsys):
     assert json.loads(out)["canonical_infix"] == "x^3000"
 
 
+def _burgers_record(tmp_path):
+    from pdesym.datagen import FAMILIES, equation_record
+
+    path = tmp_path / "burgers.json"
+    path.write_text(json.dumps(equation_record("x", FAMILIES["burgers"], 0.5, 0.05)))
+    return str(path)
+
+
+def test_out_of_range_exponent_is_a_data_error(tmp_path, capsys):
+    truth = _burgers_record(tmp_path)
+    huge = "9" * 400
+    for dialect, tokens in (
+        ("manual", f"+ u_t × 0.5 × pow u {huge} u_x"),
+        ("canonical", f"+ × 1 ∂ ( u(x,t) , t ) × 0.5 ∂ ( u(x,t) , x ) pow u(x,t) {huge}"),
+    ):
+        code, out, err = run_cli(
+            capsys, "eval", "--truth", truth, "--dialect", dialect, "--learned-tokens", tokens
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "UnsupportedNode"
+
+
+def test_eval_scores_a_long_learned_sum(tmp_path, capsys):
+    from pdesym.expr import parse_infix
+    from pdesym.solver import Grid1D, SpaceTimeField, write_grid_file
+    from pdesym.tokens import to_canonical_tokens
+
+    truth = _burgers_record(tmp_path)
+    src = " + ".join(["u_t"] + [f"x^{k}*u_x" for k in range(1, 3001)])
+    tokens = " ".join(to_canonical_tokens(parse_infix(src)).tokens)
+    code, out, _ = run_cli(capsys, "eval", "--truth", truth, "--learned-tokens", tokens)
+    assert code == 0
+    assert np.isfinite(json.loads(out)["symbolic_error"])
+    grid = tmp_path / "traj.grid"
+    write_grid_file(SpaceTimeField(Grid1D(8, 0.125), np.linspace(0, 1, 11), np.zeros((11, 8))),
+                    grid)
+    code, out, err = run_cli(
+        capsys, "eval", "--truth", truth, "--learned-tokens", tokens, "--trajectory", str(grid)
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "NotSolvable"
+
+
 def test_numeric_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "canon", "--expr", "u/0.0")
     assert code == 3

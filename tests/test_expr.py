@@ -181,6 +181,12 @@ def test_differentiate_against_finite_differences():
                 assert abs(exact - approx) < 1e-5 * (1 + abs(exact))
 
 
+def test_evaluate_divides_floats_like_arrays():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert evaluate(parse_infix("1/0").residual, {}) == np.inf
+        assert np.isnan(evaluate(parse_infix("0/0").residual, {}))
+
+
 def test_differentiate_placeholder_is_zero():
     from pdesym.expr import Placeholder
 

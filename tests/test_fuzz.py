@@ -1,6 +1,7 @@
 """Fuzz tests for the three input decoders: ``parse_infix``, ``from_tokens``
 in both dialects and ``read_grid_file``. On any input each one returns a
-result or raises its documented typed error; nothing else escapes."""
+result or raises its documented typed error; nothing else escapes. The same
+holds for ``symbolic_error`` on every equation the decoders return."""
 import json
 import struct
 import tempfile
@@ -10,8 +11,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdesym.datagen import FAMILIES, equation_for
 from pdesym.errors import PdesymError
 from pdesym.expr import parse_infix
+from pdesym.metrics import symbolic_error
 from pdesym.solver import read_grid_file
 from pdesym.tokens import Dialect, TokenSeq, from_tokens, to_canonical_tokens, to_manual_tokens
 
@@ -33,6 +36,13 @@ _TOKENS = st.sampled_from(
      "1", "2", "3", "0.500", "-1.50", "", *_AWKWARD]
 )
 
+_INFIX_SOURCES = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.one_of(_INFIX_PIECES, st.text(max_size=3)), max_size=30).map("".join),
+)
+
+_TOKEN_LISTS = st.lists(st.one_of(_TOKENS, st.text(max_size=4)), max_size=40)
+
 
 def _decodes_or_typed_error(decode, *args) -> None:
     try:
@@ -41,10 +51,7 @@ def _decodes_or_typed_error(decode, *args) -> None:
         pass
 
 
-@given(st.one_of(
-    st.text(max_size=60),
-    st.lists(st.one_of(_INFIX_PIECES, st.text(max_size=3)), max_size=30).map("".join),
-))
+@given(_INFIX_SOURCES)
 @example("u^" + "9" * 5000)
 @example("(" * 5000 + "u" + ")" * 5000)
 @settings(max_examples=400, deadline=None)
@@ -67,7 +74,7 @@ def _mutated(tokens: list, rng, edits: int) -> list:
     return tokens
 
 
-@given(st.sampled_from(list(Dialect)), st.lists(st.one_of(_TOKENS, st.text(max_size=4)), max_size=40))
+@given(st.sampled_from(list(Dialect)), _TOKEN_LISTS)
 @example(Dialect.MANUAL, ["+"] * 500 + ["u"] * 501)
 @example(Dialect.CANONICAL, ["×", "1", "∂", "(", "u(x,t)", ",", "(", "x", ",", "²", ")", ")"])
 @example(Dialect.CANONICAL, ["×", "1", "pow", "u(x,t)", "9" * 5000])
@@ -76,10 +83,8 @@ def test_from_tokens_raises_only_decode_errors(dialect, tokens):
     _decodes_or_typed_error(from_tokens, TokenSeq(dialect, tuple(tokens)))
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 6))
-@settings(max_examples=300, deadline=None)
-def test_from_tokens_on_edited_serializations(seed, edits):
-    """Near-valid input: a serialized random tree with a few tokens edited."""
+def _edited_serializations(seed: int, edits: int):
+    """A serialized random tree per dialect, each with ``edits`` random edits."""
     rng = np.random.default_rng(seed)
     for dialect, tree, serialize in (
         (Dialect.MANUAL, random_manual_tree(rng), to_manual_tokens),
@@ -89,7 +94,55 @@ def test_from_tokens_on_edited_serializations(seed, edits):
             tokens = list(serialize(tree).tokens)
         except PdesymError:
             continue
-        _decodes_or_typed_error(from_tokens, TokenSeq(dialect, tuple(_mutated(tokens, rng, edits))))
+        yield TokenSeq(dialect, tuple(_mutated(tokens, rng, edits)))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_from_tokens_on_edited_serializations(seed, edits):
+    """Near-valid input: a serialized random tree with a few tokens edited."""
+    for seq in _edited_serializations(seed, edits):
+        _decodes_or_typed_error(from_tokens, seq)
+
+
+_BURGERS = equation_for(FAMILIES["burgers"], 0.5, 0.05)
+
+
+@st.composite
+def _decoded_equations(draw):
+    """The equation a decoder returns for an input one of the three decoder
+    properties above draws, or None when that input does not decode."""
+    kind = draw(st.sampled_from(["infix", "tokens", "edited"]))
+    try:
+        if kind == "infix":
+            return parse_infix(draw(_INFIX_SOURCES))
+        if kind == "tokens":
+            dialect = draw(st.sampled_from(list(Dialect)))
+            return from_tokens(TokenSeq(dialect, tuple(draw(_TOKEN_LISTS))))
+        seqs = list(_edited_serializations(draw(st.integers(0, 2**32 - 1)),
+                                           draw(st.integers(0, 6))))
+        return from_tokens(seqs[draw(st.integers(0, len(seqs) - 1))]) if seqs else None
+    except PdesymError:
+        return None
+
+
+@given(_decoded_equations())
+@example(parse_infix("u_t + u^" + "9" * 400))
+@example(parse_infix("((u^2)_x)_t + 1/0 + 0^-1"))
+@example(from_tokens(TokenSeq(Dialect.MANUAL, ("+", "u_t", "×", "9" * 400, "u_x"))))
+@example(from_tokens(TokenSeq(Dialect.CANONICAL, tuple(
+    "× 1 ∂ ( sin u(x,t) , ( x , 99 ) ) ∂ ( u(x,t) , ( t , 4000 ) )".split()))))
+@settings(max_examples=400, deadline=None)
+def test_symbolic_error_on_decoded_equations_returns_float_or_typed_error(eq):
+    """Scored as the learned equation against burgers, a decoded equation
+    gives a float or a typed error: no RecursionError, OverflowError,
+    ZeroDivisionError or TypeError."""
+    if eq is None:
+        return
+    try:
+        assert isinstance(symbolic_error(eq, _BURGERS), float)
+    except PdesymError:
+        pass
 
 
 _JSON = st.recursive(

@@ -4,14 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdesym.canon import canonicalize
-from pdesym.datagen import FAMILIES, equation_for, grid_for, law_for, sample_ic
-from pdesym.errors import DegenerateReference, NotSolvable
+from pdesym.datagen import FAMILIES, equation_for, grid_for, law_for, sample_ic, sample_params
+from pdesym.errors import DegenerateReference, NotSolvable, UnsupportedNode
 from pdesym.expr import (
+    FIELD,
     Binary,
     Const,
+    Deriv,
     Equation,
+    Int,
+    Placeholder,
+    Var,
     evaluate,
     parse_infix,
+    substitute_field,
 )
 from pdesym.metrics import (
     PolySurrogate,
@@ -25,9 +31,11 @@ from pdesym.metrics import (
     time_series_error,
     valid_fraction,
 )
-from pdesym.perturb import PerturbConfig, swap_branches
-from pdesym.solver import SpaceTimeField, solve
+from pdesym.perturb import PerturbConfig, inject_noise_term, swap_branches
+from pdesym.solver import FLUXES, SpaceTimeField, solve
 from pdesym.tokens import Dialect, TokenSeq, to_canonical_tokens
+
+from helpers import random_general_tree, random_manual_tree
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +158,161 @@ def test_symbolic_error_rejects_vanishing_truth():
     zero = parse_infix("u - u")
     with pytest.raises(DegenerateReference):
         symbolic_error(zero, zero)
+
+
+@pytest.mark.parametrize("size", ["n_polys", "n_x", "n_t"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_symbolic_error_rejects_empty_sizes(size, value):
+    eq = parse_infix("u_t + 0.7*(u^2)_x = 0")
+    with pytest.raises(ValueError, match=size):
+        symbolic_error(eq, eq, **{size: value})
+
+
+def test_out_of_range_integers_are_unsupported_nodes():
+    huge = 10**400
+    truth = equation_for(FAMILIES["burgers"], 0.5, 0.05)
+    u_x = Deriv(FIELD, "x", 1)
+    for learned in (
+        parse_infix(f"u_t + u^{huge}"),
+        parse_infix(f"(u^{huge})_x"),
+        Equation(Binary("mul", Int(huge), u_x)),
+    ):
+        with pytest.raises(UnsupportedNode):
+            symbolic_error(learned, truth)
+    with pytest.raises(UnsupportedNode):
+        evaluate(parse_infix(f"2^{huge}").residual, {})
+    # an integer's derivative is zero however large the integer
+    learned = Equation(Binary("add", u_x, Deriv(Int(huge), "x", 1)))
+    assert symbolic_error(learned, truth) > 0.0
+
+
+def test_symbolic_error_on_a_long_sum():
+    src = " + ".join(["u_t"] + [f"x^{k}*u_x" for k in range(1, 3001)])
+    truth = equation_for(FAMILIES["burgers"], 0.5, 0.05)
+    err = symbolic_error(parse_infix(src), truth, n_polys=2)
+    assert isinstance(err, float) and np.isfinite(err)
+
+
+# ---------------------------------------------------------------------------
+# jets against the symbolic path: substitute the surrogate, expand, evaluate
+
+_XS = np.linspace(0.0, 1.0, 32)
+_TS = np.linspace(0.0, 1.0, 32)
+
+
+def _outcome(compute):
+    try:
+        return None, compute()
+    except Exception as exc:  # the two paths must fail alike, whatever the type
+        return type(exc), None
+
+
+def _assert_matches_symbolic_path(residual, surrogates):
+    X, T = np.meshgrid(_XS, _TS)
+    for surrogate in surrogates:
+        def symbolic():
+            with np.errstate(all="ignore"):
+                body = substitute_field(residual, surrogate.as_expr())
+                vals = evaluate(body, {"x": X, "t": T})
+            return np.broadcast_to(np.asarray(vals, dtype=float), X.shape)
+
+        want_error, want = _outcome(symbolic)
+        got_error, got = _outcome(lambda: residual_on_surrogate(residual, surrogate, _XS, _TS))
+        assert got_error == want_error, residual
+        if want is None:
+            continue
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite), residual
+        scale = np.max(np.abs(want[finite]), initial=0.0)
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale), residual
+
+
+def _family_variants():
+    rng = np.random.default_rng(11)
+    for name, spec in sorted(FAMILIES.items()):
+        q1, q2 = sample_params(spec, rng)
+        eq = equation_for(spec, q1, q2)
+        yield name, eq
+        yield f"{name}-swap", swap_branches(eq, PerturbConfig(swap_prob=0.8, seed=3))
+        cfg = PerturbConfig(noise_prob=1.0, seed=4)
+        yield f"{name}-noise", inject_noise_term(eq, cfg).equation
+        flux = Deriv(FLUXES[spec.flux_kind].expr, "x", 1)
+        split = Binary("add", Deriv(FIELD, "t", 1), Binary("mul", Const(0.372 * q1), flux))
+        split = Binary("add", split, Binary("mul", Const(0.628 * q1), flux))
+        if q2:
+            split = Binary("sub", split, Binary("mul", Const(q2), Deriv(FIELD, "x", 2)))
+        yield f"{name}-split", Equation(split)
+
+
+@pytest.mark.parametrize("name,eq", list(_family_variants()))
+def test_jets_match_symbolic_path_on_family_variants(name, eq):
+    rng = np.random.default_rng(5)
+    _assert_matches_symbolic_path(eq.residual, [PolySurrogate.random(rng) for _ in range(3)])
+
+
+def test_jets_match_symbolic_path_on_random_trees():
+    rng = np.random.default_rng(2026)
+    for i in range(320):
+        generate = random_general_tree if i % 2 else random_manual_tree
+        tree = generate(rng, int(rng.integers(2, 6)))
+        _assert_matches_symbolic_path(tree, [PolySurrogate.random(rng)])
+
+
+@pytest.mark.parametrize("src", [
+    "((u^2)_x)_t",
+    "(u_t)_xx",
+    "u_x/(1 + u^2)",
+    "(u_x/(1 + u^2))_x",
+    "(((x + u)/(2 + u^2))_x)_t",
+    "(x^2)_xxx",
+    "(u^0)_x",
+    "(x^0)_x",
+    "(sin(cos(u)))_xx",
+    "(u^-2)_x",
+    "((1 + u^2)^-3)_xx",
+    "((u^3)_xx)_t",
+    "(u^1)_xx",
+    "((cos(u)*u)_x)_t",
+    "(u*x/(1 + t))_xx",
+    "(1/0)_x",
+    "((y + u)^1)_x",
+    "(y + u)_x",
+    "(y*u)_x",
+])
+def test_jets_match_symbolic_path_on_hand_cases(src):
+    rng = np.random.default_rng(8)
+    surrogates = [PolySurrogate.random(rng) for _ in range(3)]
+    _assert_matches_symbolic_path(parse_infix(src).residual, surrogates)
+
+
+@pytest.mark.parametrize("tree", [
+    Deriv(Placeholder(), "x", 1),
+    Deriv(Binary("mul", Placeholder(), FIELD), "t", 1),
+    Deriv(Binary("pow", FIELD, Const(2.0)), "x", 1),
+    Binary("pow", Var("x"), FIELD),
+    Binary("add", Deriv(Var("k"), "x", 2), Deriv(Deriv(FIELD, "x", 3), "t", 2)),
+])
+def test_jets_match_symbolic_path_on_trees_without_infix(tree):
+    rng = np.random.default_rng(9)
+    _assert_matches_symbolic_path(tree, [PolySurrogate.random(rng)])
+
+
+def test_derivatives_past_the_surrogate_degree_are_zero():
+    # the symbolic path would differentiate the surrogate a million times
+    surrogate = PolySurrogate.random(np.random.default_rng(4))
+    got = residual_on_surrogate(Deriv(FIELD, "x", 10**6), surrogate, _XS, _TS)
+    assert np.array_equal(got, np.zeros((_TS.size, _XS.size)))
+    with pytest.raises(UnsupportedNode, match="total order"):
+        residual_on_surrogate(Deriv(Binary("pow", FIELD, Int(2)), "x", 10**6),
+                              surrogate, _XS, _TS)
+
+
+def test_symbolic_error_of_deriv_free_residuals_keeps_evaluate_bits():
+    eq = parse_infix("u*u_x + sin(u)/(1 + x*t) - u_xx^2")
+    surrogate = PolySurrogate.random(np.random.default_rng(3))
+    X, T = np.meshgrid(_XS, _TS)
+    want = evaluate(substitute_field(eq.residual, surrogate.as_expr()), {"x": X, "t": T})
+    assert np.array_equal(residual_on_surrogate(eq, surrogate, _XS, _TS), want)
 
 
 # ---------------------------------------------------------------------------
