@@ -43,6 +43,7 @@ from .expr import (
     Placeholder,
     Unary,
     Var,
+    walk,
 )
 
 _FN_RANK = {"sin": 0, "cos": 1, "neg": 2}
@@ -60,30 +61,54 @@ _RANK_INT = 8
 _RANK_CONST = 9
 
 
-def canonical_key(e: Expr):
-    """Total-order key over subtrees; equal keys imply identical trees."""
-    if isinstance(e, Placeholder):
-        return (_RANK_PLACEHOLDER,)
-    if isinstance(e, Field):
-        return (_RANK_FIELD,)
-    if isinstance(e, Deriv):
-        return (_RANK_DERIV, e.var, e.order, canonical_key(e.child))
-    if isinstance(e, Unary):
-        return (_RANK_UNARY, _FN_RANK[e.fn], canonical_key(e.child))
-    if isinstance(e, Binary):
-        return (
-            _RANK_BINARY,
-            _OP_RANK[e.op],
-            canonical_key(e.left),
-            canonical_key(e.right),
-        )
-    if isinstance(e, Var):
-        return (_RANK_VAR, e.name)
-    if isinstance(e, Int):
-        return (_RANK_INT, e.value)
-    if isinstance(e, Const):
-        return (_RANK_CONST, e.value)
-    raise TypeError(f"cannot key {type(e).__name__}")
+def canonical_key(e: Expr) -> tuple:
+    """Total-order key over subtrees; equal keys imply identical trees.
+
+    The key is flat: every node's rank and fields in pre-order. A rank
+    fixes how many children follow it, so no key is a prefix of another and
+    flat keys sort as the nested ``(rank, fields, child keys)`` would. Being
+    flat, keys of deep trees compare and hash without recursion.
+    """
+    return _key(e, {})
+
+
+def _key(e: Expr, known: dict) -> tuple:
+    """:func:`canonical_key`, taking the key of a node ``n`` in the tree
+    from ``known[id(n)]`` where it has one."""
+    out = []
+    child = getattr(e, "child", None)
+    if id(child) in known:  # one step above a known key: no walk needed
+        _key_enter(e, (out, known))
+        out += known[id(child)]
+    else:
+        walk(e, _key_enter, None, (out, known))
+    return tuple(out)
+
+
+def _key_enter(e: Expr, ctx):
+    out, known = ctx
+    if known and id(e) in known:
+        out += known[id(e)]
+        return (None,)
+    t = type(e)
+    if t is Binary:
+        out += (_RANK_BINARY, _OP_RANK[e.op])
+    elif t is Unary:
+        out += (_RANK_UNARY, _FN_RANK[e.fn])
+    elif t is Deriv:
+        out += (_RANK_DERIV, e.var, e.order)
+    elif t is Field:
+        out.append(_RANK_FIELD)
+    elif t is Var:
+        out += (_RANK_VAR, e.name)
+    elif t is Int:
+        out += (_RANK_INT, e.value)
+    elif t is Const:
+        out += (_RANK_CONST, e.value)
+    elif t is Placeholder:
+        out.append(_RANK_PLACEHOLDER)
+    else:
+        raise TypeError(f"cannot key {t.__name__}")
 
 
 def canonicalize(e):
@@ -105,7 +130,7 @@ def terms(e: Expr) -> list[tuple[float, tuple[Expr, ...]]]:
     constant term has none. Terms are sorted by their factors' keys with
     the constant term last. No terms means zero.
     """
-    return _round(_collect(_terms(e)))
+    return [(c, fs) for c, fs, _ in _round(_collect(_terms(e)))]
 
 
 def build(terms) -> Expr:
@@ -113,7 +138,7 @@ def build(terms) -> Expr:
     given, as a sum of products; a coefficient of 1 is left out of a term
     that has factors. No terms give ``Const(0.0)``."""
     node = None
-    for coeff, factors in terms:
+    for coeff, factors, *_ in terms:
         if factors and coeff == 1.0:
             term, rest = factors[0], factors[1:]
         else:
@@ -141,87 +166,78 @@ def term_head(coeff: float, factors: tuple[Expr, ...]):
 _ONE = Fraction(1)
 
 
-def _round(ts) -> list[tuple[float, tuple[Expr, ...]]]:
+def _round(ts) -> list:
     """Round exact coefficients to floats (the one rounding point), dropping
     terms that underflow to zero."""
     try:
-        rounded = [(float(c), fs) for c, fs, _ in ts]
+        rounded = [(float(c), fs, ks) for c, fs, ks in ts]
     except OverflowError:
         raise UnsupportedNode("coefficient is too large for a float") from None
     return [t for t in rounded if t[0] != 0.0]
 
 
-def _factor(f: Expr) -> list:
-    return [(_ONE, (f,), (canonical_key(f),))]
+def _factor(f: Expr, ts=()) -> list:
+    """``f`` as a term; the keys the terms ``ts`` hold for their factors are
+    reused where ``f`` contains those factors."""
+    return [(_ONE, (f,), (_key(f, {id(g): k for t in ts for g, k in zip(t[1], t[2])}),))]
 
 
 def _constant(value) -> list:
     return [(Fraction(value), (), ())] if value != 0 else []
 
 
-_COMBINE_OPS = ("add", "sub", "mul", "div")
+_MINUS_ONE = _constant(-1)
 
 
 def _terms(e: Expr) -> list:
-    """Uncollected terms of ``e``.
-
-    Sums, differences, products and quotients are evaluated in post-order
-    from an explicit stack: a chain of them does not recurse, whichever
-    side it grows on (the parser grows sums and quotients to the left and
-    pure ``*`` chains to the right; branch swaps mix the two)."""
-    values = []
-    todo = [e]
-    while todo:
-        node = todo.pop()
-        if type(node) is str:  # an operator whose operands are done
-            right = values.pop()
-            values.append(_combine(node, values.pop(), right))
-        elif isinstance(node, Binary) and node.op in _COMBINE_OPS:
-            todo += (node.op, node.right, node.left)
-        else:
-            values.append(_atom_terms(node))
-    return values[0]
+    """Uncollected terms of ``e``, folded bottom-up in one walk."""
+    return walk(e, _enter_terms, _leave_terms)
 
 
-def _combine(op: str, left: list, right: list) -> list:
-    """Terms of ``left op right`` from the uncollected terms of each side."""
-    if op == "add":
-        return left + right
-    if op == "sub":
-        return left + _product(_constant(-1), _collect(right))
-    if op == "mul":
-        return _product(_collect(left), _collect(right))
-    return _quotient(_collect(left), _collect(right))
-
-
-def _atom_terms(e: Expr) -> list:
-    """Uncollected terms of a node that is not a sum, difference, product
-    or quotient."""
-    if isinstance(e, Const):
-        if not math.isfinite(e.value):
+def _enter_terms(e: Expr, _):
+    t = type(e)
+    if t is Binary and e.op == "pow":  # the exponent first: it is canonicalized first
+        return (None, e.right, None, e.left, None)
+    if t is Binary or t is Unary or t is Deriv:
+        return None
+    if t is Const or t is Int:
+        if t is Const and not math.isfinite(e.value):
             raise UnsupportedNode(f"non-finite constant {e.value!r}")
-        return _constant(e.value)
-    if isinstance(e, Int):
-        return _constant(e.value)
-    if isinstance(e, (Field, Var, Placeholder)):
-        return _factor(e)
-    if isinstance(e, Unary):
+        return (_constant(e.value),)
+    if t is Field or t is Var or t is Placeholder:
+        return (_factor(e),)
+    raise TypeError(f"cannot canonicalize {t.__name__}")
+
+
+def _leave_terms(e: Expr, _, a: list, b: list | None = None) -> list:
+    """Terms of ``e`` from the uncollected terms of its children."""
+    t = type(e)
+    if t is Deriv:
+        return _deriv_terms(e, a)
+    if t is Unary:
         if e.fn == "neg":
-            return _product(_constant(-1), _collect(_terms(e.child)))
-        child = build(terms(e.child))
+            return _product(_MINUS_ONE, _collect(a))
+        a = _collect(a)
+        child = build(_round(a))
         if isinstance(child, Const):
             fn = math.sin if e.fn == "sin" else math.cos
             return _constant(fn(child.value))
-        return _factor(Unary(e.fn, child))
-    if isinstance(e, Deriv):
-        return _deriv_terms(e)
-    if isinstance(e, Binary):
-        # pow: the result is one factor unless it folded to another form
-        result = _canon_pow(e.left, e.right)
-        if isinstance(result, Binary) and result.op == "pow":
-            return _factor(result)
-        return _terms(result)
-    raise TypeError(f"cannot canonicalize {type(e).__name__}")
+        return _factor(Unary(e.fn, child), a)
+    if e.op == "add":
+        return a + b
+    if e.op == "sub":
+        return a + _product(_MINUS_ONE, _collect(b))
+    if e.op == "mul":
+        return _product(_collect(a), _collect(b))
+    if e.op == "div":
+        return _quotient(_collect(a), _collect(b))
+    a, b = _collect(a), _collect(b)
+    exponent = build(_round(a))
+    result = _canon_pow(build(_round(b)), exponent)
+    # the power is one factor unless it folded to another form
+    if isinstance(result, Binary) and result.op == "pow":
+        return _factor(result, a + b)
+    return _terms(result)
 
 
 def _quotient(left: list, denom: list) -> list:
@@ -236,24 +252,25 @@ def _quotient(left: list, denom: list) -> list:
 
 def _collect(ts: list) -> list:
     """Sum like terms exactly, drop zeros and sort, constants last."""
-    if len(ts) < 2:
-        return ts
-    groups: dict[tuple, list] = {}
-    for coeff, factors, keys in ts:
-        group = groups.get(keys)
-        if group is None:
-            groups[keys] = [coeff, factors, keys]
+    while len(ts) >= 2:
+        groups: dict[tuple, list] = {}
+        for coeff, factors, keys in ts:
+            group = groups.get(keys)
+            if group is None:
+                groups[keys] = [coeff, factors, keys]
+            else:
+                group[0] += coeff
+        for keys, (coeff, factors, _) in groups.items():
+            s = _bare_sum(coeff, factors)
+            if s is not None:  # like opaque sums whose coefficients add up to 1 dissolve
+                break
         else:
-            group[0] += coeff
-    for keys, (coeff, factors, _) in groups.items():
-        s = _bare_sum(coeff, factors)
-        if s is not None:
-            # like opaque sums whose coefficients add up to 1 (rounded) dissolve
-            del groups[keys]
-            return _collect([tuple(g) for g in groups.values()] + _terms(s))
-    kept = [tuple(g) for g in groups.values() if g[0] != 0]
-    kept.sort(key=lambda t: (not t[2], t[2]))
-    return kept
+            kept = [tuple(g) for g in groups.values() if g[0] != 0]
+            kept.sort(key=lambda t: (not t[2], t[2]))
+            return kept
+        del groups[keys]
+        ts = [tuple(g) for g in groups.values()] + _terms(s)
+    return ts
 
 
 def _bare_sum(coeff, factors: tuple[Expr, ...]) -> Expr | None:
@@ -282,11 +299,11 @@ def _product(left: list, right: list) -> list:
     for side in (left, right):
         if len(side) == 1:
             c, factors, keys = side[0]
-            coeff *= c
+            coeff = c if coeff is _ONE else coeff * c
             pairs += zip(factors, keys)
         else:
-            s = build(_round(side))
-            pairs.append((s, canonical_key(s)))
+            _, factors, keys = _factor(build(_round(side)), side)[0]
+            pairs += zip(factors, keys)
     factors, keys = _merge_factors(pairs)
     s = _bare_sum(coeff, factors)
     if s is not None:
@@ -299,8 +316,8 @@ def _merge_factors(pairs) -> tuple[tuple[Expr, ...], tuple]:
     and sort by key."""
     merged: dict[tuple, list] = {}
     for f, k in pairs:
-        if isinstance(f, Binary) and f.op == "pow" and isinstance(f.right, Int):
-            base, n, kb = f.left, f.right.value, k[2]  # k[2] keys the base
+        if type(f) is Binary and f.op == "pow" and type(f.right) is Int:
+            base, n, kb = f.left, f.right.value, k[2:-2]  # the key of the base
         else:
             base, n, kb = f, 1, k
         if kb in merged:
@@ -312,17 +329,16 @@ def _merge_factors(pairs) -> tuple[tuple[Expr, ...], tuple]:
         if n == 1:
             out.append((kb, base))
         elif n != 0:
-            f = Binary("pow", base, Int(n))
-            out.append((canonical_key(f), f))
-    out.sort(key=lambda p: p[0])
+            key = (_RANK_BINARY, _OP_RANK["pow"], *kb, _RANK_INT, n)
+            out.append((key, Binary("pow", base, Int(n))))
+    out.sort()  # by key: the keys differ, so factors are never compared
     return tuple(f for _, f in out), tuple(k for k, _ in out)
 
 
-def _canon_pow(base: Expr, exponent: Expr) -> Expr:
-    exp = build(terms(exponent))
+def _canon_pow(b: Expr, exp: Expr) -> Expr:
+    """``b`` to the power ``exp``, both canonical."""
     if isinstance(exp, Const) and exp.value.is_integer() and abs(exp.value) < 2**31:
         exp = Int(int(exp.value))
-    b = build(terms(base))
     if isinstance(exp, Int) and exp.value in (0, 1):
         return b if exp.value == 1 else Const(1.0)
     if isinstance(b, Const) and isinstance(exp, (Int, Const)):
@@ -336,14 +352,16 @@ def _canon_pow(base: Expr, exponent: Expr) -> Expr:
             raise UnsupportedNode("constant power has no real value")
         return Const(value)
     if isinstance(exp, Int) and isinstance(b, Binary) and b.op == "pow" and isinstance(b.right, Int):
-        return _canon_pow(b.left, Int(b.right.value * exp.value))
+        exp = build(terms(Int(b.right.value * exp.value)))
+        return _canon_pow(build(terms(b.left)), exp)
     return Binary("pow", b, exp)
 
 
-def _deriv_terms(e: Deriv) -> list:
+def _deriv_terms(e: Deriv, child: list) -> list:
     """Distribute a derivative over the terms of its child."""
     out = []
-    for coeff, factors, _ in _collect(_terms(e.child)):
+    for term in _collect(child):
+        coeff, factors, _ = term
         if factors in ((), (Placeholder(),)):
             continue
         single = factors[0] if len(factors) == 1 else None
@@ -352,8 +370,8 @@ def _deriv_terms(e: Deriv) -> list:
         elif isinstance(single, Deriv):
             unit = _factor(_normalize_deriv_nest(single, e.var, e.order))
         else:
-            unit = _factor(Deriv(build([(1.0, factors)]), e.var, e.order))
-        out += [(coeff * c, fs, ks) for c, fs, ks in unit]
+            unit = _factor(Deriv(build([(1.0, factors)]), e.var, e.order), [term])
+        out += [(coeff if c is _ONE else coeff * c, fs, ks) for c, fs, ks in unit]
     return out
 
 
@@ -372,7 +390,11 @@ def _normalize_deriv_nest(inner: Deriv, var: str, order: int) -> Expr:
 
 
 def equivalent(a, b) -> bool:
-    """True iff the two expressions (or equations) share a canonical form."""
-    ca = canonicalize(a.residual if isinstance(a, Equation) else a)
-    cb = canonicalize(b.residual if isinstance(b, Equation) else b)
-    return ca == cb
+    """True iff the two expressions (or equations) share a canonical form.
+
+    Two canonical trees are equal exactly when their terms have equal
+    coefficients and factor keys, so the trees are not built.
+    """
+    sides = [e.residual if isinstance(e, Equation) else e for e in (a, b)]
+    sa, sb = ([(c, ks) for c, _, ks in _round(_collect(_terms(e)))] for e in sides)
+    return sa == sb

@@ -281,6 +281,9 @@ def _cmd_eval(args) -> None:
             pred = solver.read_grid_file(args.prediction)
             payload["rel_l2"] = metrics.rel_l2(field.values, pred.values)
             payload["r2"] = metrics.r2_score([field.values], [pred.values])
+    for name, score in payload.items():
+        if name != "truth" and not np.isfinite(score):  # NaN and inf are not JSON
+            raise NonFiniteState(f"{name} is {score}")
     _emit(args, payload)
 
 

@@ -19,11 +19,17 @@ Grammar accepted by :func:`parse_infix` (whitespace-insensitive)::
 Juxtaposition is not multiplication; an explicit ``*`` is required.
 Chains of ``+``/``-`` group to the left; pure ``*`` chains group to the
 right (``a*b*c`` is ``a*(b*c)``), while any chain containing ``/`` groups
-to the left so division keeps its usual meaning. Parentheses, unary
-minus and function calls may nest at most :data:`MAX_DEPTH` levels deep.
+to the left so division keeps its usual meaning. A number literal must
+be finite as a float.
+
+Every function here that takes a tree apart does so through :func:`walk`,
+an explicit-stack traversal, and the parser keeps its open groups on a
+stack too, so no input is too deep or too long for them.
 """
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -45,10 +51,6 @@ DERIV_SHORTHAND = {
 SHORTHAND_BY_DERIV = {v: k for k, v in DERIV_SHORTHAND.items()}
 
 _RESERVED_IDENTS = {"u", "sin", "cos"} | set(DERIV_SHORTHAND)
-
-#: deepest nesting the parser and the token decoders accept; trees within it
-#: stay well inside Python's recursion limit in every recursive walk
-MAX_DEPTH = 100
 
 
 class Expr:
@@ -137,6 +139,72 @@ FIELD = Field()
 
 
 # ---------------------------------------------------------------------------
+# traversal
+
+_LEAVE = object()  # marks a node whose children are done
+_ONE, _TWO = (None,) * 3, (None,) * 5  # what enter's None stands for
+
+
+def walk(root: Expr, enter, leave=None, ctx=None):
+    """Fold the tree under ``root`` with an explicit stack and return the
+    root's value; any depth works, since nothing recurses.
+
+    ``enter(e, ctx)`` runs in pre-order and returns
+
+    * ``None`` to walk the children of ``e``, each with ``ctx``; a leaf has
+      none, and its value is None;
+    * ``(value,)`` when ``e`` has that value and its children are not walked;
+    * ``(note, child, child_ctx)`` or ``(note, left, left_ctx, right,
+      right_ctx)`` to walk those children, in that order.
+
+    After the children, ``leave(e, note, *child_values)`` returns the value
+    of ``e``; the note is None in the first case. A walk with no ``leave``
+    is run for what ``enter`` does and returns None.
+    """
+    t = type(root)
+    if t is not Binary and t is not Unary and t is not Deriv:  # a lone leaf
+        r = enter(root, ctx)
+        return r[0] if r is not None and leave is not None else None
+    values = []
+    push = values.append
+    todo = [(root, ctx)]  # (node, its context) pairs, and leave frames
+    pop, append = todo.pop, todo.append
+    while todo:
+        e, ctx = pop()
+        if ctx is _LEAVE:
+            e, r = e
+            if len(r) == 3:
+                values[-1] = leave(e, r[0], values[-1])
+            else:
+                right = values.pop()
+                values[-1] = leave(e, r[0], values[-1], right)
+            continue
+        r = enter(e, ctx)
+        if r is None:
+            t = type(e)
+            if t is Binary:
+                if leave is not None:
+                    append(((e, _TWO), _LEAVE))
+                append((e.right, ctx))
+                append((e.left, ctx))
+            elif t is Unary or t is Deriv:
+                if leave is not None:
+                    append(((e, _ONE), _LEAVE))
+                append((e.child, ctx))
+            else:
+                push(None)
+        elif len(r) == 1:
+            push(r[0])
+        else:
+            if leave is not None:
+                append(((e, r), _LEAVE))
+            if len(r) == 5:
+                append((r[3], r[4]))
+            append((r[1], r[2]))
+    return values[0] if leave is not None else None
+
+
+# ---------------------------------------------------------------------------
 # parsing
 
 _TOKEN_RE = re.compile(
@@ -163,142 +231,114 @@ def _tokenize(src: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.idx = 0
-        self.depth = 0
+def _expr(toks: list, i: int):
+    """Read one ``expr`` from ``toks[i]`` on; return the tree and the index
+    of the first token after it.
 
-    @property
-    def cur(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect_op(self, text):
-        kind, tok, pos = self.cur
-        if kind != "op" or tok != text:
-            raise ParseError(f"expected {text!r}", pos)
-        return self.advance()
-
-    def at_op(self, *texts):
-        kind, tok, _ = self.cur
-        return kind == "op" and tok in texts
-
-    def enter(self) -> None:
-        """Count one more level of nesting; every recursion of the parser
-        passes through a parenthesis, a function call or a unary minus."""
-        if self.depth == MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.cur[2])
-        self.depth += 1
-
-    def expr(self) -> Expr:
-        self.enter()
-        node = self.term()
-        while self.at_op("+", "-"):
-            _, op, _ = self.advance()
-            node = Binary("add" if op == "+" else "sub", node, self.term())
-        self.depth -= 1
-        return node
-
-    def term(self) -> Expr:
-        factors = [self.factor()]
-        ops = []
-        while self.at_op("*", "/"):
-            _, op, _ = self.advance()
-            ops.append("mul" if op == "*" else "div")
-            factors.append(self.factor())
-        if not ops:
-            return factors[0]
-        if "div" in ops:
-            node = factors[0]
-            for op, f in zip(ops, factors[1:]):
-                node = Binary(op, node, f)
-            return node
-        node = factors[-1]
-        for f in reversed(factors[:-1]):
-            node = Binary("mul", f, node)
-        return node
-
-    def factor(self) -> Expr:
-        if self.at_op("-"):
-            self.advance()
-            self.enter()
-            operand = self.factor()
-            self.depth -= 1
-            if isinstance(operand, Const):
-                return Const(-operand.value)
-            if isinstance(operand, Int):
-                return Int(-operand.value)
-            return Unary("neg", operand)
-        node = self.base()
-        if self.at_op("^"):
-            self.advance()
-            node = Binary("pow", node, self.exponent())
-        return node
-
-    def exponent(self) -> Int:
-        sign = 1
-        if self.at_op("-"):
-            self.advance()
-            sign = -1
-        kind, tok, pos = self.cur
-        if kind != "num" or "." in tok or "e" in tok or "E" in tok:
-            raise ParseError("integer exponent required", pos)
-        self.advance()
-        try:
-            return Int(sign * int(tok))
-        except ValueError:  # beyond the digit limit of int()
-            raise ParseError("exponent too long", pos) from None
-
-    def base(self) -> Expr:
-        kind, tok, pos = self.cur
+    Precedence climbing over an explicit stack of open groups: each token
+    is looked at once, and nesting costs memory, not recursion.
+    """
+    stack = []  # the state of each enclosing group, innermost last
+    # The group being read: what opened it (None at the top level, "(" or a
+    # function name), the sum of its finished terms and the operator that
+    # joins the next term to it, the term being read, and the unary minuses
+    # before the factor being read.
+    opener, total, addop, factors, ops, minus = None, None, None, [], [], 0
+    while True:
+        kind, tok, pos = toks[i]
+        i += 1
+        if kind == "op" and tok == "-":
+            minus += 1
+            continue
+        if kind == "op" and tok == "(" or kind == "ident" and tok in ("sin", "cos"):
+            if kind == "ident":
+                if toks[i][:2] != ("op", "("):
+                    raise ParseError("expected '('", toks[i][2])
+                i += 1
+            stack.append((opener, total, addop, factors, ops, minus))
+            opener, total, addop, factors, ops, minus = tok, None, None, [], [], 0
+            continue
         if kind == "num":
-            self.advance()
-            return Const(float(tok))
-        if kind == "ident":
-            return self.ident()
-        if kind == "op" and tok == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            kind2, tok2, _ = self.cur
-            # a derivative suffix is a shorthand spelling without its "u"
-            if kind2 == "ident" and "u" + tok2 in DERIV_SHORTHAND:
-                self.advance()
-                var, order = DERIV_SHORTHAND["u" + tok2]
-                return Deriv(node, var, order)
-            return node
-        raise ParseError("expected expression", pos)
+            node = Const(float(tok))
+            if not math.isfinite(node.value):
+                raise ParseError("number is outside the float range", pos)
+        elif kind == "ident":
+            node = _ident(toks, i)
+        else:
+            raise ParseError("expected expression", pos)
+        while True:  # ``node`` is a base read in the current group
+            kind, tok, pos = toks[i]
+            if kind == "op" and tok == "^":
+                exponent, i = _exponent(toks, i + 1)
+                node = Binary("pow", node, exponent)
+                kind, tok, pos = toks[i]
+            for _ in range(minus):
+                node = Const(-node.value) if type(node) is Const else Unary("neg", node)
+            minus = 0
+            factors.append(node)
+            if kind == "op" and (tok == "*" or tok == "/"):
+                ops.append("mul" if tok == "*" else "div")
+                i += 1
+                break
+            term = _term(factors, ops)
+            factors, ops = [], []
+            total = term if total is None else Binary(addop, total, term)
+            if kind == "op" and (tok == "+" or tok == "-"):
+                addop = "add" if tok == "+" else "sub"
+                i += 1
+                break
+            if opener is None:
+                return total, i
+            if kind != "op" or tok != ")":
+                raise ParseError("expected ')'", pos)
+            i += 1
+            node = total
+            if opener != "(":
+                node = Unary(opener, node)
+            elif toks[i][0] == "ident" and "u" + toks[i][1] in DERIV_SHORTHAND:
+                # a derivative suffix is a shorthand spelling without its "u"
+                node = Deriv(node, *DERIV_SHORTHAND["u" + toks[i][1]])
+                i += 1
+            opener, total, addop, factors, ops, minus = stack.pop()
 
-    def ident(self) -> Expr:
-        _, name, pos = self.advance()
-        if name == "u":
-            if self.at_op("("):
-                raise UnknownSymbol("'u' is the field, not a function", pos)
-            return FIELD
-        if name in DERIV_SHORTHAND:
-            var, order = DERIV_SHORTHAND[name]
-            return Deriv(FIELD, var, order)
-        if name in ("sin", "cos"):
-            self.expect_op("(")
-            arg = self.expr()
-            self.expect_op(")")
-            return Unary(name, arg)
-        if name.startswith("u_"):
-            raise UnknownSymbol(f"unknown derivative shorthand {name!r}", pos)
-        if self.at_op("("):
-            raise UnknownSymbol(f"{name!r} is not a function", pos)
-        return Var(name)
+
+def _term(factors: list, ops: list) -> Expr:
+    if "div" in ops:
+        node = factors[0]
+        for op, f in zip(ops, factors[1:]):
+            node = Binary(op, node, f)
+        return node
+    node = factors[-1]
+    for f in reversed(factors[:-1]):
+        node = Binary("mul", f, node)
+    return node
 
 
-def _is_zero_literal(e: Expr) -> bool:
-    return (isinstance(e, Const) and e.value == 0.0) or (
-        isinstance(e, Int) and e.value == 0
-    )
+def _exponent(toks: list, i: int):
+    negative = toks[i][:2] == ("op", "-")
+    kind, tok, pos = toks[i + negative]
+    if kind != "num" or "." in tok or "e" in tok or "E" in tok:
+        raise ParseError("integer exponent required", pos)
+    try:
+        return Int(-int(tok) if negative else int(tok)), i + negative + 1
+    except ValueError:  # beyond the digit limit of int()
+        raise ParseError("exponent too long", pos) from None
+
+
+def _ident(toks: list, i: int) -> Expr:
+    """The leaf named by ``toks[i - 1]``, an identifier other than a function."""
+    _, name, pos = toks[i - 1]
+    if name == "u":
+        if toks[i][:2] == ("op", "("):
+            raise UnknownSymbol("'u' is the field, not a function", pos)
+        return FIELD
+    if name in DERIV_SHORTHAND:
+        return Deriv(FIELD, *DERIV_SHORTHAND[name])
+    if name.startswith("u_"):
+        raise UnknownSymbol(f"unknown derivative shorthand {name!r}", pos)
+    if toks[i][:2] == ("op", "("):
+        raise UnknownSymbol(f"{name!r} is not a function", pos)
+    return Var(name)
 
 
 def parse_infix(src: str) -> Equation:
@@ -307,17 +347,16 @@ def parse_infix(src: str) -> Equation:
     With an ``=`` sign the residual is ``lhs - rhs`` (a literal-zero right
     side is dropped); without one the expression itself is the residual.
     """
-    parser = _Parser(_tokenize(src))
-    lhs = parser.expr()
-    if parser.at_op("="):
-        parser.advance()
-        rhs = parser.expr()
-        kind, _, pos = parser.cur
+    toks = _tokenize(src)
+    lhs, i = _expr(toks, 0)
+    if toks[i][:2] == ("op", "="):
+        rhs, i = _expr(toks, i + 1)
+        kind, _, pos = toks[i]
         if kind != "eof":
             raise ParseError("trailing input after equation", pos)
-        residual = lhs if _is_zero_literal(rhs) else Binary("sub", lhs, rhs)
+        residual = lhs if type(rhs) is Const and rhs.value == 0.0 else Binary("sub", lhs, rhs)
         return Equation(residual)
-    kind, _, pos = parser.cur
+    kind, _, pos = toks[i]
     if kind != "eof":
         raise ParseError("trailing input after expression", pos)
     return Equation(lhs)
@@ -327,6 +366,12 @@ def parse_infix(src: str) -> Equation:
 # infix printing
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 2, "pow": 3}
+
+# A printing context is (precedence of the parent, glyph to print first,
+# whether the product spine the node continues holds a division).
+_OPEN = [(p, "", None) for p in range(4)]
+_RIGHT = {"add": (1, " + ", None), "sub": (1, " - ", None), "div": (2, "/", None)}
+_MUL_DIV, _MUL = (2, "*", True), (1, "*", False)
 
 
 def _spine_has_div(e: Expr) -> bool:
@@ -338,72 +383,77 @@ def _spine_has_div(e: Expr) -> bool:
 
 
 def to_infix(e: Expr) -> str:
-    """Render a tree as an infix string that reparses to the same tree.
-
-    The walk keeps its own stack of pending strings and subtrees, so a long
-    chain prints in linear time without recursion."""
+    """Render a tree as an infix string that reparses to the same tree."""
     out = []
-    todo = [(e, 0, None)]
-    while todo:
-        item = todo.pop()
-        if type(item) is not str:
-            item = _infix(*item)
-            if type(item) is not str:
-                todo += item
-                continue
-        out.append(item)
-    return "".join(out)
+    emit = out.append
 
-
-def _infix(e: Expr, parent_prec: int, has_div: bool | None):
-    """``e`` under a parent of precedence ``parent_prec``: a leaf's string,
-    or a list of strings and ``(subtree, precedence, has_div)`` items still
-    to print, last first. ``has_div`` is :func:`_spine_has_div` of ``e``
-    when a parent on the same product spine already found it, else None."""
-    if isinstance(e, Const):
-        s = repr(e.value)
-        return f"({s})" if e.value < 0 and parent_prec >= 2 else s
-    if isinstance(e, Int):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Field):
-        return "u"
-    if isinstance(e, Placeholder):
-        raise UnsupportedNode("placeholder has no infix form")
-    if isinstance(e, Deriv):
-        key = (e.var, e.order)
-        if key not in SHORTHAND_BY_DERIV:
-            raise UnsupportedNode(f"no infix form for derivative {key}")
-        if e.child == FIELD:
-            return SHORTHAND_BY_DERIV[key]
-        return [f")_{e.var * e.order}", (e.child, 0, None), "("]
-    if isinstance(e, Unary):
-        if e.fn != "neg":
-            return [")", (e.child, 0, None), f"{e.fn}("]
-        prec = _PREC["neg"]
-        body = [(e.child, prec, None), "-"]
-    elif isinstance(e, Binary):
-        prec = _PREC[e.op]
-        if e.op == "pow":
-            if not isinstance(e.right, Int):
-                raise UnsupportedNode("non-integer exponent has no infix form")
-            n = e.right.value
-            body = [f"^{n}" if n >= 0 else f"^(-{-n})", (e.left, prec, None)]
-        elif e.op == "mul":
-            # pure * chains group to the right when parsed; a division in
-            # the right spine would make the chain re-fold left, so bracket.
-            # The spine below a * has the same answer as the * itself.
-            if has_div is None:
-                has_div = _spine_has_div(e.right)
-            right_prec = prec if has_div else prec - 1
-            body = [(e.right, right_prec, has_div), "*", (e.left, prec, None)]
+    def enter(e, ctx):
+        parent_prec, glyph, has_div = ctx
+        if glyph:
+            emit(glyph)
+        t = type(e)
+        if t is Binary:
+            op = e.op
+            prec = _PREC[op]
+            close = ")" if parent_prec >= prec else ""
+            if close:
+                emit("(")
+            if op == "pow":
+                if type(e.right) is not Int:
+                    raise UnsupportedNode("non-integer exponent has no infix form")
+                return (f"^{e.right.value}{close}", e.left, _OPEN[3])
+            if op == "mul":
+                # pure * chains group to the right when parsed; a division in
+                # the right spine would make the chain re-fold left, so bracket.
+                # The spine below a * has the same answer as the * itself.
+                if has_div is None:
+                    has_div = _spine_has_div(e.right)
+                return (close, e.left, _OPEN[2], e.right, _MUL_DIV if has_div else _MUL)
+            # "a*b*c/d" reads as ((a*b)*c)/d, so a right-grouped product
+            # before a "/" needs brackets
+            l = e.left
+            regroups = (op == "div" and type(l) is Binary and l.op == "mul"
+                        and type(l.right) is Binary and l.right.op == "mul"
+                        and not _spine_has_div(l.right))
+            return (close, l, _OPEN[2 if regroups else prec - 1], e.right, _RIGHT[op])
+        if t is Const:
+            if not math.isfinite(e.value):
+                raise UnsupportedNode(f"non-finite constant {e.value!r} has no infix form")
+            s = repr(e.value)
+            emit(f"({s})" if e.value < 0 and parent_prec >= 2 else s)
+        elif t is Int:
+            emit(str(e.value))
+        elif t is Var:
+            emit(e.name)
+        elif t is Field:
+            emit("u")
+        elif t is Unary:
+            if e.fn != "neg":
+                emit(f"{e.fn}(")
+                return (")", e.child, _OPEN[0])
+            close = ")" if parent_prec >= 2 else ""
+            emit("(-" if close else "-")
+            return (close, e.child, _OPEN[2])
+        elif t is Deriv:
+            key = (e.var, e.order)
+            if key not in SHORTHAND_BY_DERIV:
+                raise UnsupportedNode(f"no infix form for derivative {key}")
+            if type(e.child) is Field:
+                emit(SHORTHAND_BY_DERIV[key])
+                return (None,)  # a leaf token
+            emit("(")
+            return (f")_{e.var * e.order}", e.child, _OPEN[0])
+        elif t is Placeholder:
+            raise UnsupportedNode("placeholder has no infix form")
         else:
-            glyph = {"add": " + ", "sub": " - ", "div": "/"}[e.op]
-            body = [(e.right, prec, None), glyph, (e.left, prec - 1, None)]
-    else:
-        raise UnsupportedNode(f"cannot print {type(e).__name__}")
-    return [")", *body, "("] if parent_prec >= prec else body
+            raise UnsupportedNode(f"cannot print {t.__name__}")
+
+    def leave(e, close, *_):
+        if close:
+            emit(close)
+
+    walk(e, enter, leave, _OPEN[0])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -425,28 +475,30 @@ def differentiate(e: Expr, var: str) -> Expr:
     Placeholders differentiate to zero (they stand for unknown constants).
     Mixed partials of the field and non-integer powers are unsupported.
     """
-    if isinstance(e, (Const, Int, Placeholder)):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0 if e.name == var else 0.0)
-    if isinstance(e, Field):
-        return Deriv(FIELD, var, 1)
-    if isinstance(e, Deriv):
-        if e.var == var:
-            return Deriv(e.child, var, e.order + 1)
-        raise UnsupportedNode("mixed partial derivatives are not supported")
-    if isinstance(e, Unary):
-        d = differentiate(e.child, var)
-        if e.fn == "sin":
-            return Binary("mul", Unary("cos", e.child), d)
-        if e.fn == "cos":
-            return Binary(
-                "mul", Binary("mul", Const(-1.0), Unary("sin", e.child)), d
-            )
-        return Unary("neg", d)
-    if isinstance(e, Binary):
-        dl = differentiate(e.left, var)
-        dr = differentiate(e.right, var)
+
+    def enter(e, _):
+        t = type(e)
+        if t is Binary or t is Unary:
+            return None
+        if t is Const or t is Int or t is Placeholder:
+            return (Const(0.0),)
+        if t is Var:
+            return (Const(1.0 if e.name == var else 0.0),)
+        if t is Field:
+            return (Deriv(FIELD, var, 1),)
+        if t is Deriv:
+            if e.var == var:
+                return (Deriv(e.child, var, e.order + 1),)
+            raise UnsupportedNode("mixed partial derivatives are not supported")
+        raise UnsupportedNode(f"cannot differentiate {t.__name__}")
+
+    def leave(e, _, dl, dr=None):
+        if type(e) is Unary:
+            if e.fn == "neg":
+                return Unary("neg", dl)
+            if e.fn == "sin":
+                return Binary("mul", Unary("cos", e.child), dl)
+            return Binary("mul", Binary("mul", Const(-1.0), Unary("sin", e.child)), dl)
         if e.op in ("add", "sub"):
             return Binary(e.op, dl, dr)
         if e.op == "mul":
@@ -464,7 +516,8 @@ def differentiate(e: Expr, var: str) -> Expr:
             inner = Binary("pow", e.left, Int(n - 1)) if n != 1 else Const(1.0)
             return Binary("mul", Const(int_to_float(n)), Binary("mul", inner, dl))
         raise UnsupportedNode("cannot differentiate a non-integer power")
-    raise UnsupportedNode(f"cannot differentiate {type(e).__name__}")
+
+    return walk(e, enter, leave)
 
 
 def substitute_field(e: Expr, replacement: Expr) -> Expr:
@@ -474,22 +527,29 @@ def substitute_field(e: Expr, replacement: Expr) -> Expr:
     (substituted) child, so the result contains only ordinary arithmetic
     over variables and constants.
     """
-    if isinstance(e, Field):
-        return replacement
-    if isinstance(e, Deriv):
-        node = substitute_field(e.child, replacement)
-        for _ in range(e.order):
-            node = differentiate(node, e.var)
-        return node
-    if isinstance(e, Unary):
-        return Unary(e.fn, substitute_field(e.child, replacement))
-    if isinstance(e, Binary):
-        return Binary(
-            e.op,
-            substitute_field(e.left, replacement),
-            substitute_field(e.right, replacement),
-        )
-    return e
+
+    def enter(e, _):
+        t = type(e)
+        if t is Binary or t is Unary or t is Deriv:
+            return None
+        return (replacement if t is Field else e,)
+
+    def leave(e, _, *kids):
+        t = type(e)
+        if t is Deriv:
+            node = kids[0]
+            for _ in range(e.order):
+                node = differentiate(node, e.var)
+            return node
+        if t is Unary:
+            return Unary(e.fn, kids[0])
+        return Binary(e.op, *kids)
+
+    return walk(e, enter, leave)
+
+
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+               "div": np.divide, "pow": np.power}
 
 
 def evaluate(e: Expr, env):
@@ -500,34 +560,27 @@ def evaluate(e: Expr, env):
     them away first (see :func:`substitute_field`). Division follows numpy
     for scalars too: a zero divisor gives inf or NaN, not an exception.
     """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Int):
-        return int_to_float(e.value)
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise UnsupportedNode(f"unbound variable {e.name!r}")
-        return env[e.name]
-    if isinstance(e, (Field, Deriv, Placeholder)):
-        raise UnsupportedNode(f"{type(e).__name__} is not directly evaluable")
-    if isinstance(e, Unary):
-        c = evaluate(e.child, env)
-        if e.fn == "sin":
-            return np.sin(c)
-        if e.fn == "cos":
-            return np.cos(c)
-        return -c
-    if isinstance(e, Binary):
-        l = evaluate(e.left, env)
-        r = evaluate(e.right, env)
-        with np.errstate(all="ignore"):
-            if e.op == "add":
-                return l + r
-            if e.op == "sub":
-                return l - r
-            if e.op == "mul":
-                return l * r
-            if e.op == "div":
-                return np.divide(l, r)
-            return np.power(l, r)
-    raise UnsupportedNode(f"cannot evaluate {type(e).__name__}")
+
+    def enter(e, _):
+        t = type(e)
+        if t is Binary or t is Unary:
+            return None
+        if t is Const:
+            return (e.value,)
+        if t is Int:
+            return (int_to_float(e.value),)
+        if t is Var:
+            if e.name not in env:
+                raise UnsupportedNode(f"unbound variable {e.name!r}")
+            return (env[e.name],)
+        if t is Field or t is Deriv or t is Placeholder:
+            raise UnsupportedNode(f"{t.__name__} is not directly evaluable")
+        raise UnsupportedNode(f"cannot evaluate {t.__name__}")
+
+    def leave(e, _, l, r=None):
+        if type(e) is Unary:
+            return np.sin(l) if e.fn == "sin" else np.cos(l) if e.fn == "cos" else -l
+        return _ARITHMETIC[e.op](l, r)
+
+    with np.errstate(all="ignore"):
+        return walk(e, enter, leave)

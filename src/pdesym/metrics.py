@@ -26,7 +26,7 @@ from math import factorial, perm
 
 import numpy as np
 
-from .canon import build, terms
+from .canon import terms
 from .errors import (
     DecodeError,
     DegenerateReference,
@@ -46,9 +46,10 @@ from .expr import (
     Unary,
     Var,
     int_to_float,
+    walk,
 )
 from .solver import FLUXES, ConservationLaw, SpaceTimeField, solve
-from .tokens import TokenSeq, from_tokens
+from .tokens import TokenSeq, canonical_tokens_of_terms, from_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +61,11 @@ def rel_l2(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError("shapes must match")
-    denom = float(np.linalg.norm(u.ravel()))
-    if denom == 0.0:
-        raise DegenerateReference("reference field has zero norm")
-    return float(np.linalg.norm((u - v).ravel()) / denom)
+    with np.errstate(all="ignore"):  # an overflowing norm is inf, not a warning
+        denom = float(np.linalg.norm(u.ravel()))
+        if denom == 0.0:
+            raise DegenerateReference("reference field has zero norm")
+        return float(np.linalg.norm((u - v).ravel()) / denom)
 
 
 def r2_score(targets, preds) -> float:
@@ -224,59 +226,68 @@ def _chain_plan(fn: str, n: int, keys: tuple) -> tuple:
 def _compile(eq, X, T) -> list:
     """Postfix program for the residual's jet entry (0, 0) on the grid X, T.
 
+    A subtree with no field leaf has the same jet for every surrogate, so
+    its program runs here, once, and stays as that jet.
+
     Raises the :class:`UnsupportedNode` that expanding the residual with
     :func:`substitute_field` and evaluating it would raise: an unbound
     variable, a placeholder or an out-of-range integer whose value the
     expansion evaluates, or a non-integer power under a derivative. An
     entry of total order above :data:`MAX_JET_ORDER` is unsupported too.
     """
-    residual = eq.residual if isinstance(eq, Equation) else eq
     prog: list = []
-    bad: list[dict] = []  # per finished node: entries the expansion cannot evaluate
-    todo = [(residual, _ORIGIN, None)]
-    while todo:
-        e, need, kids = todo.pop()
-        if kids is None:
-            kids = _children(e, need)
-            if kids:
-                todo.append((e, need, kids))
-                todo.extend((c, k, None) for c, k in reversed(kids))
-            else:
-                prog.append(_leaf(e, need, bad, {"x": X, "t": T}))
-            continue
-        found = bad[len(bad) - len(kids):]
-        del bad[len(bad) - len(kids):]
-        keys = kids[0][1]
+    env = {"x": X, "t": T}
+
+    # A node's value is (the entries its expansion cannot evaluate, whether
+    # it holds the field).
+    def enter(e, need):
+        kids = _children(e, need)
+        if not kids:
+            instr, bad = _leaf(e, need, env)
+            prog.append(instr)
+            return ((bad, instr[0] == "field"),)
+        note = (need, kids[0][1], len(prog))
+        return (note, *kids[0]) if len(kids) == 1 else (note, *kids[0], *kids[1])
+
+    def leave(e, note, *kids):
+        need, keys, start = note
+        found = [bad for bad, _ in kids]
         op = "deriv" if isinstance(e, Deriv) else e.fn if isinstance(e, Unary) else e.op
         if op == "deriv":
             axis = int(e.var == "t")
             plan = [(k, src, float(perm(src[axis], e.order))) for k, src in zip(need, keys)]
             prog.append((op, plan))
-            bad.append({k: found[0][src] for k, src, _ in plan if src in found[0]})
+            bad = {k: found[0][src] for k, src, _ in plan if src in found[0]}
         elif op in ("add", "sub", "neg"):
             prog.append((op, need))
-            bad.append({k: msg for part in found for k, msg in part.items()})
+            bad = {k: msg for part in found for k, msg in part.items()}
         elif op == "pow" and len(kids) == 2:  # a non-integer exponent
             prog.append(("power",))
-            bad.append({**found[0], **found[1]})
+            bad = {**found[0], **found[1]}
         elif op in ("sin", "cos", "pow"):
             n = e.right.value if op == "pow" else 0
             prog.append(("chain", op, int_to_float(n), need, *_chain_plan(op, n, keys)))
             if op == "pow" and n == 1:  # the expansion of d(a^1) never evaluates a
-                spread = _above({k: m for k, m in found[0].items() if k != (0, 0)}, keys)
-                spread.update({k: m for k, m in found[0].items() if k == (0, 0)})
+                bad = _above({k: m for k, m in found[0].items() if k != (0, 0)}, keys)
+                bad.update({k: m for k, m in found[0].items() if k == (0, 0)})
             else:
-                spread = _above(found[0], keys)
-            bad.append(spread)
+                bad = _above(found[0], keys)
         else:
             if op == "div":  # the recurrence runs through every key below
                 plan = [(k, [(m, q) for m, q in _splits(k) if m != (0, 0)]) for k in keys]
             else:
                 plan = [(k, _splits(k)) for k in need]
             prog.append((op, plan))
-            bad.append(_above({**found[0], **found[1]}, keys))
-    if (0, 0) in bad[0]:
-        raise UnsupportedNode(bad[0][(0, 0)])
+            bad = _above({**found[0], **found[1]}, keys)
+        field = any(has_field for _, has_field in kids)
+        if not field:
+            prog[start:] = [("jet", _jet(prog[start:], None))]
+        return bad, field
+
+    residual = eq.residual if isinstance(eq, Equation) else eq
+    bad, _ = walk(residual, enter, leave, _ORIGIN)
+    if (0, 0) in bad:
+        raise UnsupportedNode(bad[(0, 0)])
     return prog
 
 
@@ -310,17 +321,16 @@ def _children(e: Expr, need: tuple) -> list:
     return [(e.left, _below(need)), (e.right, _below(need))]
 
 
-def _leaf(e: Expr, need: tuple, bad: list, env: dict) -> tuple:
+def _leaf(e: Expr, need: tuple, env: dict) -> tuple:
     """The instruction for a leaf or a chain of derivative nodes over the
-    field; appends the entries the expansion cannot evaluate to ``bad``."""
+    field, and the entries the expansion cannot evaluate."""
     if isinstance(e, (Deriv, Field)):
         shift = [0, 0]
         while isinstance(e, Deriv):
             shift[e.var == "t"] += e.order
             e = e.child
-        bad.append({})
         return ("field", [(k, (k[0] + shift[0], k[1] + shift[1]),
-                           float(factorial(k[0]) * factorial(k[1]))) for k in need])
+                           float(factorial(k[0]) * factorial(k[1]))) for k in need]), {}
     value, msg = np.nan, None
     if isinstance(e, Const):
         value = e.value
@@ -340,8 +350,7 @@ def _leaf(e: Expr, need: tuple, bad: list, env: dict) -> tuple:
     # derivatives of x and t are the unit multi-indices, of anything else 0
     unit = {"x": (1, 0), "t": (0, 1)}.get(getattr(e, "name", None))
     jet = {k: value if k == (0, 0) else float(k == unit) for k in need}
-    bad.append({(0, 0): msg} if msg and (0, 0) in jet else {})
-    return ("jet", jet)
+    return ("jet", jet), {(0, 0): msg} if msg and (0, 0) in jet else {}
 
 
 class _FieldGrids(dict):
@@ -372,7 +381,14 @@ def _convolve(l: dict, r: dict, plan: list) -> dict:
 
 
 def _run(prog: list, field: _FieldGrids) -> np.ndarray:
-    """Execute a program from :func:`_compile` on one surrogate's grids."""
+    """The residual grid of a program from :func:`_compile` on one
+    surrogate's grids."""
+    out = _jet(prog, field)[(0, 0)]
+    return np.broadcast_to(np.asarray(out, dtype=float), field.shape).copy()
+
+
+def _jet(prog: list, field: _FieldGrids | None) -> dict:
+    """Execute a program, or a field-free part of one, and return its jet."""
     stack: list[dict] = []
     push, pop = stack.append, stack.pop
     with np.errstate(all="ignore"):
@@ -407,8 +423,7 @@ def _run(prog: list, field: _FieldGrids) -> np.ndarray:
                     push(q)
                 else:  # a non-integer power, at order 0 only
                     push({(0, 0): np.power(l[(0, 0)], r[(0, 0)])})
-    out = stack[0][(0, 0)]
-    return np.broadcast_to(np.asarray(out, dtype=float), field.shape).copy()
+    return stack[0]
 
 
 def _chain(a: dict, fn: str, n: float, need: tuple, coeffs: list, powers: list) -> dict:
@@ -541,8 +556,11 @@ def law_from_equation(eq: Equation) -> ConservationLaw:
         else:
             match = _flux_term(factors)
             if match is None:
-                term = build([(coeff, factors)])
-                raise NotSolvable(f"unrecognized term in residual: {term!r}")
+                try:
+                    shown = canonical_tokens_of_terms([(coeff, factors)]).text
+                except UnsupportedNode:
+                    shown = "a term with no token form"
+                raise NotSolvable(f"unrecognized term in residual: {shown}")
             flux_kind, scale = match
             q1 = coeff * scale
     if coeff_t is None or coeff_t == 0.0:

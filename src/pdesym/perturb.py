@@ -22,6 +22,7 @@ from .expr import (
     Expr,
     Placeholder,
     Unary,
+    walk,
 )
 
 
@@ -72,37 +73,31 @@ def swap_branches(e, cfg: PerturbConfig):
 def _swap(e: Expr, prob: float, rng) -> Expr:
     """Swap each add/mul/sub node with probability ``prob``.
 
-    Nodes are visited in pre-order with an explicit stack, so the draws
-    come node, left operand, right operand, and a long chain does not
-    recurse; the tree is then rebuilt bottom-up from that order."""
-    order, fired = [], []
-    todo = [e]
-    while todo:
-        node = todo.pop()
-        order.append(node)
-        if isinstance(node, Binary):
-            eligible = node.op in ("add", "sub", "mul")
-            fired.append(eligible and prob > 0.0 and rng.random() < prob)
-            todo += (node.right, node.left)
-        elif isinstance(node, (Unary, Deriv)):
-            todo.append(node.child)
-    built = []  # in reverse pre-order a node's children are built first
-    for node in reversed(order):
-        if isinstance(node, Binary):
-            left, right = built.pop(), built.pop()
-            fire = fired.pop()
-            if fire and node.op == "sub":
-                node = Binary("add", Binary("mul", Const(-1.0), right), left)
-            elif fire:
-                node = Binary(node.op, right, left)
-            else:
-                node = Binary(node.op, left, right)
-        elif isinstance(node, Unary):
-            node = Unary(node.fn, built.pop())
-        elif isinstance(node, Deriv):
-            node = Deriv(built.pop(), node.var, node.order)
-        built.append(node)
-    return built[0]
+    The draws come in pre-order (node, left operand, right operand); the
+    tree is rebuilt bottom-up as the walk leaves each node."""
+
+    def enter(e, _):
+        t = type(e)
+        if t is Binary:
+            fired = e.op in ("add", "sub", "mul") and prob > 0.0 and rng.random() < prob
+            return (fired, e.left, None, e.right, None)
+        if t is Unary or t is Deriv:
+            return None
+        return (e,)
+
+    def leave(e, fire, left, right=None):
+        t = type(e)
+        if t is Unary:
+            return Unary(e.fn, left)
+        if t is Deriv:
+            return Deriv(left, e.var, e.order)
+        if fire and e.op == "sub":
+            return Binary("add", Binary("mul", Const(-1.0), right), left)
+        if fire:
+            return Binary(e.op, right, left)
+        return Binary(e.op, left, right)
+
+    return walk(e, enter, leave)
 
 
 @dataclass(frozen=True)

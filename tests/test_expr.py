@@ -1,15 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 
-from pdesym.errors import ParseError, UnknownSymbol, UnsupportedNode
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pdesym.canon import canonical_key, canonicalize
+from pdesym.datagen import FAMILIES, equation_for
+from pdesym.errors import ParseError, PdesymError, UnknownSymbol, UnsupportedNode
 from pdesym.expr import (
     FIELD,
-    MAX_DEPTH,
     Binary,
     Const,
     Deriv,
     Equation,
+    Expr,
     Int,
+    Placeholder,
     Unary,
     Var,
     differentiate,
@@ -18,7 +26,9 @@ from pdesym.expr import (
     substitute_field,
     to_infix,
 )
-from pdesym.tokens import to_manual_tokens
+from pdesym.metrics import symbolic_error
+from pdesym.perturb import PerturbConfig, swap_branches
+from pdesym.tokens import from_tokens, to_canonical_tokens, to_manual_tokens
 
 from helpers import random_manual_tree
 
@@ -89,20 +99,46 @@ def test_parse_errors_carry_offsets():
 
 
 @pytest.mark.parametrize(
-    "src",
-    ["(" * 3000 + "u" + ")" * 3000, "-" * 3000 + "u", "sin(" * 3000 + "u" + ")" * 3000],
+    "src, message",
+    [
+        ("(" * 3000 + "u" + ")" * 2999, "expected ')'"),
+        ("-" * 3000, "expected expression"),
+        ("sin(" * 3000 + "u" + ")" * 2999, "expected ')'"),
+    ],
     ids=["parentheses", "unary-minus", "sin"],
 )
-def test_deep_nesting_is_a_parse_error(src):
-    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_DEPTH} levels"):
+def test_deep_nesting_is_a_parse_error(src, message):
+    """A deep nest that is malformed at its far end fails there."""
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
         parse_infix(src)
+    assert err.value.offset == len(src)
 
 
-def test_nesting_limit_counts_parentheses_minus_and_calls():
-    deepest = "sin(-(" * 33 + "u" + "))" * 33  # 99 levels around u
-    assert to_infix(parse_infix(deepest).residual).count("sin") == 33
-    with pytest.raises(ParseError):
-        parse_infix("(" + deepest + ")")
+@pytest.mark.parametrize(
+    "src, key",
+    [
+        ("(" * 3000 + "u" + ")" * 3000, (1,)),
+        ("-" * 3000 + "u", (3, 2) * 3000 + (1,)),
+        ("sin(" * 3000 + "u" + ")" * 3000, (3, 0) * 3000 + (1,)),
+        ("(" * 3000 + "u" + ")_x" * 3000, (2, "x", 1) * 3000 + (1,)),
+    ],
+    ids=["parentheses", "unary-minus", "sin", "deriv"],
+)
+def test_deep_nesting_parses_and_prints(src, key):
+    e = parse_infix(src).residual
+    assert canonical_key(e) == key
+    assert canonical_key(parse_infix(to_infix(e)).residual) == key
+
+
+def test_non_finite_literals_are_parse_errors():
+    for src, offset in (("u_t + 1e400*u", 6), ("u - " + "9" * 400, 4), ("-1e999", 1)):
+        with pytest.raises(ParseError, match="outside the float range") as err:
+            parse_infix(src)
+        assert err.value.offset == offset
+    with pytest.raises(UnsupportedNode):
+        to_infix(Binary("mul", Const(float("inf")), FIELD))
+    with pytest.raises(UnsupportedNode):
+        to_infix(Const(float("nan")))
 
 
 def test_unknown_symbols():
@@ -152,6 +188,17 @@ def _fd_partial(func, x, t, var, h=1e-6):
     return (func(x, t + h) - func(x, t - h)) / (2 * h)
 
 
+def test_to_infix_brackets_what_would_regroup():
+    """A negative exponent and a right-grouped product before ``/`` print
+    in a form that reads back as the same tree."""
+    abc = Binary("mul", Var("a"), Binary("mul", Var("b"), Var("c")))
+    for tree in (Binary("pow", FIELD, Int(-2)), Binary("div", abc, Var("d")),
+                 Binary("div", Binary("mul", abc, Var("e")), Var("d"))):
+        assert parse_infix(to_infix(tree)).residual == tree
+    # a product whose spine already holds a division needs no outer brackets
+    assert to_infix(parse_infix("a*(b/c)/d").residual) == "a*(b/c)/d"
+
+
 def test_to_infix_round_trips_long_chains():
     for src in (" + ".join(["u_x"] * 3000), "*".join(["u"] * 3000),
                 " - ".join(["x"] * 3000), "/".join(["2"] * 3000)):
@@ -159,6 +206,66 @@ def test_to_infix_round_trips_long_chains():
         # a prefix walk fixes the structure; == on a deep tree would recurse
         again = parse_infix(to_infix(tree)).residual
         assert to_manual_tokens(again) == to_manual_tokens(tree)
+
+
+_BURGERS = equation_for(FAMILIES["burgers"], 0.5, 0.05)
+_SIBLINGS = [FIELD, Var("x"), Var("t"), Deriv(FIELD, "x", 1), Deriv(FIELD, "x", 3),
+             Const(0.5), Const(-2.0)]
+
+
+def _chain(seed: int, links: int) -> Expr:
+    """A tree ``links`` nodes deep: each link wraps the chain so far in a
+    random node type, a binary one next to a leaf on a random side. At most
+    two derivative links, both among the first eight, keep the symbolic
+    expansion of ``substitute_field`` small."""
+    rng = np.random.default_rng(seed)
+    starts = [FIELD, Var("x"), Deriv(FIELD, "x", 2), Deriv(FIELD, "t", 1), Placeholder()]
+    e = starts[rng.integers(len(starts))]
+    derivs = 0
+    for i in range(links):
+        kind = int(rng.integers(10))
+        if kind < 3:
+            e = Unary(("sin", "cos", "neg")[kind], e)
+        elif kind == 3 and i < 8 and derivs < 2:
+            e = Deriv(e, "x", int(rng.integers(1, 4)))
+            derivs += 1
+        elif kind <= 4:
+            e = Binary("pow", e, Int(int(rng.integers(0, 4))))
+        else:
+            op = ("add", "sub", "mul", "div", "mul")[kind - 5]
+            leaf = _SIBLINGS[rng.integers(len(_SIBLINGS))]
+            e = Binary(op, e, leaf) if rng.random() < 0.5 else Binary(op, leaf, e)
+    return e
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3000))
+@example(1, 3000)
+@settings(max_examples=10, deadline=None)
+def test_every_walker_handles_long_chains(seed, links):
+    """Deep trees of every node type go through every public walker with no
+    recursion: each returns or raises its typed error, and printing or
+    serializing then reading back is the identity. Trees are compared by
+    canonical key, which is flat, since == on a deep tree would recurse."""
+    e = swap_branches(_chain(seed, links), PerturbConfig(swap_prob=0.5, seed=seed))
+    key = canonical_key(e)
+    for write, read in ((to_infix, parse_infix), (to_manual_tokens, from_tokens)):
+        try:
+            written = write(e)
+        except UnsupportedNode:
+            continue
+        assert canonical_key(read(written).residual) == key
+    env = {"x": np.linspace(0.0, 1.0, 4), "t": 0.5}
+    for walk in (
+        canonicalize,
+        to_canonical_tokens,
+        lambda e: differentiate(e, "x"),
+        lambda e: evaluate(substitute_field(e, Binary("mul", Var("t"), Var("x"))), env),
+        lambda e: symbolic_error(Equation(e), _BURGERS, n_polys=2, n_x=8, n_t=8),
+    ):
+        try:
+            walk(e)
+        except PdesymError:
+            pass
 
 
 def test_differentiate_against_finite_differences():

