@@ -231,23 +231,26 @@ def _leave_terms(e: Expr, _, a: list, b: list | None = None) -> list:
         return _product(_collect(a), _collect(b))
     if e.op == "div":
         return _quotient(_collect(a), _collect(b))
-    a, b = _collect(a), _collect(b)
-    exponent = build(_round(a))
-    result = _canon_pow(build(_round(b)), exponent)
+    return _power(_collect(b), _collect(a))
+
+
+def _power(base: list, exponent: list) -> list:
+    """Terms of a power of two collected operands."""
+    result = _canon_pow(build(_round(base)), build(_round(exponent)))
     # the power is one factor unless it folded to another form
     if isinstance(result, Binary) and result.op == "pow":
-        return _factor(result, a + b)
+        return _factor(result, exponent + base)
     return _terms(result)
 
 
 def _quotient(left: list, denom: list) -> list:
-    """Terms of the quotient of two collected operands."""
+    """Terms of the quotient of two collected operands: ``left`` times the
+    power -1 of ``denom``, built from the denominator's own terms."""
     if not denom:
         raise DivisionByZero("division by constant zero")
     if len(denom) == 1 and not denom[0][1]:
         return _product(left, _constant(1 / denom[0][0]))
-    inverse = Binary("pow", build(_round(denom)), Int(-1))
-    return _product(left, _collect(_terms(inverse)))
+    return _product(left, _collect(_power(denom, _MINUS_ONE)))
 
 
 def _collect(ts: list) -> list:

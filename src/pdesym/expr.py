@@ -204,6 +204,24 @@ def walk(root: Expr, enter, leave=None, ctx=None):
     return values[0] if leave is not None else None
 
 
+def _fold_shared(root: Expr, enter, leave):
+    """:func:`walk` for folds whose value depends on the node alone: a
+    subtree reached again through another parent (the same object, as
+    :func:`differentiate` shares its operands) takes its first value and is
+    not walked again, so the fold is linear in the shared graph."""
+    memo = {}
+
+    def enter_once(e, ctx):
+        value = memo.get(id(e), memo)
+        return enter(e, ctx) if value is memo else (value,)
+
+    def leave_once(e, note, *values):
+        memo[id(e)] = value = leave(e, note, *values)
+        return value
+
+    return walk(root, enter_once, leave_once)
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -517,7 +535,7 @@ def differentiate(e: Expr, var: str) -> Expr:
             return Binary("mul", Const(int_to_float(n)), Binary("mul", inner, dl))
         raise UnsupportedNode("cannot differentiate a non-integer power")
 
-    return walk(e, enter, leave)
+    return _fold_shared(e, enter, leave)
 
 
 def substitute_field(e: Expr, replacement: Expr) -> Expr:
@@ -545,7 +563,7 @@ def substitute_field(e: Expr, replacement: Expr) -> Expr:
             return Unary(e.fn, kids[0])
         return Binary(e.op, *kids)
 
-    return walk(e, enter, leave)
+    return _fold_shared(e, enter, leave)
 
 
 _ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
@@ -583,4 +601,4 @@ def evaluate(e: Expr, env):
         return _ARITHMETIC[e.op](l, r)
 
     with np.errstate(all="ignore"):
-        return walk(e, enter, leave)
+        return _fold_shared(e, enter, leave)

@@ -6,12 +6,15 @@ is propagate -> reweight -> resample:
 * propagate adds zero-mean Gaussian process noise (variance
   ``process_var``) to every coordinate;
 * reweight simulates each particle one observation interval forward with
-  ``solver.advance_ensemble``, the integrator ``solve`` uses (a particle
-  carrying the coefficients that generated noise-free data reproduces each
-  frame bit for bit), and scores it against the observed frame under
-  the observation model ``u_obs = H(alpha, u_prev) + sigma`` with iid
-  per-point Gaussian noise of scale ``eps = obs_scale * ||u(., t=0)||_2``,
-  so ``log w_i = -sum_j (u_obs_j - u_hat_ij)^2 / (2 eps^2)``; the
+  ``solver.advance_ensemble``, the integrator ``solve`` uses. All particles
+  start from the observed frame, so inviscid ones of one sign march once in
+  rescaled time and each leaves the march where its own interval ends; a
+  particle carrying the coefficients that generated noise-free data still
+  reproduces each frame bit for bit. It scores each particle against the
+  observed frame under the observation model ``u_obs = H(alpha, u_prev) +
+  sigma`` with iid per-point Gaussian noise of scale
+  ``eps = obs_scale * ||u(., t=0)||_2``, so
+  ``log w_i = -sum_j (u_obs_j - u_hat_ij)^2 / (2 eps^2)``; the
   ``likelihood="norm"`` switch instead treats the dx-weighted residual
   norm as a single scalar Gaussian (a flatter, more conservative update);
 * resample draws M particles from the weighted empirical CDF
@@ -112,8 +115,14 @@ def discrete_l2(u: np.ndarray, dx: float) -> float:
 
 
 def init_ensemble(alpha0, cfg: FilterConfig, rng=None) -> ParticleEnsemble:
-    """Uniform cloud on [(1-h) a0_j, (1+h) a0_j] per coordinate."""
+    """Uniform cloud on [(1-h) a0_j, (1+h) a0_j] per coordinate. ``alpha0``
+    must hold one or two finite coefficients; anything else raises
+    ``ValueError``."""
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=float))
+    if alpha0.ndim != 1 or not 1 <= alpha0.size <= 2:
+        raise ValueError(f"alpha0 must hold one or two coefficients, got {alpha0.size}")
+    if not np.all(np.isfinite(alpha0)):
+        raise ValueError("alpha0 must be finite")
     if np.any(alpha0 == 0.0):
         raise ZeroCoefficient(
             "relative initialization interval degenerates for a zero coefficient"

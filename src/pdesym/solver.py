@@ -14,16 +14,28 @@ and :func:`cfl_dt` remain the explicit forward-Euler update with explicit
 diffusion and its stability bound. Everything is pure and deterministic:
 identical inputs give bit-identical outputs.
 
+A row with ``q2 <= 0`` advances in rescaled time tau = |q1| t instead:
+``q1`` only scales time in ``u_t + q1 f(u)_x = 0``, and the Rusanov flux
+and the CFL step are homogeneous of degree one in ``|q1|``, so the row
+takes flux ``sign(q1) f``, the step limit 0.4 dx / max|f'| and a budget of
+``|q1| dt``. Rows that share a start state and the sign of ``q1`` then
+follow one discrete trajectory and differ only in where their last,
+clipped substep ends.
+
 One kernel, :func:`advance_ensemble`, advances batches of independent rows
-over one interval (a particle filter's ensemble, say). It splits a large
-batch into contiguous blocks, one thread per core, and runs each block in
-padded workspaces allocated once per call; the shifted views a substep
-reads and writes are built with each workspace and again only when
-finished rows are compacted away. :func:`solve_ensemble` samples whole
-trajectories of a batch (one family of a dataset) with one kernel call per
-output interval, and :func:`solve` is its one-row case. Every row's
-arithmetic is the same whatever batch or block it lands in, so batching and
-splitting change no bit of the result.
+over one interval (a particle filter's ensemble, say). Inviscid rows that
+share a start state and a sign form one march row, run to their largest
+budget; a member leaves it at the substep its own budget fits in, with a
+clipped Heun step from the march's state that reuses the march's first
+slope. The kernel splits many march rows into contiguous blocks, one
+thread per core, and runs each block in padded workspaces allocated once
+per call; the shifted views a substep reads and writes are built with each
+workspace and again only when finished rows are compacted away.
+:func:`solve_ensemble` samples whole trajectories of a batch (one family of
+a dataset) with one kernel call per output interval, and :func:`solve` is
+its one-row case. Every row's arithmetic is the same whatever batch, march
+or block it lands in, so batching, sharing and splitting change no bit of
+the result.
 
 The module also owns the ``PDEGRID1`` binary trajectory format: magic bytes
 ``PDEGRID1``, a little-endian uint32 header length, a UTF-8 JSON header
@@ -237,13 +249,6 @@ class _Workspace:
                           self.k1[:m], self.k2[:m])
 
 
-def _columns(flux: Flux, q1: np.ndarray, q2: np.ndarray):
-    """Per-row ``q1``, wave-speed ``slope * q1`` and ``q2`` columns; ``q2``
-    is None when no row has ``q2 > 0``."""
-    q1c = q1[:, None]
-    return q1c, q1c * flux.slope, q2[:, None] if (q2 > 0.0).any() else None
-
-
 def _stable_dt(w: np.ndarray, dx: float) -> np.ndarray:
     """Per-row advective limit 0.4 * dx / max|q1 f'|, or ``DT_MAX_DEFAULT``
     where the wave speed vanishes. A non-finite state or wave speed gives
@@ -289,66 +294,97 @@ def _rhs(flux: Flux, q1c, q2c, u: _Padded, ws: _Workspace, dx: float,
     return out
 
 
-def _advance_rows(flux: Flux, q1: np.ndarray, q2: np.ndarray, states: np.ndarray,
-                  alive: np.ndarray, dt_total: float, dx: float) -> None:
-    """Advance the rows of ``states`` in place over ``dt_total > 0`` and
-    clear ``alive`` where a row fails; the loop behind :func:`advance_ensemble`.
+def _heun(flux: Flux, fc, sc, ws: _Workspace, h, dx: float) -> None:
+    """Finish a Heun step of ``h`` (a column) on the rows of ``ws`` whose
+    first slope ``ws.k1`` is done: ``u + (0.5 h) (k1 + k2)``, with ``k2``
+    the slope at ``u + h k1``, written into ``ws.u.mid``."""
+    u, um, k1, k2 = ws.u, ws.um, ws.k1, ws.k2
+    np.add(u.mid, np.multiply(h, k1, out=k2), out=um.mid)
+    um.fill_ghosts()
+    flux.speed(sc, um.a, ws.w.a)
+    _rhs(flux, fc, None, um, ws, dx, k2)
+    np.multiply(0.5 * h, np.add(k1, k2, out=k2), out=k2)
+    np.add(u.mid, k2, out=u.mid)
+
+
+def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
+                  rem: np.ndarray, rows: np.ndarray, states: np.ndarray,
+                  alive: np.ndarray, dx: float, side) -> None:
+    """Advance the march rows ``states[rows]`` in place, each over its
+    budget ``rem`` under flux, wave-speed and viscosity coefficients ``fc``,
+    ``sc`` and ``q2``, and clear ``alive`` where one fails; the loop behind
+    :func:`advance_ensemble`.
 
     Each substep is a Heun step of the advection term alone, between two
     half steps of exact diffusion on the rows with ``q2 > 0`` (Strang
     splitting), so only the advective limit bounds the step.
 
+    ``side = (srows, sown, srem)`` lists the other members of the marches:
+    row ``srows[i]`` starts on march ``rows[sown[i]]`` with a budget
+    ``srem[i]`` no larger than the march's. At the substep whose step
+    reaches its budget, it leaves with its own clipped Heun step from the
+    march's state and first slope, into ``states[srows[i]]``; a march that
+    fails freezes its remaining members with it.
+
     The padded workspace and its views are built once and written with
-    ``out=`` ufuncs. When rows finish, the live ones move to the front, and
-    the workspace and its views are rebuilt on a leading slice.
+    ``out=`` ufuncs. When marches finish, the live ones move to the front,
+    and the workspace and its views are rebuilt on a leading slice.
     """
-    rows = np.arange(states.shape[0])
-    rem = np.full(rows.size, float(dt_total))
-    ws = _Workspace.around(_padded(states))
+    srows, sown, srem = side
+    ws = _Workspace.around(_padded(states[rows]))
     # numpy's error state is per thread, so each worker sets its own
     with np.errstate(all="ignore"):
-        q1c, sc, q2c = _columns(flux, q1, q2)
+        fc, sc = fc[:, None], sc[:, None]
+        q2c = q2[:, None] if (q2 > 0.0).any() else None
         if q2c is not None:
             # eigenvalues of the periodic second difference at the rfft modes
             nx = states.shape[1]
             lam = -4.0 * np.sin(np.pi * np.arange(nx // 2 + 1) / nx) ** 2 / (dx * dx)
-        u, um, w, k1, k2 = ws.u, ws.um, ws.w, ws.k1, ws.k2
+        u, w, k1 = ws.u, ws.w, ws.k1
         while True:
             flux.speed(sc, u.a, w.a)
             dt = _stable_dt(w.a, dx)
             if not (dt.min() > 0.0 and rem.all()):
-                # retire rows whose interval is done; freeze failed rows
-                failed = ~(dt > 0.0)
-                alive[rows[failed]] = False
+                # retire marches whose budget is spent; a NaN or zero step
+                # fails a march and freezes it with its remaining members
+                failed = ~(dt > 0.0) & (rem > 0.0)
                 keep = ~failed & (rem > 0.0)
+                lost = failed[sown]
+                alive[rows[failed]] = alive[srows[lost]] = False
+                states[srows[lost]] = u.mid[sown[lost]]
                 if not keep.any():
                     states[rows] = u.mid
                     return
                 states[rows[~keep]] = u.mid[~keep]
+                srows, srem = srows[~lost], srem[~lost]
+                sown = (np.cumsum(keep) - 1)[sown[~lost]]
                 m = np.count_nonzero(keep)
                 u.a[:m], w.a[:m] = u.a[keep], w.a[keep]
-                rows, dt, rem, q1c, sc = (a[keep] for a in (rows, dt, rem, q1c, sc))
+                rows, dt, rem, fc, sc = (a[keep] for a in (rows, dt, rem, fc, sc))
                 q2c = None if q2c is None else q2c[keep]
                 ws = ws.head(m)
-                u, um, w, k1, k2 = ws.u, ws.um, ws.w, ws.k1, ws.k2
+                u, w, k1 = ws.u, ws.w, ws.k1
             np.minimum(dt, rem, out=dt)
             rem -= dt
             dtc = dt[:, None]
-            half = 0.5 * dtc
             if q2c is not None:
                 # exact diffusion over dt / 2: exp(dt / 2 q2 lam) - 1 per mode
-                gain = np.expm1(np.multiply(half * q2c, lam))
+                gain = np.expm1(np.multiply(0.5 * dtc * q2c, lam))
                 _diffuse(u.mid, q2c, gain)
                 u.fill_ghosts()
                 flux.speed(sc, u.a, w.a)
-            _rhs(flux, q1c, None, u, ws, dx, k1)
-            np.add(u.mid, np.multiply(dtc, k1, out=k2), out=um.mid)
-            um.fill_ghosts()
-            flux.speed(sc, um.a, w.a)
-            _rhs(flux, q1c, None, um, ws, dx, k2)
-            # u + (0.5 dt) (k1 + k2)
-            np.multiply(half, np.add(k1, k2, out=k2), out=k2)
-            np.add(u.mid, k2, out=u.mid)
+            _rhs(flux, fc, None, u, ws, dx, k1)
+            if srows.size:
+                out = srem <= dt[sown]
+                if out.any():
+                    j = sown[out]
+                    sw = _Workspace.around(u.a[j])
+                    np.take(k1, j, axis=0, out=sw.k1)
+                    _heun(flux, fc[j], sc[j], sw, srem[out, None], dx)
+                    states[srows[out]] = sw.u.mid
+                    srows, sown, srem = srows[~out], sown[~out], srem[~out]
+                srem -= dt[sown]
+            _heun(flux, fc, sc, ws, dtc, dx)
             if q2c is not None:
                 _diffuse(u.mid, q2c, gain)
             u.fill_ghosts()
@@ -365,45 +401,82 @@ def _cores() -> int:
 def advance_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray,
                      u_start: np.ndarray, dt_total: float, grid: Grid1D):
     """Advance rows of states over ``dt_total``, each under its own
-    coefficients ``(q1[i], q2[i])``. Each substep, at the row's advective
-    CFL limit 0.4 dx / max|q1 f'|, is a Heun step of the advection term
-    between two half steps of exact spectral diffusion; rows with
-    ``q2 <= 0`` skip the diffusion, and a batch with none above zero skips
-    the FFTs. ``u_start`` is one state shared by every row or one per row.
+    coefficients ``(q1[i], q2[i])``. ``u_start`` is one state shared by
+    every row or one per row.
 
-    The rows are split into contiguous blocks, at most one per core in the
-    CPU affinity mask and none smaller than 128 rows, and each block runs
-    in its own thread in padded workspaces that are allocated once and
-    reused for every substep. A batch too small to split (a one-row
-    ``solve`` among them) runs as one block in the calling thread. Every
-    operation is elementwise, a per-row reduction or a per-row FFT, so a
-    row's result is bit-identical whatever batch or block it is advanced
-    in, and the split changes no result. A row whose state or wave speed
-    stops being finite gets a NaN or zero step; it is frozen at its last
-    state and reported as failed.
+    A row with ``q2 > 0`` advances in time t: each substep, at its advective
+    CFL limit 0.4 dx / max|q1 f'|, is a Heun step of the advection term
+    between two half steps of exact spectral diffusion. A row with
+    ``q2 <= 0`` advances in rescaled time tau = |q1| t: the flux
+    ``sign(q1) f``, the limit 0.4 dx / max|f'| and a budget of
+    ``|q1| dt_total``, with no diffusion; a batch with no row above
+    ``q2 = 0`` skips the FFTs. A row with ``q1 = 0`` there keeps its start
+    state, and one whose ``q1`` times the flux's slope is not finite (its
+    wave speed in t) is frozen at it and fails.
+
+    In tau, rows that share a start state and the sign of ``q1`` follow one
+    discrete trajectory, so when ``u_start`` is one state they march as one
+    row, to their largest budget. A member whose budget fits in a substep's
+    step leaves the march with its own clipped Heun step from the march's
+    state, reusing the march's first slope, so it costs one right-hand
+    side instead of its own march.
+
+    The march rows are split into contiguous blocks, at most one per core
+    in the CPU affinity mask and none smaller than 128 rows, and each
+    block runs in its own thread in padded workspaces that are allocated
+    once and reused for every substep. A batch too small to split (a
+    one-row ``solve`` or a shared inviscid filter step among them) runs as
+    one block in the calling thread. Every operation is elementwise, a
+    per-row reduction or a per-row FFT, and a member repeats the arithmetic
+    of its march step for step, so a row's result is bit-identical whatever
+    batch, march or block it is advanced in. A row whose state or wave
+    speed stops being finite before its budget is spent gets a NaN or zero
+    step; it is frozen at its last state and reported as failed.
 
     Returns ``(states, ok)`` with ``states`` of shape (M, nx) and ``ok`` a
     boolean mask of rows that completed with finite values.
     """
     flux = FLUXES[flux_kind]
     m = q1.size
-    states = np.broadcast_to(np.asarray(u_start, dtype=float), (m, grid.nx)).copy()
+    u_start = np.asarray(u_start, dtype=float)
+    states = np.broadcast_to(u_start, (m, grid.nx)).copy()
     alive = np.full(m, dt_total >= 0.0)
     if dt_total > 0.0 and m:
-        k = min(m // _MIN_BLOCK_ROWS, _cores()) if m >= 2 * _MIN_BLOCK_ROWS else 1
-        if k == 1:
-            _advance_rows(flux, q1, q2, states, alive, dt_total, grid.dx)
-        else:
+        tau = ~(q2 > 0.0)
+        with np.errstate(all="ignore"):
+            speed = q1 * flux.slope
+            budget = np.where(tau, np.abs(q1) * dt_total, dt_total)
+        fc, sc = np.where(tau, np.sign(q1), q1), np.where(tau, flux.slope, speed)
+        # in t, a non-finite slope * q1 makes every step limit 0 or NaN
+        alive[tau & ~np.isfinite(speed)] = False
+        live = alive & (budget > 0.0)
+        lead = np.arange(m)  # the row whose march each row follows
+        if u_start.ndim == 1:  # in tau, one state and one sign: one trajectory
+            for s in (1.0, -1.0):
+                g = np.flatnonzero(live & (fc == s) & tau)
+                if g.size:
+                    lead[g] = g[np.argmax(budget[g])]
+        own = lead == np.arange(m)
+        leads, srows = np.flatnonzero(live & own), np.flatnonzero(live & ~own)
+        sown = np.searchsorted(leads, lead[srows])
+        n = leads.size
+        k = min(n // _MIN_BLOCK_ROWS, _cores()) if n >= 2 * _MIN_BLOCK_ROWS else 1
+        edges = [n * i // k for i in range(k + 1)]
+        jobs = []
+        for a, b in zip(edges, edges[1:]):
+            mine = (sown >= a) & (sown < b)
+            rows = leads[a:b]
+            jobs.append((flux, fc[rows], sc[rows], q2[rows], budget[rows], rows,
+                         states, alive, grid.dx,
+                         (srows[mine], sown[mine] - a, budget[srows[mine]])))
+        if k > 1:
             # imported here: one-row solves and CLI start-up never need it
             from concurrent.futures import ThreadPoolExecutor
 
-            edges = [m * i // k for i in range(k + 1)]
-            jobs = [
-                (flux, q1[a:b], q2[a:b], states[a:b], alive[a:b], dt_total, grid.dx)
-                for a, b in zip(edges, edges[1:])
-            ]
             with ThreadPoolExecutor(k) as pool:
                 list(pool.map(lambda job: _advance_rows(*job), jobs))
+        elif n:
+            _advance_rows(*jobs[0])
     return states, alive & np.isfinite(states).all(axis=1)
 
 
@@ -429,7 +502,8 @@ def step(law: ConservationLaw, u: np.ndarray, dt: float, grid: Grid1D) -> np.nda
     if dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt={dt:g} exceeds stable bound {bound:g}")
     flux = FLUXES[law.flux_kind]
-    q1c, sc, q2c = _columns(flux, np.array([law.q1]), np.array([law.q2]))
+    q1c = np.array([[law.q1]])
+    sc, q2c = q1c * flux.slope, np.array([[law.q2]]) if law.q2 > 0.0 else None
     ws = _Workspace.around(_padded(u[None, :]))
     flux.speed(sc, ws.u.a, ws.w.a)
     out = u + dt * _rhs(flux, q1c, q2c, ws.u, ws, grid.dx)[0]

@@ -413,3 +413,19 @@ def test_non_finite_grid_samples_are_a_data_error(tmp_path, capsys):
     assert code == 2
     assert json.loads(err) == {"error": "ValueError",
                                "message": f"{grid_path}: not a PDEGRID1 file"}
+
+
+@pytest.mark.parametrize("alpha0", ["nan", "inf", "-inf,0.05", "0.5,0.05,1"])
+def test_malformed_alpha0_is_a_data_error(tmp_path, capsys, alpha0):
+    data = tmp_path / "data"
+    run_cli(capsys, "gen", "--out", str(data), "--families", "burgers",
+            "--params", "1", "--ics", "1", "--seed", "3")
+    entry = json.loads((data / "manifest.json").read_text())["entries"][0]
+    code, out, err = run_cli(
+        capsys, "refine",
+        "--equation", str(data / entry["equation"]),
+        "--observations", str(data / entry["trajectory"]),
+        f"--alpha0={alpha0}", "--particles", "8", "--steps", "2",
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"

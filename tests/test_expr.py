@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -335,3 +336,32 @@ def test_equation_is_value_like():
     b = parse_infix("u_t + u_x")
     assert a == Equation(a.residual)
     assert a.residual == b.residual
+
+
+def _nested_flux_derivative(k: int) -> Expr:
+    """``e = ((e u)_x)`` nested k times from ``e = u``."""
+    e = FIELD
+    for _ in range(k):
+        e = Deriv(Binary("mul", e, FIELD), "x", 1)
+    return e
+
+
+def test_shared_subtrees_are_expanded_and_evaluated_once(monkeypatch):
+    """``differentiate`` reuses its operands, so expanding nested
+    derivatives of products makes a graph whose tree is exponentially
+    larger. Substitution and evaluation fold each shared node once (k = 6
+    took 25 s as a tree walk) and give the tree walk's values bit for bit."""
+    from pdesym import expr
+    from pdesym.metrics import PolySurrogate
+
+    p = PolySurrogate((0.3, -0.7, 0.45, 0.8, -0.2, 0.6, -0.35, 0.15)).as_expr()
+    env = {"x": np.linspace(-1.0, 1.0, 64), "t": 0.25}
+    start = time.perf_counter()
+    big = evaluate(substitute_field(_nested_flux_derivative(6), p), env)
+    assert time.perf_counter() - start < 1.0
+    assert big.shape == (64,) and np.isfinite(big).all()
+    ours = [evaluate(substitute_field(_nested_flux_derivative(k), p), env) for k in range(5)]
+    monkeypatch.setattr(expr, "_fold_shared", expr.walk)
+    for k in range(5):
+        tree_walk = evaluate(substitute_field(_nested_flux_derivative(k), p), env)
+        assert ours[k].tobytes() == tree_walk.tobytes()

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -66,6 +67,17 @@ def test_init_negative_coefficient_interval_is_sorted():
 def test_init_rejects_zero_coefficient():
     with pytest.raises(ZeroCoefficient):
         init_ensemble(np.array([0.5, 0.0]), FilterConfig())
+
+
+@pytest.mark.parametrize("alpha0", [[np.nan], [np.inf], [0.5, -np.inf], [0.5, 0.05, 1.0], [],
+                                    [[0.5]]],
+                         ids=["nan", "inf", "minus-inf", "three", "empty", "nested"])
+def test_malformed_initial_coefficients_are_value_errors(alpha0):
+    with pytest.raises(ValueError):
+        init_ensemble(alpha0, FilterConfig())
+    obs, law = _observations(frames=3)
+    with pytest.raises(ValueError):
+        refine(alpha0, obs, law, FilterConfig(particles=8, steps=2))
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +206,17 @@ def test_batched_advance_matches_scalar_solver_bitwise():
 def test_split_batch_matches_rows_advanced_alone(flux_kind, monkeypatch):
     """A batch split across worker threads gives every row the bits and the
     ``ok`` flag of that row advanced alone, with failing rows in the first
-    and the last block."""
+    and the last block. Each row starts from its own copy of the state, so
+    no two rows share a march and every live row counts toward the split."""
     family = {"quadratic": "burgers", "cubic": "cl_cubic", "sine": "cl_sine"}[flux_kind]
     obs, law = _observations(family=family, q1=FAMILIES[family].q1, q2=0.05)
     monkeypatch.setattr(solver, "_cores", lambda: 2)
     blocks = []
     advance_rows = solver._advance_rows
 
-    def recording(flux, q1, *rest):
-        blocks.append((q1.size, threading.current_thread() is threading.main_thread()))
-        advance_rows(flux, q1, *rest)
+    def recording(flux, fc, *rest):
+        blocks.append((fc.size, threading.current_thread() is threading.main_thread()))
+        advance_rows(flux, fc, *rest)
 
     monkeypatch.setattr(solver, "_advance_rows", recording)
     u0, dt, grid = obs.states[0], 1 / 124, obs.grid
@@ -211,18 +224,71 @@ def test_split_batch_matches_rows_advanced_alone(flux_kind, monkeypatch):
     q1 = law.q1 * rng.uniform(0.9, 1.1, 301)
     q2 = rng.uniform(0.04, 0.06, 301)
     q2[::3] = 0.0
-    q1[[0, 300]] = [np.inf, np.nan]  # frozen before the first substep
+    q1[[0, 300]] = [np.inf, np.nan]  # inviscid: frozen before any march
+    q1[[4, 296]] = [np.nan, np.inf]  # viscous: fail at their block's first substep
     q1[[1, 299]] = 0.0  # no wave speed: a zero divisor in every step limit
     q2[[2, 298]] = -5.0  # never diffused, whether or not its block is viscous
-    states, ok = advance_ensemble(flux_kind, q1, q2, u0, dt, grid)
-    assert sorted(blocks) == [(150, False), (151, False)]
+    states, ok = advance_ensemble(flux_kind, q1, q2, np.tile(u0, (301, 1)), dt, grid)
+    assert sorted(blocks) == [(149, False), (150, False)]
     expected_ok = np.isfinite(q1)
     for i in range(q1.size):
         solo, solo_ok = advance_ensemble(flux_kind, q1[i : i + 1], q2[i : i + 1], u0, dt, grid)
         assert solo_ok[0] == ok[i] == expected_ok[i]
         assert np.array_equal(states[i], solo[0], equal_nan=True)
         assert states[i].tobytes() == solo[0].tobytes()
-    assert blocks[2:] == [(1, True)] * q1.size
+    assert blocks[2:] == [(1, True)] * (q1.size - 2)
+
+
+def test_more_blocks_than_cores_write_their_rows_alone():
+    """Four worker blocks on two cores, switching threads every microsecond,
+    write into one shared output: every row keeps the bits and the ``ok``
+    flag of the same batch run as one block."""
+    obs, law = _observations(family="burgers", q1=0.5, q2=0.05)
+    rng = np.random.default_rng(8)
+    q1 = 0.5 * rng.uniform(0.9, 1.1, 600)
+    q2 = rng.uniform(0.04, 0.06, 600)
+    q2[::4] = 0.0
+    q1[[1, 151, 301, 451]] = np.nan  # one failure per block
+    u0 = np.tile(obs.states[0], (600, 1))
+    dt, grid = 1 / 124, obs.grid
+    cores = solver._cores
+    interval = sys.getswitchinterval()
+    try:
+        solver._cores = lambda: 1
+        one, one_ok = advance_ensemble("quadratic", q1, q2, u0, dt, grid)
+        solver._cores = lambda: 4
+        sys.setswitchinterval(1e-6)
+        four, four_ok = advance_ensemble("quadratic", q1, q2, u0, dt, grid)
+    finally:
+        solver._cores = cores
+        sys.setswitchinterval(interval)
+    assert four_ok.tolist() == one_ok.tolist() == np.isfinite(q1).tolist()
+    assert four.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("family", ["inviscid_burgers", "icl_cubic", "icl_sine"])
+def test_generating_particle_reproduces_each_frame_in_a_full_batch(family):
+    """A particle carrying the coefficient that generated noise-free data
+    reproduces ``solve``'s next frame bit for bit inside a 500-particle
+    inviscid batch, which marches once per sign of ``q1``."""
+    obs, law = _observations(family=family, q1=FAMILIES[family].q1)
+    rng = np.random.default_rng(4)
+    q1 = law.q1 * rng.uniform(0.9, 1.1, 500)
+    q1[[17, 250]] = law.q1
+    q1[300:] *= -1.0
+    for k in (1, 5, 10):
+        dt = float(obs.times[k] - obs.times[k - 1])
+        states, ok = advance_ensemble(law.flux_kind, q1, np.zeros(500), obs.states[k - 1],
+                                      dt, obs.grid)
+        assert ok.all()
+        for i in (17, 250):
+            assert states[i].tobytes() == obs.states[k].tobytes()
+    # the same particle through the filter's reweight: residual zero, top weight
+    ens = ParticleEnsemble(q1[:, None], np.full(500, 1 / 500))
+    ref = discrete_l2(obs.states[0], obs.grid.dx)
+    out = reweight(ens, obs.states[0], obs.states[1], law, FilterConfig(), float(obs.times[1]),
+                   obs.grid, ref)
+    assert out.weights[17] == out.weights[250] == out.weights.max()
 
 
 # ---------------------------------------------------------------------------

@@ -352,3 +352,77 @@ def test_solve_ensemble_rejects_what_solve_rejects(t_final, nt_out, u0, error):
     with pytest.raises(error):
         solve_ensemble("sine", np.array([1.0]), np.array([0.05]), u0[None], _grid(),
                        t_final, nt_out)
+
+
+def _shared_batch(rng, m=500):
+    """Coefficients of an m-row batch that shares one start state: ``q1`` of
+    both signs around 0.5, zeros, infinities and NaN; inviscid rows with
+    ``q2`` of 0, -5 and NaN, and 40 viscous rows. Rows 5-11 tie their
+    budgets in pairs, and ``q1`` of +-0.5, 0.375 and 0.25 over an interval of
+    2^-4 give budgets that are multiples of 2^-10."""
+    q1 = rng.uniform(0.45, 0.55, m) * rng.choice([-1.0, 1.0], m)
+    q1[:12] = [0.0, -0.0, np.inf, -np.inf, np.nan,
+               0.5, 0.5, 0.25, 0.25, -0.375, -0.375, -0.5]
+    q1[12] = q1[13] = q1[14]
+    q2 = np.zeros(m)
+    q2[15:20] = -5.0
+    q2[20] = np.nan
+    q2[21:61] = rng.uniform(0.04, 0.06, 40)
+    q1[[21, 22]] = [np.inf, 0.0]
+    return q1, q2
+
+
+@pytest.mark.parametrize("flux_kind", sorted(solver.FLUXES))
+@pytest.mark.parametrize("capped", [False, True], ids=["cfl-steps", "dyadic-steps"])
+def test_shared_inviscid_march_matches_rows_advanced_alone(flux_kind, capped, monkeypatch):
+    """Inviscid rows that share a start state and the sign of ``q1`` march
+    once in tau = |q1| t, yet every row keeps the bits and the ``ok`` flag
+    of that row advanced alone. With the step limit capped at 2^-10 (below
+    the CFL limit of this state), budgets that are multiples of it end
+    exactly on a march substep."""
+    if capped:
+        stable = solver._stable_dt
+        monkeypatch.setattr(
+            solver, "_stable_dt", lambda w, dx: np.minimum(stable(w, dx), 2.0**-10)
+        )
+    grid = _grid()
+    u0 = _smooth_ic(grid, seed=4)
+    q1, q2 = _shared_batch(np.random.default_rng(9))
+    states, ok = advance_ensemble(flux_kind, q1, q2, u0, 2.0**-4, grid)
+    expected_ok = np.isfinite(q1)
+    assert ok.tolist() == expected_ok.tolist()
+    for i in range(q1.size):
+        solo, solo_ok = advance_ensemble(flux_kind, q1[i : i + 1], q2[i : i + 1], u0,
+                                         2.0**-4, grid)
+        assert solo_ok[0] == ok[i]
+        assert states[i].tobytes() == solo[0].tobytes()
+    # no budget, or a non-finite one: the start state, bit for bit
+    for i in (0, 1, 2, 3, 4):
+        assert states[i].tobytes() == u0.tobytes()
+    assert not np.array_equal(states[5], u0)
+
+
+def test_shared_inviscid_interval_work_does_not_grow_with_the_batch(monkeypatch):
+    """One march row pays two right-hand sides per substep, and each other
+    member one more row when it leaves, not a march of its own."""
+    rows = []
+    rhs = solver._rhs
+
+    def counting(*args, **kwargs):
+        rows.append(args[3].a.shape[0])
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_rhs", counting)
+    grid = _grid()
+    u0 = _smooth_ic(grid, seed=3)
+    q1 = 0.5 * np.random.default_rng(2).uniform(0.9, 1.1, 500)
+    q1[0] = 0.56  # the largest budget
+    work = []
+    for m in (1, 500):
+        rows.clear()
+        states, ok = advance_ensemble("quadratic", q1[:m], np.zeros(m), u0, 1 / 31, grid)
+        assert ok.all()
+        work.append(sum(rows))
+    substeps = work[0] // 2
+    assert substeps > 10
+    assert work[1] - work[0] <= 500
