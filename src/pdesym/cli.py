@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -181,12 +182,10 @@ def _cmd_solve(args) -> None:
     spec = datagen.FAMILIES[args.family]
     q1 = args.q1 if args.q1 is not None else spec.q1
     q2 = args.q2 if args.q2 is not None else spec.q2
-    grid = solver.Grid1D(nx=args.nx, dx=spec.x_f / args.nx)
-    rng = np.random.default_rng(args.ic_seed)
-    u0 = datagen.sample_ic(
-        datagen.FamilySpec(spec.name, spec.flux_kind, q1, q2, nx=args.nx), rng
-    )
-    law = solver.ConservationLaw(spec.flux_kind, q1, q2)
+    spec = dataclasses.replace(spec, q1=q1, q2=q2, nx=args.nx)
+    grid = datagen.grid_for(spec)
+    u0 = datagen.sample_ic(spec, np.random.default_rng(args.ic_seed))
+    law = datagen.law_for(spec, q1, q2)
     field = solver.solve(law, u0, grid, args.t_final, args.nt)
     solver.write_grid_file(field, args.output_grid)
     _emit(
@@ -223,17 +222,22 @@ def _cmd_gen(args) -> None:
     )
 
 
-def _cmd_refine(args) -> None:
-    record = datagen.load_equation_record(args.equation)
-    field = solver.read_grid_file(args.observations)
-    cfg = smc.FilterConfig(
+def _filter_config(args, **extra) -> smc.FilterConfig:
+    """The ``FilterConfig`` of the filter flags ``refine`` and ``study`` share."""
+    return smc.FilterConfig(
         particles=args.particles,
         steps=args.steps,
         process_var=args.process_var,
         obs_scale=args.obs_scale,
-        seed=args.seed,
         likelihood=args.likelihood,
+        **extra,
     )
+
+
+def _cmd_refine(args) -> None:
+    record = datagen.load_equation_record(args.equation)
+    field = solver.read_grid_file(args.observations)
+    cfg = _filter_config(args, seed=args.seed)
     if args.alpha0:
         alpha0 = np.array([float(v) for v in args.alpha0.split(",")])
     else:
@@ -255,15 +259,10 @@ def _cmd_refine(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    truth = datagen.load_equation_record(args.truth)
-    spec = datagen.FAMILIES[truth["family"]]
-    eq_true = datagen.equation_for(spec, truth["q1"], truth["q2"])
+    eq_true = datagen.equation_from_record(datagen.load_equation_record(args.truth))
     payload: dict = {"truth": args.truth}
     if args.learned:
-        learned = datagen.load_equation_record(args.learned)
-        eq_learned = datagen.equation_for(
-            datagen.FAMILIES[learned["family"]], learned["q1"], learned["q2"]
-        )
+        eq_learned = datagen.equation_from_record(datagen.load_equation_record(args.learned))
     elif args.learned_tokens:
         seq = TokenSeq(Dialect(args.dialect), tuple(args.learned_tokens.split()))
         eq_learned = from_tokens(seq)
@@ -288,13 +287,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_study(args) -> None:
-    cfg = smc.FilterConfig(
-        particles=args.particles,
-        steps=args.steps,
-        process_var=args.process_var,
-        obs_scale=args.obs_scale,
-        likelihood=args.likelihood,
-    )
+    cfg = _filter_config(args)
     families = args.families.split(",") if args.families else list(study.STUDY_FAMILIES)
     rows = study.run_study(
         families=families,
@@ -317,6 +310,13 @@ def build_parser() -> _Parser:
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
+
+    def filter_flags(p):
+        p.add_argument("--particles", type=int, default=500)
+        p.add_argument("--steps", type=int, default=10)
+        p.add_argument("--process-var", type=float, default=1e-5)
+        p.add_argument("--obs-scale", type=float, default=0.05)
+        p.add_argument("--likelihood", choices=smc.LIKELIHOODS, default="pointwise")
 
     p = sub.add_parser("parse", help="parse an equation and echo both dialects")
     p.add_argument("--expr", required=True)
@@ -367,11 +367,7 @@ def build_parser() -> _Parser:
     p.add_argument("--equation", required=True, help="eq_*.json file")
     p.add_argument("--observations", required=True, help="traj_*.grid file")
     p.add_argument("--alpha0", help="comma-separated initial coefficients")
-    p.add_argument("--particles", type=int, default=500)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--process-var", type=float, default=1e-5)
-    p.add_argument("--obs-scale", type=float, default=0.05)
-    p.add_argument("--likelihood", choices=smc.LIKELIHOODS, default="pointwise")
+    filter_flags(p)
     common(p)
     p.set_defaults(func=_cmd_refine)
 
@@ -389,11 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--families", help="comma-separated subset of the table families")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--coeff-error", type=float, default=0.03)
-    p.add_argument("--particles", type=int, default=500)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--process-var", type=float, default=1e-5)
-    p.add_argument("--obs-scale", type=float, default=0.05)
-    p.add_argument("--likelihood", choices=smc.LIKELIHOODS, default="pointwise")
+    filter_flags(p)
     common(p)
     p.set_defaults(func=_cmd_study)
 

@@ -243,3 +243,7 @@ def load_equation_record(path) -> dict:
 
 def law_from_record(record: dict) -> ConservationLaw:
     return ConservationLaw(record["flux_kind"], record["q1"], record["q2"])
+
+
+def equation_from_record(record: dict) -> Equation:
+    return equation_for(FAMILIES[record["family"]], record["q1"], record["q2"])

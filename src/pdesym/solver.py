@@ -22,20 +22,23 @@ takes flux ``sign(q1) f``, the step limit 0.4 dx / max|f'| and a budget of
 follow one discrete trajectory and differ only in where their last,
 clipped substep ends.
 
-One kernel, :func:`advance_ensemble`, advances batches of independent rows
-over one interval (a particle filter's ensemble, say). Inviscid rows that
-share a start state and a sign form one march row, run to their largest
-budget; a member leaves it at the substep its own budget fits in, with a
-clipped Heun step from the march's state that reuses the march's first
-slope. The kernel splits many march rows into contiguous blocks, one
-thread per core, and runs each block in padded workspaces allocated once
-per call; the shifted views a substep reads and writes are built with each
-workspace and again only when finished rows are compacted away.
-:func:`solve_ensemble` samples whole trajectories of a batch (one family of
-a dataset) with one kernel call per output interval, and :func:`solve` is
-its one-row case. Every row's arithmetic is the same whatever batch, march
-or block it lands in, so batching, sharing and splitting change no bit of
-the result.
+One kernel advances a batch of independent rows through a schedule of
+output intervals in one call and writes each row's frames as it reaches
+them: :func:`solve_ensemble` samples whole trajectories of a batch (one
+family of a dataset), :func:`solve` is its one-row case, and
+:func:`advance_ensemble` is the one-interval case that a particle filter's
+ensemble takes. Substeps are clipped to each row's budget, so every output
+time is hit exactly. When ``advance_ensemble`` starts every row from one
+state, the inviscid rows of one sign form one march row, run to their
+largest budget; a member leaves it at the substep its own budget fits in,
+with a clipped Heun step from the march's state that reuses the march's
+first slope. The kernel splits many march rows into contiguous blocks, one
+thread per core, and runs each block in padded buffers allocated once per
+call and cut to a leading slice when rows retire. A row that fails (a NaN
+or zero step, or in :func:`advance_ensemble` more than ``MAX_SUBSTEPS``
+substeps) holds its last state in its remaining frames. Every row's
+arithmetic is the same whatever batch, march or block it lands in, so
+batching, sharing and splitting change no bit of the result.
 
 The module also owns the ``PDEGRID1`` binary trajectory format: magic bytes
 ``PDEGRID1``, a little-endian uint32 header length, a UTF-8 JSON header
@@ -184,69 +187,34 @@ class SpaceTimeField:
 # than one inline block, two of 128 rows 1.4x faster.
 _MIN_BLOCK_ROWS = 128
 
+# Most substeps a row may take in one advance_ensemble interval. A filter
+# interval is one output interval of a trajectory: the most any took in 480
+# solves of the six families, half of them at amplitude 2 and 1.3 q1, was 51.
+# A particle that needs more (|q1| near 1e12, say) fails as a NaN step does,
+# instead of running for ~1e13 substeps. solve_ensemble has no cap: its
+# caller chooses the grid, the horizon and the frames.
+MAX_SUBSTEPS = 2**14
+
 
 def _padded(u: np.ndarray) -> np.ndarray:
     """Rows of ``u`` with one periodic ghost cell on each side."""
     return np.concatenate((u[:, -1:], u, u[:, :1]), axis=1)
 
 
-class _Shifted:
-    """Rows ``a`` and their views ``lo = a[:, :-1]`` and ``hi = a[:, 1:]``,
-    one cell apart. Building a view costs about as much as a ufunc on a
-    short row, so the kernel builds its views once per workspace size."""
-
-    __slots__ = ("a", "lo", "hi")
-
-    def __init__(self, a: np.ndarray):
-        self.a, self.lo, self.hi = a, a[:, :-1], a[:, 1:]
+def _fill_ghosts(a: np.ndarray) -> None:
+    """Copy columns ``-2`` and ``1`` of the padded rows ``a`` into their
+    ghost columns ``0`` and ``-1``."""
+    a[:, 0], a[:, -1] = a[:, -2], a[:, 1]
 
 
-class _Padded(_Shifted):
-    """Padded rows with the views of their interior ``mid``, its
-    neighbours ``left`` and ``right``, the two ghost columns ``ghosts`` and
-    the interior columns ``sources`` they copy."""
-
-    __slots__ = ("mid", "left", "right", "ghosts", "sources")
-
-    def __init__(self, a: np.ndarray):
-        super().__init__(a)
-        width = a.shape[1]
-        self.mid, self.left, self.right = a[:, 1:-1], a[:, :-2], a[:, 2:]
-        # columns 0 and width - 1 hold copies of columns width - 2 and 1
-        self.ghosts = a[:, :: width - 1]
-        self.sources = a[:, width - 2 : 0 : 3 - width]
-
-    def fill_ghosts(self) -> None:
-        np.copyto(self.ghosts, self.sources)
-
-
-class _Workspace:
-    """Padded state ``u``, Heun midpoint ``um``, wave speeds ``w``, the
-    :func:`_rhs` scratch rows ``f``, ``face`` and ``tmp`` and the stage
-    slopes ``k1``/``k2`` of a block of rows, with their views."""
-
-    __slots__ = ("u", "um", "w", "f", "face", "tmp", "k1", "k2")
-
-    def __init__(self, u, um, w, f, face, tmp, k1, k2):
-        self.u, self.um = _Padded(u), _Padded(um)
-        self.w, self.f = _Shifted(w), _Shifted(f)
-        self.face, self.tmp = _Shifted(face), _Shifted(tmp)
-        self.k1, self.k2 = k1, k2
-
-    @classmethod
-    def around(cls, ub: np.ndarray) -> "_Workspace":
-        """A workspace whose padded state is ``ub``."""
-        rows, width = ub.shape
-        faces = (rows, width - 1)
-        return cls(ub, np.empty_like(ub), np.empty_like(ub), np.empty_like(ub),
-                   np.empty(faces), np.empty(faces),
-                   np.empty((rows, width - 2)), np.empty((rows, width - 2)))
-
-    def head(self, m: int) -> "_Workspace":
-        """The same buffers cut to their first ``m`` rows."""
-        return _Workspace(*(v.a[:m] for v in (self.u, self.um, self.w, self.f,
-                                              self.face, self.tmp)),
-                          self.k1[:m], self.k2[:m])
+def _workspace(ub: np.ndarray) -> tuple:
+    """The buffers of a block whose padded state is ``ub``: ``(u, um, w, f,
+    face, tmp, k1, k2)``, that is the state, the Heun midpoint, the wave
+    speeds, the :func:`_rhs` scratch rows and the two stage slopes."""
+    rows, width = ub.shape
+    return (ub, np.empty_like(ub), np.empty_like(ub), np.empty_like(ub),
+            np.empty((rows, width - 1)), np.empty((rows, width - 1)),
+            np.empty((rows, width - 2)), np.empty((rows, width - 2)))
 
 
 def _stable_dt(w: np.ndarray, dx: float) -> np.ndarray:
@@ -267,127 +235,154 @@ def _diffuse(u: np.ndarray, q2c: np.ndarray, gain: np.ndarray) -> None:
     np.copyto(u, np.add(u, inc, out=inc), where=q2c > 0.0)
 
 
-def _rhs(flux: Flux, q1c, q2c, u: _Padded, ws: _Workspace, dx: float,
+def _rhs(flux: Flux, q1c, q2c, u: np.ndarray, ws: tuple, dx: float,
          out=None) -> np.ndarray:
     """Semi-discrete right-hand side of the padded rows ``u`` given their
-    wave speeds ``ws.w = |q1 f'(u)|``: the (rows, nx) interior values,
-    written into ``out`` (allocated when None) through the scratch rows of
-    ``ws``. The central-difference viscosity is added only when ``q2c`` is
-    given, as :func:`step` does; the kernel diffuses exactly instead."""
-    f, face, tmp, w = ws.f, ws.face, ws.tmp, ws.w
-    flux.flux(q1c, u.a, f.a)
+    wave speeds ``w = |q1 f'(u)|`` in the workspace ``ws``: the (rows, nx)
+    interior values, written into ``out`` (allocated when None) through the
+    scratch rows of ``ws``. The central-difference viscosity is added only
+    when ``q2c`` is given, as :func:`step` does; the kernel diffuses
+    exactly instead."""
+    _, _, w, f, face, tmp, _, _ = ws
+    flux.flux(q1c, u, f)
     # F_{i+1/2} = 0.5 (f_i + f_{i+1}) - (0.5 max(w_i, w_{i+1})) (u_{i+1} - u_i)
     # at the nx + 1 faces of the padded row. Every ufunc below keeps the
     # operand order of this formula.
-    np.multiply(0.5, np.add(f.lo, f.hi, out=face.a), out=face.a)
-    np.multiply(0.5, np.maximum(w.lo, w.hi, out=tmp.a), out=tmp.a)
-    jump = np.subtract(u.hi, u.lo, out=f.hi)  # f is spent
-    np.subtract(face.a, np.multiply(tmp.a, jump, out=tmp.a), out=face.a)
-    out = np.subtract(face.hi, face.lo, out=out)
+    fhi = f[:, 1:]
+    np.multiply(0.5, np.add(f[:, :-1], fhi, out=face), out=face)
+    np.multiply(0.5, np.maximum(w[:, :-1], w[:, 1:], out=tmp), out=tmp)
+    jump = np.subtract(u[:, 1:], u[:, :-1], out=fhi)  # f is spent
+    np.subtract(face, np.multiply(tmp, jump, out=tmp), out=face)
+    out = np.subtract(face[:, 1:], face[:, :-1], out=out)
     np.divide(np.negative(out, out=out), dx, out=out)
     if q2c is not None:
         # out += (q2 ((u_{i+1} - 2.0 u_i) + u_{i-1})) / dx^2
-        lap = np.multiply(2.0, u.mid, out=tmp.hi)
-        np.add(np.subtract(u.right, lap, out=lap), u.left, out=lap)
+        lap = np.multiply(2.0, u[:, 1:-1], out=tmp[:, 1:])
+        np.add(np.subtract(u[:, 2:], lap, out=lap), u[:, :-2], out=lap)
         np.divide(np.multiply(q2c, lap, out=lap), dx * dx, out=lap)
         np.add(out, lap, out=out)
     return out
 
 
-def _heun(flux: Flux, fc, sc, ws: _Workspace, h, dx: float) -> None:
-    """Finish a Heun step of ``h`` (a column) on the rows of ``ws`` whose
-    first slope ``ws.k1`` is done: ``u + (0.5 h) (k1 + k2)``, with ``k2``
-    the slope at ``u + h k1``, written into ``ws.u.mid``."""
-    u, um, k1, k2 = ws.u, ws.um, ws.k1, ws.k2
-    np.add(u.mid, np.multiply(h, k1, out=k2), out=um.mid)
-    um.fill_ghosts()
-    flux.speed(sc, um.a, ws.w.a)
+def _heun(flux: Flux, fc, sc, ws: tuple, h, dx: float) -> None:
+    """Finish a Heun step of ``h`` (a column) on the rows of the workspace
+    ``ws`` whose first slope ``k1`` is done: ``u + (0.5 h) (k1 + k2)``, with
+    ``k2`` the slope at ``u + h k1``, written into the interior of ``u``."""
+    u, um, w, _, _, _, k1, k2 = ws
+    mid = u[:, 1:-1]
+    np.add(mid, np.multiply(h, k1, out=k2), out=um[:, 1:-1])
+    _fill_ghosts(um)
+    flux.speed(sc, um, w)
     _rhs(flux, fc, None, um, ws, dx, k2)
     np.multiply(0.5 * h, np.add(k1, k2, out=k2), out=k2)
-    np.add(u.mid, k2, out=u.mid)
+    np.add(mid, k2, out=mid)
 
 
 def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
-                  rem: np.ndarray, rows: np.ndarray, states: np.ndarray,
-                  alive: np.ndarray, dx: float, side) -> None:
-    """Advance the march rows ``states[rows]`` in place, each over its
-    budget ``rem`` under flux, wave-speed and viscosity coefficients ``fc``,
-    ``sc`` and ``q2``, and clear ``alive`` where one fails; the loop behind
-    :func:`advance_ensemble`.
+                  budget: np.ndarray, rows: np.ndarray, start: np.ndarray,
+                  frames: np.ndarray, alive: np.ndarray, dx: float, side,
+                  limit: float) -> None:
+    """Advance the march rows ``start[rows]`` through their frames under
+    flux, wave-speed and viscosity coefficients ``fc``, ``sc`` and ``q2``,
+    writing frame k of row i into ``frames[rows[i], k]``, and clear
+    ``alive`` where one fails; the loop behind :func:`advance_ensemble` and
+    :func:`solve_ensemble`.
 
-    Each substep is a Heun step of the advection term alone, between two
-    half steps of exact diffusion on the rows with ``q2 > 0`` (Strang
-    splitting), so only the advective limit bounds the step.
+    ``budget[i, k]`` is the time (or tau) row i advances for frame k, and a
+    zero after its last frame retires it. A row whose budget is spent writes
+    its frame and takes its next budget; a zero budget ends a frame where it
+    begins. Each substep is a Heun step of the advection term alone, between
+    two half steps of exact diffusion on the rows with ``q2 > 0`` (Strang
+    splitting), so only the advective limit bounds the step. A row whose
+    step turns NaN or zero, or that still has budget after ``limit``
+    substeps, fails: its remaining frames hold its last state.
 
-    ``side = (srows, sown, srem)`` lists the other members of the marches:
-    row ``srows[i]`` starts on march ``rows[sown[i]]`` with a budget
-    ``srem[i]`` no larger than the march's. At the substep whose step
-    reaches its budget, it leaves with its own clipped Heun step from the
-    march's state and first slope, into ``states[srows[i]]``; a march that
-    fails freezes its remaining members with it.
+    ``side = (srows, sown, srem)`` lists the other members of the marches,
+    which have one frame: row ``srows[i]`` starts on march ``rows[sown[i]]``
+    with a budget ``srem[i]`` no larger than the march's. At the substep
+    whose step reaches its budget, it leaves with its own clipped Heun step
+    from the march's state and first slope, into ``frames[srows[i], 0]``; a
+    march that fails freezes its remaining members with it.
 
-    The padded workspace and its views are built once and written with
-    ``out=`` ufuncs. When marches finish, the live ones move to the front,
-    and the workspace and its views are rebuilt on a leading slice.
+    The padded workspace is built once and written with ``out=`` ufuncs.
+    When marches retire, the live ones move to the front and the workspace
+    is cut to a leading slice.
     """
     srows, sown, srem = side
-    ws = _Workspace.around(_padded(states[rows]))
+    ws = _workspace(_padded(start[rows]))
+    u, w, k1 = ws[0], ws[2], ws[6]
+    last = budget.shape[1] - 1
+    rem = budget[:, 0].copy()
+    frame = np.zeros(rows.size, dtype=np.intp)
+    n = 0
     # numpy's error state is per thread, so each worker sets its own
     with np.errstate(all="ignore"):
         fc, sc = fc[:, None], sc[:, None]
         q2c = q2[:, None] if (q2 > 0.0).any() else None
         if q2c is not None:
             # eigenvalues of the periodic second difference at the rfft modes
-            nx = states.shape[1]
+            nx = start.shape[1]
             lam = -4.0 * np.sin(np.pi * np.arange(nx // 2 + 1) / nx) ** 2 / (dx * dx)
-        u, w, k1 = ws.u, ws.w, ws.k1
         while True:
-            flux.speed(sc, u.a, w.a)
-            dt = _stable_dt(w.a, dx)
-            if not (dt.min() > 0.0 and rem.all()):
-                # retire marches whose budget is spent; a NaN or zero step
-                # fails a march and freezes it with its remaining members
-                failed = ~(dt > 0.0) & (rem > 0.0)
-                keep = ~failed & (rem > 0.0)
-                lost = failed[sown]
-                alive[rows[failed]] = alive[srows[lost]] = False
-                states[srows[lost]] = u.mid[sown[lost]]
-                if not keep.any():
-                    states[rows] = u.mid
-                    return
-                states[rows[~keep]] = u.mid[~keep]
-                srows, srem = srows[~lost], srem[~lost]
-                sown = (np.cumsum(keep) - 1)[sown[~lost]]
-                m = np.count_nonzero(keep)
-                u.a[:m], w.a[:m] = u.a[keep], w.a[keep]
-                rows, dt, rem, fc, sc = (a[keep] for a in (rows, dt, rem, fc, sc))
-                q2c = None if q2c is None else q2c[keep]
-                ws = ws.head(m)
-                u, w, k1 = ws.u, ws.w, ws.k1
+            flux.speed(sc, u, w)
+            dt = _stable_dt(w, dx)
+            if not (dt.min() > 0.0 and rem.all()) or n >= limit:
+                # write the frames whose budget is spent and refill it; then
+                # a NaN or zero step, or too many substeps, fails a march
+                # and freezes its remaining frames and members
+                mid = u[:, 1:-1]
+                i = np.flatnonzero(rem == 0.0)
+                while i.size:
+                    frames[rows[i], frame[i]] = mid[i]
+                    frame[i] += 1
+                    rem[i] = budget[i, frame[i]]
+                    i = i[(rem[i] == 0.0) & (frame[i] < last)]
+                pending = rem > 0.0
+                failed = (~(dt > 0.0) | (n >= limit)) & pending
+                if failed.any():
+                    lost = failed[sown]
+                    i, j = np.nonzero(failed[:, None] & (np.arange(last) >= frame[:, None]))
+                    frames[rows[i], j] = mid[i]
+                    frames[srows[lost], 0] = mid[sown[lost]]
+                    alive[rows[failed]] = alive[srows[lost]] = False
+                    srows, sown, srem = srows[~lost], sown[~lost], srem[~lost]
+                keep = pending & ~failed
+                if not keep.all():
+                    m = np.count_nonzero(keep)
+                    if not m:
+                        return
+                    sown = (np.cumsum(keep) - 1)[sown]
+                    u[:m], w[:m] = u[keep], w[keep]
+                    rows, dt, rem, fc, sc, budget, frame = (
+                        a[keep] for a in (rows, dt, rem, fc, sc, budget, frame))
+                    q2c = None if q2c is None else q2c[keep]
+                    ws = tuple(a[:m] for a in ws)
+                    u, w, k1 = ws[0], ws[2], ws[6]
             np.minimum(dt, rem, out=dt)
             rem -= dt
             dtc = dt[:, None]
             if q2c is not None:
                 # exact diffusion over dt / 2: exp(dt / 2 q2 lam) - 1 per mode
                 gain = np.expm1(np.multiply(0.5 * dtc * q2c, lam))
-                _diffuse(u.mid, q2c, gain)
-                u.fill_ghosts()
-                flux.speed(sc, u.a, w.a)
+                _diffuse(u[:, 1:-1], q2c, gain)
+                _fill_ghosts(u)
+                flux.speed(sc, u, w)
             _rhs(flux, fc, None, u, ws, dx, k1)
             if srows.size:
                 out = srem <= dt[sown]
                 if out.any():
                     j = sown[out]
-                    sw = _Workspace.around(u.a[j])
-                    np.take(k1, j, axis=0, out=sw.k1)
+                    sw = _workspace(u[j])
+                    np.take(k1, j, axis=0, out=sw[6])
                     _heun(flux, fc[j], sc[j], sw, srem[out, None], dx)
-                    states[srows[out]] = sw.u.mid
+                    frames[srows[out], 0] = sw[0][:, 1:-1]
                     srows, sown, srem = srows[~out], sown[~out], srem[~out]
                 srem -= dt[sown]
             _heun(flux, fc, sc, ws, dtc, dx)
             if q2c is not None:
-                _diffuse(u.mid, q2c, gain)
-            u.fill_ghosts()
+                _diffuse(u[:, 1:-1], q2c, gain)
+            _fill_ghosts(u)
+            n += 1
 
 
 def _cores() -> int:
@@ -398,10 +393,63 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+def _advance(flux: Flux, q1: np.ndarray, q2: np.ndarray, u_start: np.ndarray,
+             dts: np.ndarray, dx: float, frames: np.ndarray, alive: np.ndarray,
+             limit: float) -> None:
+    """Advance every row from ``u_start`` (one state shared by every row,
+    or one state per row) over the intervals ``dts``, writing frame k into
+    ``frames[:, k]``, and clear ``alive`` where a row fails or still has
+    budget after ``limit`` substeps: the planner behind
+    :func:`advance_ensemble` and :func:`solve_ensemble`. It builds the tau
+    columns, freezes the rows that cannot move, forms the shared-start
+    marches (one shared state and one interval only) and splits the march
+    rows across cores, then runs :func:`_advance_rows` once per block."""
+    m = q1.size
+    start = np.broadcast_to(u_start, (m, frames.shape[2]))
+    tau = ~(q2 > 0.0)
+    with np.errstate(all="ignore"):
+        speed = q1 * flux.slope
+        budget = np.where(tau, np.abs(q1), 1.0)[:, None] * np.append(dts, 0.0)
+    fc, sc = np.where(tau, np.sign(q1), q1), np.where(tau, flux.slope, speed)
+    # in t, a non-finite slope * q1 makes every step limit 0 or NaN
+    alive[tau & ~np.isfinite(speed)] = False
+    live = alive & (budget > 0.0).any(axis=1)
+    frames[~live] = start[~live, None]
+    lead = np.arange(m)  # the row whose march each row follows
+    # in tau, rows of one start state and one sign follow one trajectory
+    if u_start.ndim == 1 and dts.size == 1:
+        for s in (1.0, -1.0):
+            g = np.flatnonzero(live & (fc == s) & tau)
+            if g.size:
+                lead[g] = g[np.argmax(budget[g, 0])]
+    own = lead == np.arange(m)
+    leads, srows = np.flatnonzero(live & own), np.flatnonzero(live & ~own)
+    sown = np.searchsorted(leads, lead[srows])
+    n = leads.size
+    k = min(n // _MIN_BLOCK_ROWS, _cores()) if n >= 2 * _MIN_BLOCK_ROWS else 1
+    edges = [n * i // k for i in range(k + 1)]
+    jobs = []
+    for a, b in zip(edges, edges[1:]):
+        mine = (sown >= a) & (sown < b)
+        rows = leads[a:b]
+        jobs.append((flux, fc[rows], sc[rows], q2[rows], budget[rows], rows, start,
+                     frames, alive, dx,
+                     (srows[mine], sown[mine] - a, budget[srows[mine], 0]), limit))
+    if k > 1:
+        # imported here: one-row solves and CLI start-up never need it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(k) as pool:
+            list(pool.map(lambda job: _advance_rows(*job), jobs))
+    elif n:
+        _advance_rows(*jobs[0])
+
+
 def advance_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray,
                      u_start: np.ndarray, dt_total: float, grid: Grid1D):
     """Advance rows of states over ``dt_total``, each under its own
-    coefficients ``(q1[i], q2[i])``. ``u_start`` is one state shared by
+    coefficients ``(q1[i], q2[i])``: the one-interval case of
+    :func:`solve_ensemble`'s kernel. ``u_start`` is one state shared by
     every row or one per row.
 
     A row with ``q2 > 0`` advances in time t: each substep, at its advective
@@ -431,52 +479,19 @@ def advance_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray,
     of its march step for step, so a row's result is bit-identical whatever
     batch, march or block it is advanced in. A row whose state or wave
     speed stops being finite before its budget is spent gets a NaN or zero
-    step; it is frozen at its last state and reported as failed.
+    step, and one that needs more than ``MAX_SUBSTEPS`` substeps (|q1| near
+    1e12 on a sine law, say) does not finish; either is frozen at its last
+    state and reported as failed. A member of a march fails exactly when it
+    would alone.
 
     Returns ``(states, ok)`` with ``states`` of shape (M, nx) and ``ok`` a
     boolean mask of rows that completed with finite values.
     """
-    flux = FLUXES[flux_kind]
-    m = q1.size
-    u_start = np.asarray(u_start, dtype=float)
-    states = np.broadcast_to(u_start, (m, grid.nx)).copy()
-    alive = np.full(m, dt_total >= 0.0)
-    if dt_total > 0.0 and m:
-        tau = ~(q2 > 0.0)
-        with np.errstate(all="ignore"):
-            speed = q1 * flux.slope
-            budget = np.where(tau, np.abs(q1) * dt_total, dt_total)
-        fc, sc = np.where(tau, np.sign(q1), q1), np.where(tau, flux.slope, speed)
-        # in t, a non-finite slope * q1 makes every step limit 0 or NaN
-        alive[tau & ~np.isfinite(speed)] = False
-        live = alive & (budget > 0.0)
-        lead = np.arange(m)  # the row whose march each row follows
-        if u_start.ndim == 1:  # in tau, one state and one sign: one trajectory
-            for s in (1.0, -1.0):
-                g = np.flatnonzero(live & (fc == s) & tau)
-                if g.size:
-                    lead[g] = g[np.argmax(budget[g])]
-        own = lead == np.arange(m)
-        leads, srows = np.flatnonzero(live & own), np.flatnonzero(live & ~own)
-        sown = np.searchsorted(leads, lead[srows])
-        n = leads.size
-        k = min(n // _MIN_BLOCK_ROWS, _cores()) if n >= 2 * _MIN_BLOCK_ROWS else 1
-        edges = [n * i // k for i in range(k + 1)]
-        jobs = []
-        for a, b in zip(edges, edges[1:]):
-            mine = (sown >= a) & (sown < b)
-            rows = leads[a:b]
-            jobs.append((flux, fc[rows], sc[rows], q2[rows], budget[rows], rows,
-                         states, alive, grid.dx,
-                         (srows[mine], sown[mine] - a, budget[srows[mine]])))
-        if k > 1:
-            # imported here: one-row solves and CLI start-up never need it
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(k) as pool:
-                list(pool.map(lambda job: _advance_rows(*job), jobs))
-        elif n:
-            _advance_rows(*jobs[0])
+    frames = np.empty((q1.size, 1, grid.nx))
+    alive = np.full(q1.size, dt_total >= 0.0)
+    _advance(FLUXES[flux_kind], q1, q2, np.asarray(u_start, dtype=float),
+             np.array([dt_total]), grid.dx, frames, alive, MAX_SUBSTEPS)
+    states = frames[:, 0]
     return states, alive & np.isfinite(states).all(axis=1)
 
 
@@ -504,9 +519,9 @@ def step(law: ConservationLaw, u: np.ndarray, dt: float, grid: Grid1D) -> np.nda
     flux = FLUXES[law.flux_kind]
     q1c = np.array([[law.q1]])
     sc, q2c = q1c * flux.slope, np.array([[law.q2]]) if law.q2 > 0.0 else None
-    ws = _Workspace.around(_padded(u[None, :]))
-    flux.speed(sc, ws.u.a, ws.w.a)
-    out = u + dt * _rhs(flux, q1c, q2c, ws.u, ws, grid.dx)[0]
+    ws = _workspace(_padded(u[None, :]))
+    flux.speed(sc, ws[0], ws[2])
+    out = u + dt * _rhs(flux, q1c, q2c, ws[0], ws, grid.dx)[0]
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("state became non-finite during step")
     return out
@@ -518,13 +533,17 @@ def solve_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray, u0: np.ndarra
     ``(q1[i], q2[i])`` to t_final, sampling nt_out uniformly spaced frames.
 
     ``values[:, 0]`` is ``u0``; internal steps are clipped so every output
-    timestamp is hit exactly. The rows advance as one batch per output
-    interval (see :func:`advance_ensemble`), so each is bit-identical to
-    that row solved alone.
+    timestamp is hit exactly. The whole batch advances in one kernel call
+    that writes each row's frames as it reaches them (see
+    :func:`advance_ensemble`), so each row is bit-identical to that row
+    solved alone and to chained :func:`advance_ensemble` calls over the
+    output intervals.
 
     Returns ``(times, values, ok)`` with ``values`` of shape (M, nt_out, nx)
-    and ``ok`` a boolean mask of the rows that stayed finite; a failed
-    row's frames from its failure on are meaningless.
+    and ``ok`` a boolean mask of the rows that stayed finite. A failed row's
+    frames from its failure on hold the state it failed at. Unlike
+    :func:`advance_ensemble`, no substep cap applies. A horizon so small that
+    the output times are not strictly increasing raises ``ValueError``.
     """
     if flux_kind not in FLUXES:
         raise ValueError(f"flux_kind must be one of {tuple(FLUXES)}")
@@ -539,15 +558,14 @@ def solve_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray, u0: np.ndarra
     if not np.all(np.isfinite(u0)):
         raise NonFiniteState("initial state must be finite")
     times = np.linspace(0.0, t_final, nt_out)
+    dts = np.diff(times)
+    if not np.all(dts > 0.0):
+        raise ValueError("times must be strictly increasing")
     values = np.empty((q1.size, nt_out, grid.nx))
     values[:, 0] = u0
     ok = np.ones(q1.size, dtype=bool)
-    for k in range(1, nt_out):
-        values[:, k], ok_k = advance_ensemble(
-            flux_kind, q1, q2, values[:, k - 1], times[k] - times[k - 1], grid
-        )
-        ok &= ok_k
-    return times, values, ok
+    _advance(FLUXES[flux_kind], q1, q2, u0, dts, grid.dx, values[:, 1:], ok, math.inf)
+    return times, values, ok & np.isfinite(values[:, -1]).all(axis=1)
 
 
 def solve(law: ConservationLaw, u0: np.ndarray, grid: Grid1D, t_final: float,

@@ -429,3 +429,23 @@ def test_malformed_alpha0_is_a_data_error(tmp_path, capsys, alpha0):
     )
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+def test_refine_fails_particles_that_need_too_many_substeps(tmp_path, capsys):
+    """With alpha0 = 1e12 every particle of an inviscid sine law needs about
+    1e13 substeps per interval: each fails at the substep cap, so refine
+    reports a numeric failure instead of running for hours."""
+    data = tmp_path / "data"
+    run_cli(
+        capsys, "gen", "--out", str(data), "--families", "icl_sine",
+        "--params", "1", "--ics", "1", "--seed", "17",
+    )
+    entry = json.loads((data / "manifest.json").read_text())["entries"][0]
+    code, out, err = run_cli(
+        capsys, "refine",
+        "--equation", str(data / entry["equation"]),
+        "--observations", str(data / entry["trajectory"]),
+        "--alpha0", "1e12", "--particles", "20", "--steps", "1",
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "AllWeightsDegenerate"

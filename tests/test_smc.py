@@ -20,7 +20,7 @@ from pdesym.smc import (
     reweight,
     weights_from_sq_residuals,
 )
-from pdesym.solver import ConservationLaw, solve
+from pdesym.solver import ConservationLaw, solve, solve_ensemble
 
 
 
@@ -241,8 +241,9 @@ def test_split_batch_matches_rows_advanced_alone(flux_kind, monkeypatch):
 
 def test_more_blocks_than_cores_write_their_rows_alone():
     """Four worker blocks on two cores, switching threads every microsecond,
-    write into one shared output: every row keeps the bits and the ``ok``
-    flag of the same batch run as one block."""
+    write into one shared output, over one interval or a schedule of four
+    frames: every row keeps the bits and the ``ok`` flag of the same batch
+    run as one block."""
     obs, law = _observations(family="burgers", q1=0.5, q2=0.05)
     rng = np.random.default_rng(8)
     q1 = 0.5 * rng.uniform(0.9, 1.1, 600)
@@ -256,14 +257,18 @@ def test_more_blocks_than_cores_write_their_rows_alone():
     try:
         solver._cores = lambda: 1
         one, one_ok = advance_ensemble("quadratic", q1, q2, u0, dt, grid)
+        _, one_frames, one_frames_ok = solve_ensemble("quadratic", q1, q2, u0, grid, 4 * dt, 5)
         solver._cores = lambda: 4
         sys.setswitchinterval(1e-6)
         four, four_ok = advance_ensemble("quadratic", q1, q2, u0, dt, grid)
+        _, four_frames, four_frames_ok = solve_ensemble("quadratic", q1, q2, u0, grid, 4 * dt, 5)
     finally:
         solver._cores = cores
         sys.setswitchinterval(interval)
     assert four_ok.tolist() == one_ok.tolist() == np.isfinite(q1).tolist()
     assert four.tobytes() == one.tobytes()
+    assert four_frames_ok.tolist() == one_frames_ok.tolist() == one_ok.tolist()
+    assert four_frames.tobytes() == one_frames.tobytes()
 
 
 @pytest.mark.parametrize("family", ["inviscid_burgers", "icl_cubic", "icl_sine"])

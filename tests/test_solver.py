@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pdesym import solver
+from pdesym.datagen import FAMILIES, grid_for, law_for, sample_ic
 from pdesym.errors import CFLViolation, NonFiniteState
 from pdesym.solver import (
     CFL_SAFETY,
@@ -402,6 +403,62 @@ def test_shared_inviscid_march_matches_rows_advanced_alone(flux_kind, capped, mo
     assert not np.array_equal(states[5], u0)
 
 
+def test_rows_past_the_substep_cap_fail_as_they_would_alone(monkeypatch):
+    """Rows with |q1| near 1e12 need about 1e13 substeps for one interval:
+    each fails after ``MAX_SUBSTEPS`` of them (lowered to 512 to keep the
+    test short), frozen where it would be frozen alone, while a normal row
+    in the same march finishes."""
+    monkeypatch.setattr(solver, "MAX_SUBSTEPS", 512)
+    grid = _grid(16)
+    u0 = _smooth_ic(grid, seed=4)
+    q1 = np.array([0.5, 1e12, 1.2e12, -1e12, -0.5])
+    q2 = np.zeros(q1.size)
+    states, ok = advance_ensemble("sine", q1, q2, u0, 1 / 31, grid)
+    assert ok.tolist() == [True, False, False, False, True]
+    for i in range(q1.size):
+        solo, solo_ok = advance_ensemble("sine", q1[i : i + 1], q2[i : i + 1], u0, 1 / 31, grid)
+        assert solo_ok[0] == ok[i]
+        assert states[i].tobytes() == solo[0].tobytes()
+    assert np.isfinite(states).all() and not np.array_equal(states[1], u0)
+
+
+@pytest.mark.parametrize("flux_kind", sorted(solver.FLUXES))
+def test_substep_cap_fails_march_members_as_alone(flux_kind, monkeypatch):
+    """With the step limit capped at 2^-10 and the cap at 32 substeps, a
+    budget of 2^-5 takes exactly the cap and finishes, alone and as a march
+    member; a budget an ulp-sized step larger fails, at the march's state
+    after 32 substeps as alone. ``solve_ensemble`` has no cap."""
+    stable = solver._stable_dt
+    monkeypatch.setattr(solver, "_stable_dt", lambda w, dx: np.minimum(stable(w, dx), 2.0**-10))
+    monkeypatch.setattr(solver, "MAX_SUBSTEPS", 32)
+    grid = _grid()
+    u0 = _smooth_ic(grid, seed=7)
+    over = np.nextafter(0.5, 1.0)
+    q1 = np.array([0.25, 0.5, over, 0.75, -0.5, -over])
+    q2 = np.zeros(q1.size)
+    states, ok = advance_ensemble(flux_kind, q1, q2, u0, 2.0**-4, grid)
+    assert ok.tolist() == [True, True, False, False, True, False]
+    for i in range(q1.size):
+        solo, solo_ok = advance_ensemble(flux_kind, q1[i : i + 1], q2[i : i + 1], u0, 2.0**-4, grid)
+        assert solo_ok[0] == ok[i]
+        assert states[i].tobytes() == solo[0].tobytes()
+    assert states[2].tobytes() == states[3].tobytes()  # frozen with their march
+    ok = solve_ensemble(flux_kind, q1, q2, np.tile(u0, (q1.size, 1)), grid, 0.25, 2)[2]
+    assert ok.all()
+
+
+@pytest.mark.parametrize("nt_out", [2, 32])
+def test_long_frames_are_not_capped(nt_out):
+    """An icl_sine solve over 60 time units needs about 19,000 substeps, all
+    in one frame when ``nt_out`` is 2, and finishes whatever the frames."""
+    spec = FAMILIES["icl_sine"]
+    grid = grid_for(spec)
+    u0 = sample_ic(spec, np.random.default_rng(0))
+    field = solve(law_for(spec, spec.q1, spec.q2), u0, grid, 60.0, nt_out)
+    assert field.values.shape == (nt_out, grid.nx)
+    assert np.isfinite(field.values).all()
+
+
 def test_shared_inviscid_interval_work_does_not_grow_with_the_batch(monkeypatch):
     """One march row pays two right-hand sides per substep, and each other
     member one more row when it leaves, not a march of its own."""
@@ -409,7 +466,7 @@ def test_shared_inviscid_interval_work_does_not_grow_with_the_batch(monkeypatch)
     rhs = solver._rhs
 
     def counting(*args, **kwargs):
-        rows.append(args[3].a.shape[0])
+        rows.append(args[3].shape[0])
         return rhs(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_rhs", counting)
@@ -426,3 +483,109 @@ def test_shared_inviscid_interval_work_does_not_grow_with_the_batch(monkeypatch)
     substeps = work[0] // 2
     assert substeps > 10
     assert work[1] - work[0] <= 500
+
+
+def _chained(flux_kind, q1, q2, u0, grid, t_final, nt_out):
+    """Frames and per-interval ``ok`` of ``advance_ensemble`` called once
+    per output interval, each call starting from the last frame."""
+    times = np.linspace(0.0, t_final, nt_out)
+    frames, oks = [u0], []
+    for k in range(1, nt_out):
+        states, ok = advance_ensemble(flux_kind, q1, q2, frames[-1], times[k] - times[k - 1],
+                                      grid)
+        frames.append(states)
+        oks.append(ok)
+    return np.stack(frames, axis=1), np.stack(oks, axis=1)
+
+
+def _assert_frames_match_chained(values, ok, chain, chain_ok):
+    """The same ``ok``, byte-equal frames up to and including each row's
+    failing frame, and a failed row's later frames frozen at that one."""
+    assert ok.tolist() == chain_ok.all(axis=1).tolist()
+    for i in range(ok.size):
+        end = values.shape[1] if ok[i] else 2 + np.argmin(chain_ok[i])
+        assert values[i, :end].tobytes() == chain[i, :end].tobytes()
+        frozen = np.broadcast_to(values[i, end - 1], values[i, end - 1 :].shape)
+        assert values[i, end - 1 :].tobytes() == frozen.tobytes()
+
+
+@pytest.mark.parametrize("fail_late", [False, True], ids=["", "failing-late"])
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: f"{l.flux_kind}-q2={l.q2}")
+def test_solve_ensemble_frames_match_chained_intervals(law, fail_late, monkeypatch):
+    """One kernel call over the whole schedule gives every frame the bits
+    of one ``advance_ensemble`` call per interval, in a batch split across
+    two forced cores, with rows that cannot move or fail at once (NaN,
+    infinite and zero ``q1``) and never-diffused rows (``q2 = -5``). With
+    ``fail_late``, a row's step turns NaN once the spread of its wave
+    speeds has decayed below a cut, so rows fail inside frames and at
+    frame ends throughout the schedule."""
+    monkeypatch.setattr(solver, "_cores", lambda: 2)
+    calls = []
+    advance_rows = solver._advance_rows
+
+    def recording(flux, fc, *rest):
+        calls.append(fc.size)
+        advance_rows(flux, fc, *rest)
+
+    monkeypatch.setattr(solver, "_advance_rows", recording)
+    grid = _grid(64)
+    rng = np.random.default_rng(13)
+    m = 300
+    u0 = np.stack([_smooth_ic(grid, seed) for seed in rng.integers(0, 2**31, m)])
+    q1 = law.q1 * rng.uniform(0.9, 1.1, m) * rng.choice([-1.0, 1.0], m)
+    q2 = law.q2 * rng.uniform(0.9, 1.1, m)
+    if fail_late:
+        flux = solver.FLUXES[law.flux_kind]
+        scale = np.abs(q1[:, None]) if law.q2 > 0.0 else 1.0
+        spread = np.ptp(flux.speed(flux.slope * scale, u0), axis=1)
+        cut = (0.6 if law.q2 > 0.0 else 0.8) * np.median(spread)
+        stable = solver._stable_dt
+
+        def failing(w, dx):
+            dt = stable(w, dx)
+            dt[np.ptp(w, axis=1) < cut] = np.nan
+            return dt
+
+        monkeypatch.setattr(solver, "_stable_dt", failing)
+    q1[[0, 150, 299]] = [np.nan, np.inf, 0.0]
+    q1[[1, 151, 298]] = [-np.inf, 0.0, np.nan]
+    q2[[2, 152, 297]] = -5.0
+    times, values, ok = solve_ensemble(law.flux_kind, q1, q2, u0, grid, 0.25, 9)
+    assert len(calls) == 2 and min(calls) >= solver._MIN_BLOCK_ROWS
+    calls.clear()
+    chain, chain_ok = _chained(law.flux_kind, q1, q2, u0, grid, 0.25, 9)
+    assert len(calls) == 16  # two blocks per interval
+    _assert_frames_match_chained(values, ok, chain, chain_ok)
+    assert not ok[[0, 1, 150, 298]].any()
+    failed_at = np.argmin(chain_ok[~ok], axis=1)
+    if fail_late:
+        assert np.unique(failed_at).size >= 3 and 100 <= np.count_nonzero(~ok) < m
+    else:
+        assert ok[[151, 299]].all() and not failed_at.any()
+
+
+@pytest.mark.parametrize("t_final", [2e-323, 3e-323], ids=["zero-steps", "a-step-back"])
+def test_output_times_that_do_not_increase_are_rejected(t_final):
+    """At subnormal horizons ``linspace`` repeats a time or steps back by an
+    ulp; ``solve_ensemble`` rejects those times as ``SpaceTimeField`` does."""
+    assert (np.diff(np.linspace(0.0, t_final, 9)) <= 0.0).any()
+    grid = _grid(32)
+    u0 = _smooth_ic(grid, seed=0)[None]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        solve_ensemble("quadratic", np.ones(1), np.zeros(1), u0, grid, t_final, 9)
+
+
+def test_solve_makes_one_kernel_call(monkeypatch):
+    calls = []
+    advance_rows = solver._advance_rows
+
+    def recording(*args):
+        calls.append(args[1].size)
+        advance_rows(*args)
+
+    monkeypatch.setattr(solver, "_advance_rows", recording)
+    grid = _grid()
+    for law in ALL_LAWS:
+        calls.clear()
+        solve(law, _smooth_ic(grid, seed=3), grid, 1.0, 32)
+        assert calls == [1]
