@@ -122,6 +122,16 @@ def _to_csv(payload) -> str:
     return buf.getvalue()
 
 
+def _finite(payload):
+    """``payload`` (a dict, or a list of dicts) unchanged; a score in it that
+    is NaN or inf, which JSON cannot hold, raises :class:`NonFiniteState`."""
+    for row in payload if isinstance(payload, list) else [payload]:
+        for name, score in row.items():
+            if isinstance(score, float) and not np.isfinite(score):
+                raise NonFiniteState(f"{name} is {score}")
+    return payload
+
+
 def _tokens_payload(seq: TokenSeq) -> dict:
     return {"dialect": seq.dialect.value, "tokens": list(seq.tokens), "text": seq.text}
 
@@ -280,10 +290,7 @@ def _cmd_eval(args) -> None:
             pred = solver.read_grid_file(args.prediction)
             payload["rel_l2"] = metrics.rel_l2(field.values, pred.values)
             payload["r2"] = metrics.r2_score([field.values], [pred.values])
-    for name, score in payload.items():
-        if name != "truth" and not np.isfinite(score):  # NaN and inf are not JSON
-            raise NonFiniteState(f"{name} is {score}")
-    _emit(args, payload)
+    _emit(args, _finite(payload))
 
 
 def _cmd_study(args) -> None:
@@ -296,7 +303,7 @@ def _cmd_study(args) -> None:
         seed=args.seed,
         filter_config=cfg,
     )
-    _emit(args, [row.as_dict() for row in rows])
+    _emit(args, _finite([dataclasses.asdict(row) for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +313,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pdesym", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     def filter_flags(p):
         p.add_argument("--particles", type=int, default=500)
@@ -320,18 +328,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("parse", help="parse an equation and echo both dialects")
     p.add_argument("--expr", required=True)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("canon", help="canonical token sequence of an expression")
     p.add_argument("--expr", required=True)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("tokens", help="serialize an equation in a chosen dialect")
     p.add_argument("--eq", required=True)
     p.add_argument("--dialect", choices=("manual", "canonical"), default="canonical")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_tokens)
 
     p = sub.add_parser("perturb", help="noise injection followed by branch swapping")
@@ -351,7 +359,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t-final", type=float, default=1.0)
     p.add_argument("--ic-seed", type=int, default=0)
     p.add_argument("--output-grid", required=True)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("gen", help="generate a dataset directory")

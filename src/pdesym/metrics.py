@@ -12,12 +12,15 @@ is below 100%.
 Residuals are evaluated as Taylor jets (forward-mode Taylor arithmetic,
 Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 13), not by
 expanding each derivative node symbolically. A residual compiles once into
-a postfix program over its unexpanded tree, one explicit-stack walk that
-also finds every unsupported node; the program then runs once per
-surrogate. Each node's value is a jet: a dict from multi-index (i, j) to
-the grid of d^i/dx^i d^j/dt^j f / (i! j!), holding only the entries the
-derivative nodes above it need. ``symbolic_error`` shares one surrogate's
-field grids between the truth and the learned residual.
+a postfix program over its unexpanded tree, in one explicit-stack walk;
+the program then runs once per surrogate. Each node's value is a jet: a
+dict from multi-index (i, j) to the grid of d^i/dx^i d^j/dt^j f / (i! j!),
+holding only the entries the derivative nodes above it need. A leaf that
+the expanded residual could not evaluate (an unbound variable, say) is an
+entry that carries its error through the arithmetic, so the error surfaces
+when the program runs, and only if the residual's value uses that leaf.
+``symbolic_error`` shares one surrogate's field grids between the truth and
+the learned residual.
 """
 from __future__ import annotations
 
@@ -188,12 +191,6 @@ def _splits(k: tuple) -> list:
             for p in range(k[0] + 1) for q in range(k[1] + 1)]
 
 
-def _above(bad: dict, keys: tuple) -> dict:
-    """The entries of ``keys`` at or above an entry of ``bad``."""
-    return {k: msg for (bi, bj), msg in bad.items() for k in keys
-            if k[0] >= bi and k[1] >= bj}
-
-
 def _chain_plan(fn: str, n: int, keys: tuple) -> tuple:
     """Coefficients f^(m)(a0)/m! and the sums of (a - a0)^m for f(a).
 
@@ -229,65 +226,47 @@ def _compile(eq, X, T) -> list:
     A subtree with no field leaf has the same jet for every surrogate, so
     its program runs here, once, and stays as that jet.
 
-    Raises the :class:`UnsupportedNode` that expanding the residual with
-    :func:`substitute_field` and evaluating it would raise: an unbound
-    variable, a placeholder or an out-of-range integer whose value the
-    expansion evaluates, or a non-integer power under a derivative. An
-    entry of total order above :data:`MAX_JET_ORDER` is unsupported too.
+    Raises :class:`UnsupportedNode` for a non-integer power under a
+    derivative and for an entry of total order above
+    :data:`MAX_JET_ORDER`. A leaf the expansion cannot evaluate compiles to
+    an :class:`_Unevaluable` entry, which :func:`_run` raises.
     """
     prog: list = []
     env = {"x": X, "t": T}
 
-    # A node's value is (the entries its expansion cannot evaluate, whether
-    # it holds the field).
+    # A node's value is whether it holds the field.
     def enter(e, need):
         kids = _children(e, need)
         if not kids:
-            instr, bad = _leaf(e, need, env)
-            prog.append(instr)
-            return ((bad, instr[0] == "field"),)
+            prog.append(_leaf(e, need, env))
+            return (prog[-1][0] == "field",)
         note = (need, kids[0][1], len(prog))
         return (note, *kids[0]) if len(kids) == 1 else (note, *kids[0], *kids[1])
 
-    def leave(e, note, *kids):
+    def leave(e, note, *fields):
         need, keys, start = note
-        found = [bad for bad, _ in kids]
         op = "deriv" if isinstance(e, Deriv) else e.fn if isinstance(e, Unary) else e.op
         if op == "deriv":
             axis = int(e.var == "t")
-            plan = [(k, src, float(perm(src[axis], e.order))) for k, src in zip(need, keys)]
-            prog.append((op, plan))
-            bad = {k: found[0][src] for k, src, _ in plan if src in found[0]}
+            prog.append((op, [(k, src, float(perm(src[axis], e.order)))
+                              for k, src in zip(need, keys)]))
         elif op in ("add", "sub", "neg"):
             prog.append((op, need))
-            bad = {k: msg for part in found for k, msg in part.items()}
-        elif op == "pow" and len(kids) == 2:  # a non-integer exponent
+        elif op == "pow" and len(fields) == 2:  # a non-integer exponent
             prog.append(("power",))
-            bad = {**found[0], **found[1]}
         elif op in ("sin", "cos", "pow"):
             n = e.right.value if op == "pow" else 0
             prog.append(("chain", op, int_to_float(n), need, *_chain_plan(op, n, keys)))
-            if op == "pow" and n == 1:  # the expansion of d(a^1) never evaluates a
-                bad = _above({k: m for k, m in found[0].items() if k != (0, 0)}, keys)
-                bad.update({k: m for k, m in found[0].items() if k == (0, 0)})
-            else:
-                bad = _above(found[0], keys)
+        elif op == "div":  # the recurrence runs through every key below
+            prog.append((op, [(k, [(m, q) for m, q in _splits(k) if m != (0, 0)])
+                              for k in keys]))
         else:
-            if op == "div":  # the recurrence runs through every key below
-                plan = [(k, [(m, q) for m, q in _splits(k) if m != (0, 0)]) for k in keys]
-            else:
-                plan = [(k, _splits(k)) for k in need]
-            prog.append((op, plan))
-            bad = _above({**found[0], **found[1]}, keys)
-        field = any(has_field for _, has_field in kids)
-        if not field:
+            prog.append((op, [(k, _splits(k)) for k in need]))
+        if not any(fields):
             prog[start:] = [("jet", _jet(prog[start:], None))]
-        return bad, field
+        return any(fields)
 
-    residual = eq.residual if isinstance(eq, Equation) else eq
-    bad, _ = walk(residual, enter, leave, _ORIGIN)
-    if (0, 0) in bad:
-        raise UnsupportedNode(bad[(0, 0)])
+    walk(eq.residual if isinstance(eq, Equation) else eq, enter, leave, _ORIGIN)
     return prog
 
 
@@ -323,34 +302,51 @@ def _children(e: Expr, need: tuple) -> list:
 
 def _leaf(e: Expr, need: tuple, env: dict) -> tuple:
     """The instruction for a leaf or a chain of derivative nodes over the
-    field, and the entries the expansion cannot evaluate."""
+    field. A value the expansion cannot evaluate is an
+    :class:`_Unevaluable`; its derivatives, like any leaf's, are 0 or 1."""
     if isinstance(e, (Deriv, Field)):
         shift = [0, 0]
         while isinstance(e, Deriv):
             shift[e.var == "t"] += e.order
             e = e.child
         return ("field", [(k, (k[0] + shift[0], k[1] + shift[1]),
-                           float(factorial(k[0]) * factorial(k[1]))) for k in need]), {}
-    value, msg = np.nan, None
+                           float(factorial(k[0]) * factorial(k[1]))) for k in need])
     if isinstance(e, Const):
         value = e.value
     elif isinstance(e, Int):
         try:
             value = int_to_float(e.value)
         except UnsupportedNode as exc:
-            msg = str(exc)
+            value = _Unevaluable(str(exc))
     elif isinstance(e, Var):
-        value = env.get(e.name, np.nan)
-        if e.name not in env:
-            msg = f"unbound variable {e.name!r}"
+        value = env[e.name] if e.name in env else _Unevaluable(f"unbound variable {e.name!r}")
     elif isinstance(e, Placeholder):
-        msg = "Placeholder is not directly evaluable"
+        value = _Unevaluable("Placeholder is not directly evaluable")
     else:
         raise UnsupportedNode(f"cannot evaluate {type(e).__name__}")
     # derivatives of x and t are the unit multi-indices, of anything else 0
     unit = {"x": (1, 0), "t": (0, 1)}.get(getattr(e, "name", None))
-    jet = {k: value if k == (0, 0) else float(k == unit) for k in need}
-    return ("jet", jet), {(0, 0): msg} if msg and (0, 0) in jet else {}
+    return ("jet", {k: value if k == (0, 0) else float(k == unit) for k in need})
+
+
+class _Unevaluable:
+    """A jet entry whose expansion evaluates a leaf that has no value.
+
+    Arithmetic and numpy ufuncs return it unchanged, the left operand's
+    when two meet, so it reaches exactly the entries that evaluate the
+    leaf; :func:`_run` raises its message.
+    """
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def _same(self, *_):
+        return self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _same
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        return next(x for x in inputs if isinstance(x, _Unevaluable))
 
 
 class _FieldGrids(dict):
@@ -369,21 +365,29 @@ class _FieldGrids(dict):
 
 
 def _convolve(l: dict, r: dict, plan: list) -> dict:
-    """Entry k is the sum over the plan's pairs (p, q) of l[p] * r[q]."""
+    """Entry k is the sum over the plan's pairs (p, q) of l[p] * r[q].
+
+    Each product is added on the left of the sum so far, which moves no bit
+    but lets an :class:`_Unevaluable` in a later pair win, as the expansion
+    of (l r)' = l' r + l r' reads l' first.
+    """
     out = {}
     for k, pairs in plan:
         (p, q), *rest = pairs
         acc = l[p] * r[q]
         for p, q in rest:
-            acc = acc + l[p] * r[q]
+            acc = l[p] * r[q] + acc
         out[k] = acc
     return out
 
 
 def _run(prog: list, field: _FieldGrids) -> np.ndarray:
     """The residual grid of a program from :func:`_compile` on one
-    surrogate's grids."""
+    surrogate's grids; :class:`UnsupportedNode` if the residual's value
+    uses a leaf the expansion cannot evaluate."""
     out = _jet(prog, field)[(0, 0)]
+    if isinstance(out, _Unevaluable):
+        raise UnsupportedNode(out.message)
     return np.broadcast_to(np.asarray(out, dtype=float), field.shape).copy()
 
 
@@ -414,12 +418,13 @@ def _jet(prog: list, field: _FieldGrids | None) -> dict:
                 elif op == "mul":
                     push(_convolve(l, r, args[0]))
                 elif op == "div":  # (l - sum of r[m] q[k - m] over m != 0) / r[0]
-                    q = {}
+                    q, r0 = {}, r[(0, 0)]
                     for k, pairs in args[0]:
-                        acc = l[k]
+                        # past order 0 the expansion, l'/r - l r'/r^2, reads r right after l'
+                        acc = l[k] + r0 if pairs and isinstance(r0, _Unevaluable) else l[k]
                         for m, rest in pairs:
                             acc = acc - r[m] * q[rest]
-                        q[k] = np.divide(acc, r[(0, 0)])
+                        q[k] = np.divide(acc, r0)
                     push(q)
                 else:  # a non-integer power, at order 0 only
                     push({(0, 0): np.power(l[(0, 0)], r[(0, 0)])})
@@ -432,12 +437,12 @@ def _chain(a: dict, fn: str, n: float, need: tuple, coeffs: list, powers: list) 
     a0 = a[(0, 0)]
     out = {}
     if (0, 0) in need:  # a^n of a negative base is slow: skip it when unused
-        f = np.power(a0, n) if fn == "pow" else np.sin(a0) if fn == "sin" else np.cos(a0)
-        out[(0, 0)] = f
+        out[(0, 0)] = np.power(a0, n) if fn == "pow" else np.sin(a0) if fn == "sin" else np.cos(a0)
     if not coeffs:
         return out
     if fn == "pow":
-        scales = [scale * np.power(a0, p) for scale, p in coeffs]
+        # a0^0 is 1.0 for every float, and d(a^1) never evaluates a
+        scales = [scale * np.power(a0, p) if p else scale for scale, p in coeffs]
     else:
         s, c = np.sin(a0), np.cos(a0)
         scales = [scale * (c if use_cos else s) for scale, use_cos in coeffs]
@@ -581,5 +586,5 @@ def _flux_term(factors: tuple[Expr, ...]):
         if factors == (Deriv(flux.expr, "x", 1),):
             return kind, 1.0
         if len(factors) == 2 and ux in factors and flux.product in factors:
-            return kind, flux.scale
+            return kind, 1.0 / flux.slope
     return None

@@ -72,10 +72,6 @@ class ParticleEnsemble:
     def size(self) -> int:
         return self.particles.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
-
     def mean(self) -> np.ndarray:
         return self.particles.mean(axis=0)
 

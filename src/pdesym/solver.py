@@ -80,14 +80,13 @@ class Flux:
     ``flux(q1, u, out)`` is ``q1 f(u)`` and ``speed(slope * q1, u, out)`` is
     ``|q1 f'(u)|``; both write into ``out`` when it is given. ``expr`` is
     ``f`` as an expression; ``c * product * u_x`` is the expanded form of
-    ``(scale c) (f(u))_x``."""
+    ``(c / slope) (f(u))_x``."""
 
     flux: Callable
     speed: Callable
     slope: float
     expr: Expr
     product: Expr
-    scale: float
 
 
 FLUXES = {
@@ -97,7 +96,6 @@ FLUXES = {
         2.0,
         Binary("pow", FIELD, Int(2)),
         FIELD,
-        0.5,
     ),
     "cubic": Flux(
         lambda q1, u, out=None: _power(q1, u, 3, out),
@@ -105,7 +103,6 @@ FLUXES = {
         3.0,
         Binary("pow", FIELD, Int(3)),
         Binary("pow", FIELD, Int(2)),
-        1.0 / 3.0,
     ),
     "sine": Flux(
         lambda q1, u, out=None: np.multiply(q1, np.sin(u, out=out), out=out),
@@ -115,7 +112,6 @@ FLUXES = {
         1.0,
         Unary("sin", FIELD),
         Unary("cos", FIELD),
-        1.0,
     ),
 }
 
@@ -150,10 +146,6 @@ class Grid1D:
             raise ValueError("nx must be >= 8")
         if not (math.isfinite(self.dx) and self.dx > 0.0):
             raise ValueError("dx must be finite and positive")
-
-    @property
-    def length(self) -> float:
-        return self.nx * self.dx
 
     def cells(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.nx)

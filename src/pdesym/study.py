@@ -40,16 +40,6 @@ class StudyRow:
     timeseries_without: float
     timeseries_with: float
 
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "trials": self.trials,
-            "symbolic_without": self.symbolic_without,
-            "symbolic_with": self.symbolic_with,
-            "timeseries_without": self.timeseries_without,
-            "timeseries_with": self.timeseries_with,
-        }
-
 
 def run_trial(family: str, trial_seed, coeff_error: float, cfg: FilterConfig):
     """One trial; returns (sym_without, sym_with, ts_without, ts_with)."""
@@ -86,6 +76,12 @@ def run_trial(family: str, trial_seed, coeff_error: float, cfg: FilterConfig):
 
 def run_study(families=STUDY_FAMILIES, trials: int = 20, coeff_error: float = 0.03,
               seed: int = 0, filter_config: FilterConfig | None = None) -> list[StudyRow]:
+    """One row of mean errors per family, over ``trials`` trials each."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    for family in families:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; known families: {', '.join(FAMILIES)}")
     cfg = filter_config if filter_config is not None else FilterConfig()
     rows = []
     for fam_idx, family in enumerate(families):

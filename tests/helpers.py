@@ -73,6 +73,33 @@ def random_general_tree(rng, depth: int = 4) -> Expr:
                   random_general_tree(rng, depth - 1))
 
 
+def random_deriv_tree(rng, depth: int = 4) -> Expr:
+    """Random tree with derivative nodes over composite subtrees and the
+    unbound variables ``y`` and ``k`` among its leaves."""
+    if depth == 0 or rng.random() < 0.25:
+        choice = rng.integers(5)
+        if choice == 0:
+            return FIELD
+        if choice == 1:
+            return Deriv(FIELD, ["x", "t"][rng.integers(2)], int(rng.integers(1, 3)))
+        if choice == 2:
+            return Var(["x", "t", "y", "k"][rng.integers(4)])
+        if choice == 3:
+            return Var(["y", "k"][rng.integers(2)])
+        return Const(float(np.round(rng.uniform(-2.0, 2.0), 3)))
+    choice = rng.integers(9)
+    if choice < 4:
+        op = ["add", "sub", "mul", "div"][choice]
+        return Binary(op, random_deriv_tree(rng, depth - 1), random_deriv_tree(rng, depth - 1))
+    if choice == 4:
+        return Binary("pow", random_deriv_tree(rng, depth - 1), Int(int(rng.integers(-1, 4))))
+    if choice == 5:
+        fn = ["sin", "cos", "neg"][rng.integers(3)]
+        return Unary(fn, random_deriv_tree(rng, depth - 1))
+    var = ["x", "t"][rng.integers(2)]
+    return Deriv(random_deriv_tree(rng, depth - 1), var, int(rng.integers(1, 3)))
+
+
 def oracle_euler_step(flux_kind: str, q1: float, q2: float, u, dt: float, dx: float):
     """Straight-line, loop-based re-implementation of one conservative
     forward-Euler update (local Lax-Friedrichs flux + central diffusion)."""

@@ -306,6 +306,43 @@ def test_study_csv_output(tmp_path, capsys):
     assert lines[1].startswith("icl_sine,2,")
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--families", "burgers", "--trials", "0"), "trials must be at least 1"),
+    (("--families", "burgers", "--trials", "-2"), "trials must be at least 1"),
+    (("--families", "nope"), "unknown family 'nope'; known families: burgers,"),
+    (("--families", "icl_sine,nope", "--trials", "1"), "unknown family 'nope'"),
+])
+def test_study_rejects_values_it_cannot_report(capsys, flags, message):
+    code, out, err = run_cli(capsys, "study", *flags)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith(message)
+
+
+def test_non_finite_study_scores_are_numeric_errors(capsys, monkeypatch):
+    from pdesym import study
+
+    monkeypatch.setattr(study, "run_trial", lambda *args: (0.1, float("nan"), 0.2, 0.3))
+    code, out, err = run_cli(capsys, "study", "--families", "burgers", "--trials", "1")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "NonFiniteState", "message": "symbolic_with is nan"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "--expr", "u_t + u*u_x"),
+    ("canon", "--expr", "u_t + u*u_x"),
+    ("tokens", "--eq", "u_t + u*u_x"),
+    ("solve", "--family", "burgers", "--output-grid", "unused.grid"),
+])
+def test_seed_is_a_usage_error_where_nothing_reads_it(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "5")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "_UsageError", "message": "unrecognized arguments: --seed 5",
+    }
+
+
 def test_eval_with_learned_tokens(tmp_path, capsys):
     data = tmp_path / "data"
     run_cli(

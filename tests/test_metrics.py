@@ -35,7 +35,7 @@ from pdesym.perturb import PerturbConfig, inject_noise_term, swap_branches
 from pdesym.solver import FLUXES, SpaceTimeField, solve
 from pdesym.tokens import Dialect, TokenSeq, to_canonical_tokens
 
-from helpers import random_general_tree, random_manual_tree
+from helpers import random_deriv_tree, random_general_tree, random_manual_tree
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +203,8 @@ _TS = np.linspace(0.0, 1.0, 32)
 def _outcome(compute):
     try:
         return None, compute()
-    except Exception as exc:  # the two paths must fail alike, whatever the type
-        return type(exc), None
+    except Exception as exc:  # the two paths must fail alike, message included
+        return (type(exc), str(exc)), None
 
 
 def _assert_matches_symbolic_path(residual, surrogates):
@@ -258,6 +258,13 @@ def test_jets_match_symbolic_path_on_random_trees():
         _assert_matches_symbolic_path(tree, [PolySurrogate.random(rng)])
 
 
+def test_jets_match_symbolic_path_on_derivatives_of_composite_trees():
+    rng = np.random.default_rng(2027)
+    for _ in range(200):
+        tree = random_deriv_tree(rng, int(rng.integers(2, 5)))
+        _assert_matches_symbolic_path(tree, [PolySurrogate.random(rng)])
+
+
 @pytest.mark.parametrize("src", [
     "((u^2)_x)_t",
     "(u_t)_xx",
@@ -278,6 +285,27 @@ def test_jets_match_symbolic_path_on_random_trees():
     "((y + u)^1)_x",
     "(y + u)_x",
     "(y*u)_x",
+    # two unevaluable leaves meet
+    "k*1.695 - (y - u_t)",
+    "k/y + u",
+    "(k/y)_x",
+    "((k/y)_x)_t",
+    "(k*y*u)_xx",
+    "((k*u)*(y - u))_x",
+    "(u/(k + y))_xx",
+    "sin(k*u)*cos(y) + (y*k)^2",
+    # an unevaluable leaf under (...)^1 inside a derivative
+    "(y^1)_x + u",
+    "((y*u)^1)_x",
+    "((k + y*u)^1)_xx",
+    "((k/y)^1)_x",
+    "(((y^1)_x*u)^1)_t",
+    # an unevaluable leaf in a field-free subtree, folded once at compile time
+    "(k*y)_x + u",
+    "u_t + (y/k)_xx*u",
+    "sin(k*y)*u_x",
+    "(x*y)_x*u + (t^2*k)_t",
+    "(k^1)_x*u",
 ])
 def test_jets_match_symbolic_path_on_hand_cases(src):
     rng = np.random.default_rng(8)
@@ -291,6 +319,10 @@ def test_jets_match_symbolic_path_on_hand_cases(src):
     Deriv(Binary("pow", FIELD, Const(2.0)), "x", 1),
     Binary("pow", Var("x"), FIELD),
     Binary("add", Deriv(Var("k"), "x", 2), Deriv(Deriv(FIELD, "x", 3), "t", 2)),
+    Deriv(Deriv(Binary("mul", Var("k"), Placeholder()), "x", 2), "x", 1),
+    Deriv(Binary("div", Placeholder(), Binary("add", Var("y"), FIELD)), "t", 1),
+    Binary("add", Binary("mul", Placeholder(), Var("y")), Deriv(Int(10**400), "x", 1)),
+    Binary("mul", Binary("pow", Binary("mul", Var("k"), Placeholder()), Int(1)), FIELD),
 ])
 def test_jets_match_symbolic_path_on_trees_without_infix(tree):
     rng = np.random.default_rng(9)
