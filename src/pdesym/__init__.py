@@ -40,10 +40,7 @@ from .expr import (
     Placeholder,
     Unary,
     Var,
-    differentiate,
-    evaluate,
     parse_infix,
-    substitute_field,
     to_infix,
 )
 from .metrics import (

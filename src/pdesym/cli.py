@@ -22,7 +22,6 @@ from . import datagen, metrics, perturb, smc, solver, study
 from .canon import build, terms
 from .errors import (
     AllWeightsDegenerate,
-    CFLViolation,
     DecodeError,
     DegenerateReference,
     DivisionByZero,
@@ -54,7 +53,6 @@ _DATA_ERRORS = (
     json.JSONDecodeError,
 )
 _NUMERIC_ERRORS = (
-    CFLViolation,
     NonFiniteState,
     AllWeightsDegenerate,
     DivisionByZero,

@@ -11,14 +11,16 @@ is below 100%.
 
 Residuals are evaluated as Taylor jets (forward-mode Taylor arithmetic,
 Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 13), not by
-expanding each derivative node symbolically. A residual compiles once into
-a postfix program over its unexpanded tree, in one explicit-stack walk;
-the program then runs once per surrogate. Each node's value is a jet: a
-dict from multi-index (i, j) to the grid of d^i/dx^i d^j/dt^j f / (i! j!),
-holding only the entries the derivative nodes above it need. A leaf that
-the expanded residual could not evaluate (an unbound variable, say) is an
-entry that carries its error through the arithmetic, so the error surfaces
-when the program runs, and only if the residual's value uses that leaf.
+expanding each derivative node symbolically; that expansion is the
+reference the tests check the jets against, and it lives with them in
+``tests/helpers.py``. A residual compiles once into a postfix program over
+its unexpanded tree, in one explicit-stack walk; the program then runs
+once per surrogate. Each node's value is a jet: a dict from multi-index
+(i, j) to the grid of d^i/dx^i d^j/dt^j f / (i! j!), holding only the
+entries the derivative nodes above it need. A leaf that the expanded
+residual could not evaluate (an unbound variable, say) is an entry that
+carries its error through the arithmetic, so the error surfaces when the
+program runs, and only if the residual's value uses that leaf.
 ``symbolic_error`` shares one surrogate's field grids between the truth and
 the learned residual.
 """
@@ -94,9 +96,9 @@ def _polyval(coeffs, z, order: int):
     """The ``order``-th derivative of sum_k c_k z^k.
 
     Term k is c_k * (k * ((k-1) * (... * z^(k-order)))), summed over k in
-    turn: the order in which :func:`evaluate` computes the symbolic
-    derivative of :meth:`PolySurrogate.as_expr`, so the two agree bit for
-    bit.
+    turn: the order in which the symbolic-expansion reference in
+    ``tests/helpers.py`` evaluates the derivative of the surrogate's
+    polynomial tree, so the two agree bit for bit.
     """
     out = np.full_like(np.asarray(z, dtype=float), 0.0 if order else coeffs[0])
     for k, c in enumerate(coeffs[1:], start=1):
@@ -127,20 +129,6 @@ class PolySurrogate:
     def value(self, x, t, dx_order: int = 0, dt_order: int = 0):
         return _polyval(self.c[:3], t, dt_order) * _polyval(self.c[3:], x, dx_order)
 
-    def as_expr(self) -> Expr:
-        t, x = Var("t"), Var("x")
-        tpart = _poly_expr(self.c[:3], t)
-        xpart = _poly_expr(self.c[3:], x)
-        return Binary("mul", tpart, xpart)
-
-
-def _poly_expr(coeffs, var: Var) -> Expr:
-    node: Expr = Const(coeffs[0])
-    for k, c in enumerate(coeffs[1:], start=1):
-        power = var if k == 1 else Binary("pow", var, Int(k))
-        node = Binary("add", node, Binary("mul", Const(c), power))
-    return node
-
 
 def residual_on_surrogate(eq, surrogate: PolySurrogate, xs: np.ndarray,
                           ts: np.ndarray) -> np.ndarray:
@@ -154,12 +142,13 @@ def residual_on_surrogate(eq, surrogate: PolySurrogate, xs: np.ndarray,
     Leibniz rule, quotients its recurrence, and ``sin``, ``cos`` and integer
     powers the chain rule (Faa di Bruno) around their order-0 value.
 
-    The reference is ``evaluate(substitute_field(eq.residual,
-    P.as_expr()), {"x": X, "t": T})``. This raises :class:`UnsupportedNode`
-    wherever the reference does. It matches the reference bit for bit when
-    every derivative node applies to the field itself, since the field's
-    grids and every order-0 value use the reference's arithmetic, and to
-    rounding otherwise. Derivatives of other nodes are supported up to total
+    The reference, kept in ``tests/helpers.py``, substitutes P's polynomial
+    tree for the field, expands every derivative node symbolically and
+    evaluates the result. This raises :class:`UnsupportedNode` wherever the
+    reference does. It matches the reference bit for bit when every
+    derivative node applies to the field itself, since the field's grids
+    and every order-0 value use the reference's arithmetic, and to rounding
+    otherwise. Derivatives of other nodes are supported up to total
     order :data:`MAX_JET_ORDER`.
     """
     X, T = np.meshgrid(xs, ts)

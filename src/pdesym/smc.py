@@ -51,12 +51,12 @@ class FilterConfig:
             raise ValueError("particles must be >= 2")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.process_var <= 0.0:
-            raise ValueError("process_var must be positive")
-        if self.obs_scale <= 0.0:
-            raise ValueError("obs_scale must be positive")
-        if self.init_rel_halfwidth < 0.0:
-            raise ValueError("init_rel_halfwidth must be >= 0")
+        if not 0.0 < self.process_var < np.inf:
+            raise ValueError("process_var must be positive and finite")
+        if not 0.0 < self.obs_scale < np.inf:
+            raise ValueError("obs_scale must be positive and finite")
+        if not 0.0 <= self.init_rel_halfwidth < np.inf:
+            raise ValueError("init_rel_halfwidth must be >= 0 and finite")
         if self.likelihood not in LIKELIHOODS:
             raise ValueError(f"likelihood must be one of {LIKELIHOODS}")
 

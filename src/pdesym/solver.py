@@ -539,8 +539,8 @@ def solve_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray, u0: np.ndarra
     """
     if flux_kind not in FLUXES:
         raise ValueError(f"flux_kind must be one of {tuple(FLUXES)}")
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
+    if not 0.0 < t_final < math.inf:
+        raise ValueError("t_final must be finite and positive")
     if nt_out < 2:
         raise ValueError("nt_out must be >= 2")
     q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)

@@ -1,18 +1,32 @@
 """Shared test utilities: seeded random expression trees and independent
-numerical oracles."""
+numerical oracles.
+
+The symbolic-expansion reference for ``metrics.residual_on_surrogate``
+lives here: :func:`substitute_field` puts a surrogate's polynomial tree
+(:func:`surrogate_expr`) in place of the field and expands every
+derivative node with :func:`differentiate`, and :func:`evaluate` computes
+the result on a grid. The package scores residuals with Taylor jets only;
+the tests check the jets, and canonicalization, against this path."""
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
+from pdesym.errors import UnsupportedNode
 from pdesym.expr import (
     FIELD,
     Binary,
     Const,
     Deriv,
     Expr,
+    Field,
     Int,
+    Placeholder,
     Unary,
     Var,
+    int_to_float,
+    walk,
 )
 
 _MANUAL_DERIVS = [("t", 1), ("x", 1), ("x", 2), ("x", 3)]
@@ -99,6 +113,163 @@ def random_deriv_tree(rng, depth: int = 4) -> Expr:
     var = ["x", "t"][rng.integers(2)]
     return Deriv(random_deriv_tree(rng, depth - 1), var, int(rng.integers(1, 3)))
 
+
+# ---------------------------------------------------------------------------
+# symbolic-expansion reference for the Taylor jets
+
+def _fold_shared(root: Expr, enter, leave):
+    """:func:`walk` for folds whose value depends on the node alone: a
+    subtree reached again through another parent (the same object, as
+    :func:`differentiate` shares its operands) takes its first value and is
+    not walked again, so the fold is linear in the shared graph."""
+    memo = {}
+
+    def enter_once(e, ctx):
+        value = memo.get(id(e), memo)
+        return enter(e, ctx) if value is memo else (value,)
+
+    def leave_once(e, note, *values):
+        memo[id(e)] = value = leave(e, note, *values)
+        return value
+
+    return walk(root, enter_once, leave_once)
+
+
+def differentiate(e: Expr, var: str) -> Expr:
+    """Symbolic partial derivative with respect to ``var``.
+
+    Placeholders differentiate to zero (they stand for unknown constants).
+    Mixed partials of the field and non-integer powers are unsupported.
+    """
+
+    def enter(e, _):
+        t = type(e)
+        if t is Binary or t is Unary:
+            return None
+        if t is Const or t is Int or t is Placeholder:
+            return (Const(0.0),)
+        if t is Var:
+            return (Const(1.0 if e.name == var else 0.0),)
+        if t is Field:
+            return (Deriv(FIELD, var, 1),)
+        if t is Deriv:
+            if e.var == var:
+                return (Deriv(e.child, var, e.order + 1),)
+            raise UnsupportedNode("mixed partial derivatives are not supported")
+        raise UnsupportedNode(f"cannot differentiate {t.__name__}")
+
+    def leave(e, _, dl, dr=None):
+        if type(e) is Unary:
+            if e.fn == "neg":
+                return Unary("neg", dl)
+            if e.fn == "sin":
+                return Binary("mul", Unary("cos", e.child), dl)
+            return Binary("mul", Binary("mul", Const(-1.0), Unary("sin", e.child)), dl)
+        if e.op in ("add", "sub"):
+            return Binary(e.op, dl, dr)
+        if e.op == "mul":
+            return Binary(
+                "add", Binary("mul", dl, e.right), Binary("mul", e.left, dr)
+            )
+        if e.op == "div":
+            return Binary(
+                "sub",
+                Binary("div", dl, e.right),
+                Binary("div", Binary("mul", e.left, dr), Binary("pow", e.right, Int(2))),
+            )
+        if isinstance(e.right, Int):
+            n = e.right.value
+            inner = Binary("pow", e.left, Int(n - 1)) if n != 1 else Const(1.0)
+            return Binary("mul", Const(int_to_float(n)), Binary("mul", inner, dl))
+        raise UnsupportedNode("cannot differentiate a non-integer power")
+
+    return _fold_shared(e, enter, leave)
+
+
+def substitute_field(e: Expr, replacement: Expr) -> Expr:
+    """Replace the field with ``replacement`` and expand derivative nodes.
+
+    ``Deriv`` nodes are expanded by symbolically differentiating their
+    (substituted) child, so the result contains only ordinary arithmetic
+    over variables and constants.
+    """
+
+    def enter(e, _):
+        t = type(e)
+        if t is Binary or t is Unary or t is Deriv:
+            return None
+        return (replacement if t is Field else e,)
+
+    def leave(e, _, *kids):
+        t = type(e)
+        if t is Deriv:
+            node = kids[0]
+            for _ in range(e.order):
+                node = differentiate(node, e.var)
+            return node
+        if t is Unary:
+            return Unary(e.fn, kids[0])
+        return Binary(e.op, *kids)
+
+    return _fold_shared(e, enter, leave)
+
+
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+               "div": np.divide, "pow": np.power}
+
+
+def evaluate(e: Expr, env):
+    """Numerically evaluate a tree over an environment of variable values.
+
+    ``env`` maps variable names to scalars or numpy arrays. The field,
+    derivative nodes and placeholders are not evaluable directly; substitute
+    them away first (see :func:`substitute_field`). Division follows numpy
+    for scalars too: a zero divisor gives inf or NaN, not an exception.
+    """
+
+    def enter(e, _):
+        t = type(e)
+        if t is Binary or t is Unary:
+            return None
+        if t is Const:
+            return (e.value,)
+        if t is Int:
+            return (int_to_float(e.value),)
+        if t is Var:
+            if e.name not in env:
+                raise UnsupportedNode(f"unbound variable {e.name!r}")
+            return (env[e.name],)
+        if t is Field or t is Deriv or t is Placeholder:
+            raise UnsupportedNode(f"{t.__name__} is not directly evaluable")
+        raise UnsupportedNode(f"cannot evaluate {t.__name__}")
+
+    def leave(e, _, l, r=None):
+        if type(e) is Unary:
+            return np.sin(l) if e.fn == "sin" else np.cos(l) if e.fn == "cos" else -l
+        return _ARITHMETIC[e.op](l, r)
+
+    with np.errstate(all="ignore"):
+        return _fold_shared(e, enter, leave)
+
+
+def surrogate_expr(p) -> Expr:
+    """The ``metrics.PolySurrogate`` ``p`` as a tree over ``x`` and ``t``."""
+    t, x = Var("t"), Var("x")
+    tpart = _poly_expr(p.c[:3], t)
+    xpart = _poly_expr(p.c[3:], x)
+    return Binary("mul", tpart, xpart)
+
+
+def _poly_expr(coeffs, var: Var) -> Expr:
+    node: Expr = Const(coeffs[0])
+    for k, c in enumerate(coeffs[1:], start=1):
+        power = var if k == 1 else Binary("pow", var, Int(k))
+        node = Binary("add", node, Binary("mul", Const(c), power))
+    return node
+
+
+# ---------------------------------------------------------------------------
+# solver oracle
 
 def oracle_euler_step(flux_kind: str, q1: float, q2: float, u, dt: float, dx: float):
     """Straight-line, loop-based re-implementation of one conservative

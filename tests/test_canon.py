@@ -18,15 +18,19 @@ from pdesym.expr import (
     Int,
     Unary,
     Var,
-    evaluate,
     parse_infix,
-    substitute_field,
 )
 from pdesym.metrics import PolySurrogate
 from pdesym.perturb import PerturbConfig, swap_branches
 from pdesym.tokens import to_canonical_tokens
 
-from helpers import random_general_tree, random_manual_tree
+from helpers import (
+    evaluate,
+    random_general_tree,
+    random_manual_tree,
+    substitute_field,
+    surrogate_expr,
+)
 
 
 def canon(src: str):
@@ -307,7 +311,7 @@ def test_order_invariance_under_branch_swaps(seed, swap_seed):
 
 def _sample_values(tree, n_points=64, seed=0):
     surrogate = PolySurrogate((0.3, -0.7, 0.45, 0.8, -0.2, 0.6, -0.35, 0.15))
-    body = substitute_field(tree, surrogate.as_expr())
+    body = substitute_field(tree, surrogate_expr(surrogate))
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, n_points)
     ts = rng.uniform(0.0, 1.0, n_points)

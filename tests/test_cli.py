@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pdesym
 from pdesym.cli import main
 
 
@@ -452,18 +457,24 @@ def test_non_finite_grid_samples_are_a_data_error(tmp_path, capsys):
                                "message": f"{grid_path}: not a PDEGRID1 file"}
 
 
-@pytest.mark.parametrize("alpha0", ["nan", "inf", "-inf,0.05", "0.5,0.05,1"])
-def test_malformed_alpha0_is_a_data_error(tmp_path, capsys, alpha0):
+def _refine_burgers(tmp_path, capsys, *flags):
+    """``refine`` of a generated burgers record: 8 particles, 2 steps."""
     data = tmp_path / "data"
-    run_cli(capsys, "gen", "--out", str(data), "--families", "burgers",
-            "--params", "1", "--ics", "1", "--seed", "3")
+    if not data.exists():
+        run_cli(capsys, "gen", "--out", str(data), "--families", "burgers",
+                "--params", "1", "--ics", "1", "--seed", "3")
     entry = json.loads((data / "manifest.json").read_text())["entries"][0]
-    code, out, err = run_cli(
+    return run_cli(
         capsys, "refine",
         "--equation", str(data / entry["equation"]),
         "--observations", str(data / entry["trajectory"]),
-        f"--alpha0={alpha0}", "--particles", "8", "--steps", "2",
+        *flags, "--particles", "8", "--steps", "2",
     )
+
+
+@pytest.mark.parametrize("alpha0", ["nan", "inf", "-inf,0.05", "0.5,0.05,1"])
+def test_malformed_alpha0_is_a_data_error(tmp_path, capsys, alpha0):
+    code, out, err = _refine_burgers(tmp_path, capsys, f"--alpha0={alpha0}")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "ValueError"
 
@@ -486,3 +497,43 @@ def test_refine_fails_particles_that_need_too_many_substeps(tmp_path, capsys):
     )
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "AllWeightsDegenerate"
+
+
+def test_refine_with_norm_likelihood(tmp_path, capsys):
+    code, out, err = _refine_burgers(tmp_path, capsys, "--likelihood", "norm")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert len(payload["refined_coefficients"]) == 2
+    assert len(payload["ess_per_step"]) == 2
+    assert np.isfinite(payload["refined_coefficients"]).all()
+    _, pointwise, _ = _refine_burgers(tmp_path, capsys)
+    assert json.loads(pointwise)["refined_coefficients"] != payload["refined_coefficients"]
+
+
+@pytest.mark.parametrize("flag", ["--process-var=nan", "--obs-scale=inf"])
+def test_non_finite_filter_settings_are_data_errors(tmp_path, capsys, flag):
+    code, out, err = _refine_burgers(tmp_path, capsys, flag)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].endswith("must be positive and finite")
+
+
+@pytest.mark.parametrize("t_final", ["nan", "inf"])
+def test_non_finite_horizon_is_one_json_error_line(tmp_path, t_final):
+    """``solve --t-final inf`` (or nan) writes its data error to stderr and
+    nothing else: no numpy warning escapes from forming the output times,
+    and the message names the horizon."""
+    src = str(pathlib.Path(pdesym.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="default")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdesym.cli", "solve", "--family", "burgers",
+         "--t-final", t_final, "--nt", "3", "--output-grid", str(tmp_path / "traj.grid")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ValueError",
+                                    "message": "t_final must be finite and positive"}

@@ -21,17 +21,21 @@ from pdesym.expr import (
     Placeholder,
     Unary,
     Var,
-    differentiate,
-    evaluate,
     parse_infix,
-    substitute_field,
     to_infix,
 )
 from pdesym.metrics import symbolic_error
 from pdesym.perturb import PerturbConfig, swap_branches
 from pdesym.tokens import from_tokens, to_canonical_tokens, to_manual_tokens
 
-from helpers import random_manual_tree
+import helpers
+from helpers import (
+    differentiate,
+    evaluate,
+    random_manual_tree,
+    substitute_field,
+    surrogate_expr,
+)
 
 
 def test_parse_sine_flux_equation():
@@ -354,14 +358,14 @@ def test_shared_subtrees_are_expanded_and_evaluated_once(monkeypatch):
     from pdesym import expr
     from pdesym.metrics import PolySurrogate
 
-    p = PolySurrogate((0.3, -0.7, 0.45, 0.8, -0.2, 0.6, -0.35, 0.15)).as_expr()
+    p = surrogate_expr(PolySurrogate((0.3, -0.7, 0.45, 0.8, -0.2, 0.6, -0.35, 0.15)))
     env = {"x": np.linspace(-1.0, 1.0, 64), "t": 0.25}
     start = time.perf_counter()
     big = evaluate(substitute_field(_nested_flux_derivative(6), p), env)
     assert time.perf_counter() - start < 1.0
     assert big.shape == (64,) and np.isfinite(big).all()
     ours = [evaluate(substitute_field(_nested_flux_derivative(k), p), env) for k in range(5)]
-    monkeypatch.setattr(expr, "_fold_shared", expr.walk)
+    monkeypatch.setattr(helpers, "_fold_shared", expr.walk)
     for k in range(5):
         tree_walk = evaluate(substitute_field(_nested_flux_derivative(k), p), env)
         assert ours[k].tobytes() == tree_walk.tobytes()

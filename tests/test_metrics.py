@@ -15,9 +15,7 @@ from pdesym.expr import (
     Int,
     Placeholder,
     Var,
-    evaluate,
     parse_infix,
-    substitute_field,
 )
 from pdesym.metrics import (
     PolySurrogate,
@@ -35,7 +33,15 @@ from pdesym.perturb import PerturbConfig, inject_noise_term, swap_branches
 from pdesym.solver import FLUXES, SpaceTimeField, solve
 from pdesym.tokens import Dialect, TokenSeq, to_canonical_tokens
 
-from helpers import random_deriv_tree, random_general_tree, random_manual_tree
+from helpers import (
+    differentiate,
+    evaluate,
+    random_deriv_tree,
+    random_general_tree,
+    random_manual_tree,
+    substitute_field,
+    surrogate_expr,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +95,10 @@ def test_surrogate_closed_form_derivatives_match_symbolic():
     X, T = np.meshgrid(xs, ts)
     for _ in range(10):
         surrogate = PolySurrogate.random(rng)
-        expr = surrogate.as_expr()
+        expr = surrogate_expr(surrogate)
         for dx_order, dt_order in [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)]:
             closed = surrogate.value(X, T, dx_order=dx_order, dt_order=dt_order)
             node = expr
-            from pdesym.expr import differentiate
-
             for _ in range(dx_order):
                 node = differentiate(node, "x")
             for _ in range(dt_order):
@@ -212,7 +216,7 @@ def _assert_matches_symbolic_path(residual, surrogates):
     for surrogate in surrogates:
         def symbolic():
             with np.errstate(all="ignore"):
-                body = substitute_field(residual, surrogate.as_expr())
+                body = substitute_field(residual, surrogate_expr(surrogate))
                 vals = evaluate(body, {"x": X, "t": T})
             return np.broadcast_to(np.asarray(vals, dtype=float), X.shape)
 
@@ -343,7 +347,7 @@ def test_symbolic_error_of_deriv_free_residuals_keeps_evaluate_bits():
     eq = parse_infix("u*u_x + sin(u)/(1 + x*t) - u_xx^2")
     surrogate = PolySurrogate.random(np.random.default_rng(3))
     X, T = np.meshgrid(_XS, _TS)
-    want = evaluate(substitute_field(eq.residual, surrogate.as_expr()), {"x": X, "t": T})
+    want = evaluate(substitute_field(eq.residual, surrogate_expr(surrogate)), {"x": X, "t": T})
     assert np.array_equal(residual_on_surrogate(eq, surrogate, _XS, _TS), want)
 
 

@@ -173,6 +173,26 @@ def test_negative_viscosity_particles_are_rejected():
     assert out.weights[0] > 0.0 and out.weights[2] > 0.0
 
 
+def test_norm_likelihood_weights_the_dx_scaled_residual_norm():
+    """Under ``likelihood="norm"`` a particle's squared residual is
+    dx * sum((u_obs - u_hat)^2) over its advanced state u_hat."""
+    obs, law = _observations(family="burgers", q1=0.5, q2=0.05, seed=3)
+    cfg = FilterConfig(particles=4, seed=3, likelihood="norm")
+    particles = np.array([[0.5, 0.05], [0.52, 0.05], [0.47, 0.06], [0.5, 0.03]])
+    ens = ParticleEnsemble(particles, np.full(4, 0.25))
+    dt = float(obs.times[2] - obs.times[1])
+    ref = discrete_l2(obs.states[0], obs.grid.dx)
+    out = reweight(ens, obs.states[1], obs.states[2], law, cfg, dt, obs.grid, ref)
+    u_hat, ok = advance_ensemble(law.flux_kind, particles[:, 0], particles[:, 1],
+                                 obs.states[1], dt, obs.grid)
+    assert ok.all()
+    sq = obs.grid.dx * np.sum((obs.states[2] - u_hat) ** 2, axis=1)
+    assert np.array_equal(out.weights, weights_from_sq_residuals(sq, cfg.obs_scale * ref))
+    pointwise = reweight(ens, obs.states[1], obs.states[2], law, FilterConfig(particles=4),
+                         dt, obs.grid, ref)
+    assert not np.array_equal(out.weights, pointwise.weights)
+
+
 def test_batched_advance_matches_scalar_solver_bitwise():
     """Every row of a batch equals that row advanced alone, which is the
     one-row path ``solve`` takes; a failing row disturbs none of the others."""
@@ -387,6 +407,10 @@ def test_config_validation():
         FilterConfig(process_var=0.0)
     with pytest.raises(ValueError):
         FilterConfig(likelihood="exotic")
+    for field in ("process_var", "obs_scale", "init_rel_halfwidth"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=field):
+                FilterConfig(**{field: value})
 
 
 def test_observation_seq_validation():

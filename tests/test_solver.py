@@ -340,11 +340,14 @@ def test_solve_ensemble_rows_match_solve_and_flag_failures():
     [
         (-1.0, 4, np.zeros(128), ValueError),
         (0.0, 4, np.zeros(128), ValueError),
+        (np.nan, 4, np.zeros(128), ValueError),
+        (np.inf, 4, np.zeros(128), ValueError),
         (0.5, 1, np.zeros(128), ValueError),
         (0.5, 4, np.zeros(127), ValueError),
         (0.5, 4, np.full(128, np.nan), NonFiniteState),
     ],
-    ids=["negative-horizon", "zero-horizon", "one-frame", "wrong-shape", "non-finite-u0"],
+    ids=["negative-horizon", "zero-horizon", "nan-horizon", "inf-horizon", "one-frame",
+         "wrong-shape", "non-finite-u0"],
 )
 def test_solve_ensemble_rejects_what_solve_rejects(t_final, nt_out, u0, error):
     law = ConservationLaw("sine", 1.0, 0.05)
