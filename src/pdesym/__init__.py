@@ -20,6 +20,7 @@ from .errors import (
     DecodeError,
     DegenerateReference,
     DivisionByZero,
+    MalformedFile,
     NonFiniteState,
     NotSolvable,
     ParseError,

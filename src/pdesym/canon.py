@@ -10,8 +10,9 @@ mathematically equivalent inputs serialize to identical token sequences:
 3. merge identical factors of a term into integer powers and sort them by
    a total key;
 4. collect like terms once over the flattened sum: coefficients of terms
-   with the same factors are summed exactly (as fractions of the input
-   floats), exact zeros are dropped and each sum is rounded once;
+   with the same factors are summed exactly (every float is dyadic, an
+   integer times a power of two; a quotient's is a fraction), exact zeros
+   are dropped and each sum is rounded once;
 5. order terms by their factors' keys, the constant term last;
 6. re-binarize left to right.
 
@@ -25,10 +26,17 @@ Derivatives of the field are normalized as well: same-variable nests merge
 constant multiples are pulled out. Derivatives of composite expressions
 such as ``(u^2)_x`` are kept intact; no chain-rule expansion, distribution
 over products, or trigonometric rewriting is performed.
+
+Each root is folded once while it is among the last few asked for, so
+``equivalent(from_tokens(to_canonical_tokens(p)), p)`` walks ``p`` once.
+A function, power or derivative node that is its own canonical form is
+interned in a weak table: an equal node met later, in any tree, folds to
+it without a walk.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 
 from .errors import DivisionByZero, UnsupportedNode
@@ -43,72 +51,10 @@ from .expr import (
     Placeholder,
     Unary,
     Var,
+    cached_key,
+    canonical_key,
     walk,
 )
-
-_FN_RANK = {"sin": 0, "cos": 1, "neg": 2}
-_OP_RANK = {"pow": 0, "mul": 1, "add": 2, "sub": 3, "div": 4}
-
-# Class ranks put the coefficient-like placeholder first, then the field,
-# derivatives, applied functions, powers and variables, constants last.
-_RANK_PLACEHOLDER = 0
-_RANK_FIELD = 1
-_RANK_DERIV = 2
-_RANK_UNARY = 3
-_RANK_BINARY = 4
-_RANK_VAR = 5
-_RANK_INT = 8
-_RANK_CONST = 9
-
-
-def canonical_key(e: Expr) -> tuple:
-    """Total-order key over subtrees; equal keys imply identical trees.
-
-    The key is flat: every node's rank and fields in pre-order. A rank
-    fixes how many children follow it, so no key is a prefix of another and
-    flat keys sort as the nested ``(rank, fields, child keys)`` would. Being
-    flat, keys of deep trees compare and hash without recursion.
-    """
-    return _key(e, {})
-
-
-def _key(e: Expr, known: dict) -> tuple:
-    """:func:`canonical_key`, taking the key of a node ``n`` in the tree
-    from ``known[id(n)]`` where it has one."""
-    out = []
-    child = getattr(e, "child", None)
-    if id(child) in known:  # one step above a known key: no walk needed
-        _key_enter(e, (out, known))
-        out += known[id(child)]
-    else:
-        walk(e, _key_enter, None, (out, known))
-    return tuple(out)
-
-
-def _key_enter(e: Expr, ctx):
-    out, known = ctx
-    if known and id(e) in known:
-        out += known[id(e)]
-        return (None,)
-    t = type(e)
-    if t is Binary:
-        out += (_RANK_BINARY, _OP_RANK[e.op])
-    elif t is Unary:
-        out += (_RANK_UNARY, _FN_RANK[e.fn])
-    elif t is Deriv:
-        out += (_RANK_DERIV, e.var, e.order)
-    elif t is Field:
-        out.append(_RANK_FIELD)
-    elif t is Var:
-        out += (_RANK_VAR, e.name)
-    elif t is Int:
-        out += (_RANK_INT, e.value)
-    elif t is Const:
-        out += (_RANK_CONST, e.value)
-    elif t is Placeholder:
-        out.append(_RANK_PLACEHOLDER)
-    else:
-        raise TypeError(f"cannot key {t.__name__}")
 
 
 def canonicalize(e):
@@ -128,9 +74,10 @@ def terms(e: Expr) -> list[tuple[float, tuple[Expr, ...]]]:
 
     Factors are the term's non-constant factors, merged and sorted; the
     constant term has none. Terms are sorted by their factors' keys with
-    the constant term last. No terms means zero.
+    the constant term last. No terms means zero. A root is folded once
+    while it is among the last few asked for.
     """
-    return [(c, fs) for c, fs, _ in _round(_collect(_terms(e)))]
+    return list(_rounded(e))
 
 
 def build(terms) -> Expr:
@@ -138,7 +85,7 @@ def build(terms) -> Expr:
     given, as a sum of products; a coefficient of 1 is left out of a term
     that has factors. No terms give ``Const(0.0)``."""
     node = None
-    for coeff, factors, *_ in terms:
+    for coeff, factors in terms:
         if factors and coeff == 1.0:
             term, rest = factors[0], factors[1:]
         else:
@@ -161,29 +108,84 @@ def term_head(coeff: float, factors: tuple[Expr, ...]):
     return coeff, factors
 
 
-# Internally a term is (exact coefficient, factors, factor keys), so each
-# factor is keyed once, when it is made.
-_ONE = Fraction(1)
+def equivalent(a, b) -> bool:
+    """True iff the two expressions (or equations) share a canonical form.
+
+    Two canonical trees are equal exactly when their terms have equal
+    coefficients and factors, so the trees are not built.
+    """
+    sa, sb = (_rounded(e.residual if isinstance(e, Equation) else e) for e in (a, b))
+    return sa == sb
+
+
+# Internally a term is (exact coefficient, factors). An exact coefficient
+# is a pair (m, e) standing for m * 2**e; m is an int while the value is
+# dyadic, as every float is, and a Fraction only below a quotient. Factors
+# are sorted by their keys, which nodes cache.
+#
+# A function, power or derivative node that folds to itself, 1 times itself
+# as its one factor, is interned here. Every node equal to it then folds to
+# it without a walk, and every factor equal to it is that one node.
+_FACTORS = weakref.WeakValueDictionary()  # structural hash -> the node
+_ONE = (1, 0)
+# The rounded terms of the last few roots folded, by id(root): (root, terms),
+# oldest first. Holding the root keeps its id from being reused.
+_RECENT: dict[int, tuple] = {}
+_RECENT_ROOTS = 16
+
+
+def _rounded(e: Expr) -> list:
+    """The rounded terms of ``e``, folded once while ``e`` is among the last
+    few roots asked for."""
+    hit = _RECENT.get(id(e))
+    if hit is not None:
+        return hit[1]
+    ts = _round(_collect(_terms(e)))
+    _RECENT[id(e)] = (e, ts)
+    if len(_RECENT) > _RECENT_ROOTS:
+        del _RECENT[next(iter(_RECENT))]
+    return ts
 
 
 def _round(ts) -> list:
     """Round exact coefficients to floats (the one rounding point), dropping
     terms that underflow to zero."""
     try:
-        rounded = [(float(c), fs, ks) for c, fs, ks in ts]
+        rounded = [(_float(c), fs) for c, fs in ts]
     except OverflowError:
         raise UnsupportedNode("coefficient is too large for a float") from None
     return [t for t in rounded if t[0] != 0.0]
 
 
-def _factor(f: Expr, ts=()) -> list:
-    """``f`` as a term; the keys the terms ``ts`` hold for their factors are
-    reused where ``f`` contains those factors."""
-    return [(_ONE, (f,), (_key(f, {id(g): k for t in ts for g, k in zip(t[1], t[2])}),))]
+def _float(c) -> float:
+    """The exact coefficient ``c`` rounded once to the nearest float, as
+    ``float(Fraction)`` rounds (a true division of integers)."""
+    m, e = c
+    return float(m * (1 << e)) if e >= 0 else float(m / (1 << -e))
+
+
+def _add(a, b):
+    (m, e), (n, f) = (a, b) if a[1] <= b[1] else (b, a)
+    return (m + n * (1 << f - e), e)
+
+
+def _mul(a, b):
+    return (a[0] * b[0], a[1] + b[1])
+
+
+def _factor(f: Expr) -> list:
+    """``f`` as a term; the interned node equal to ``f`` takes its place."""
+    g = _FACTORS.get(f._hash)
+    return [(_ONE, (g if g is not None and g == f else f,))]
 
 
 def _constant(value) -> list:
-    return [(Fraction(value), (), ())] if value != 0 else []
+    if value == 0:
+        return []
+    if type(value) is int:
+        return [((value, 0), ())]
+    m, d = value.as_integer_ratio()
+    return [((m, 1 - d.bit_length()), ())]
 
 
 _MINUS_ONE = _constant(-1)
@@ -196,9 +198,14 @@ def _terms(e: Expr) -> list:
 
 def _enter_terms(e: Expr, _):
     t = type(e)
-    if t is Binary and e.op == "pow":  # the exponent first: it is canonicalized first
-        return (None, e.right, None, e.left, None)
-    if t is Binary or t is Unary or t is Deriv:
+    if t is Unary or t is Deriv or t is Binary and e.op == "pow":
+        f = _FACTORS.get(e._hash)
+        if f is not None and f == e:  # it folds as the interned node did
+            return ([(_ONE, (f,))],)
+        if t is Binary:  # the exponent first: it is canonicalized first
+            return (None, e.right, None, e.left, None)
+        return None
+    if t is Binary:
         return None
     if t is Const or t is Int:
         if t is Const and not math.isfinite(e.value):
@@ -213,25 +220,32 @@ def _leave_terms(e: Expr, _, a: list, b: list | None = None) -> list:
     """Terms of ``e`` from the uncollected terms of its children."""
     t = type(e)
     if t is Deriv:
-        return _deriv_terms(e, a)
-    if t is Unary:
+        ts = _deriv_terms(e, a)
+    elif t is Unary:
         if e.fn == "neg":
             return _product(_MINUS_ONE, _collect(a))
-        a = _collect(a)
-        child = build(_round(a))
+        child = build(_round(_collect(a)))
         if isinstance(child, Const):
             fn = math.sin if e.fn == "sin" else math.cos
             return _constant(fn(child.value))
-        return _factor(Unary(e.fn, child), a)
-    if e.op == "add":
+        ts = _factor(Unary(e.fn, child))
+    elif e.op == "pow":
+        ts = _power(_collect(b), _collect(a))
+    elif e.op == "add":
         return a + b
-    if e.op == "sub":
+    elif e.op == "sub":
         return a + _product(_MINUS_ONE, _collect(b))
-    if e.op == "mul":
+    elif e.op == "mul":
         return _product(_collect(a), _collect(b))
-    if e.op == "div":
+    else:
         return _quotient(_collect(a), _collect(b))
-    return _power(_collect(b), _collect(a))
+    if len(ts) == 1 and ts[0][0] == _ONE and len(ts[0][1]) == 1:
+        f = ts[0][1][0]
+        # e folds to itself: intern it, unless its key is too long to cache
+        if f._hash == e._hash and cached_key(e) is not None and cached_key(f) == e._key:
+            _FACTORS[e._hash] = e
+            return [(_ONE, (e,))]
+    return ts
 
 
 def _power(base: list, exponent: list) -> list:
@@ -239,7 +253,7 @@ def _power(base: list, exponent: list) -> list:
     result = _canon_pow(build(_round(base)), build(_round(exponent)))
     # the power is one factor unless it folded to another form
     if isinstance(result, Binary) and result.op == "pow":
-        return _factor(result, exponent + base)
+        return _factor(result)
     return _terms(result)
 
 
@@ -249,7 +263,8 @@ def _quotient(left: list, denom: list) -> list:
     if not denom:
         raise DivisionByZero("division by constant zero")
     if len(denom) == 1 and not denom[0][1]:
-        return _product(left, _constant(1 / denom[0][0]))
+        m, e = denom[0][0]
+        return _product(left, [((1 / Fraction(m), -e), ())])
     return _product(left, _collect(_power(denom, _MINUS_ONE)))
 
 
@@ -257,21 +272,21 @@ def _collect(ts: list) -> list:
     """Sum like terms exactly, drop zeros and sort, constants last."""
     while len(ts) >= 2:
         groups: dict[tuple, list] = {}
-        for coeff, factors, keys in ts:
-            group = groups.get(keys)
+        for coeff, factors in ts:
+            group = groups.get(factors)
             if group is None:
-                groups[keys] = [coeff, factors, keys]
+                groups[factors] = [coeff, factors]
             else:
-                group[0] += coeff
-        for keys, (coeff, factors, _) in groups.items():
+                group[0] = _add(group[0], coeff)
+        for coeff, factors in groups.values():
             s = _bare_sum(coeff, factors)
             if s is not None:  # like opaque sums whose coefficients add up to 1 dissolve
                 break
         else:
-            kept = [tuple(g) for g in groups.values() if g[0] != 0]
-            kept.sort(key=lambda t: (not t[2], t[2]))
+            kept = [tuple(g) for g in groups.values() if g[0][0] != 0]
+            kept.sort(key=lambda t: (not t[1], [canonical_key(f) for f in t[1]]))
             return kept
-        del groups[keys]
+        del groups[factors]
         ts = [tuple(g) for g in groups.values()] + _terms(s)
     return ts
 
@@ -284,7 +299,8 @@ def _bare_sum(coeff, factors: tuple[Expr, ...]) -> Expr | None:
     sum as a term.
     """
     if len(factors) == 1 and isinstance(factors[0], Binary) and factors[0].op == "add":
-        if 0 < coeff < 2 and float(coeff) == 1.0:
+        m, e = coeff
+        if (0 < m < 2 << -e if e <= 0 else 0 < m * (1 << e) < 2) and _float(coeff) == 1.0:
             return factors[0]
     return None
 
@@ -298,44 +314,38 @@ def _product(left: list, right: list) -> list:
     if not left or not right:
         return []
     coeff = _ONE
-    pairs = []
+    factors = []
     for side in (left, right):
         if len(side) == 1:
-            c, factors, keys = side[0]
-            coeff = c if coeff is _ONE else coeff * c
-            pairs += zip(factors, keys)
+            c, fs = side[0]
+            coeff = c if coeff is _ONE else _mul(coeff, c)
         else:
-            _, factors, keys = _factor(build(_round(side)), side)[0]
-            pairs += zip(factors, keys)
-    factors, keys = _merge_factors(pairs)
+            ((_, fs),) = _factor(build(_round(side)))
+        factors += fs
+    factors = _merge_factors(factors)
     s = _bare_sum(coeff, factors)
     if s is not None:
         return _terms(s)
-    return [(coeff, factors, keys)]
+    return [(coeff, factors)]
 
 
-def _merge_factors(pairs) -> tuple[tuple[Expr, ...], tuple]:
-    """Merge repeated bases of ``(factor, key)`` pairs into integer powers
-    and sort by key."""
-    merged: dict[tuple, list] = {}
-    for f, k in pairs:
+def _merge_factors(factors: list) -> tuple[Expr, ...]:
+    """Merge repeated bases into integer powers and sort by key."""
+    if len(factors) < 2:  # a canonical power's exponent is neither 0 nor 1
+        return tuple(factors)
+    merged: dict[Expr, int] = {}
+    for f in factors:
         if type(f) is Binary and f.op == "pow" and type(f.right) is Int:
-            base, n, kb = f.left, f.right.value, k[2:-2]  # the key of the base
+            base, n = f.left, f.right.value
         else:
-            base, n, kb = f, 1, k
-        if kb in merged:
-            merged[kb][1] += n
-        else:
-            merged[kb] = [base, n]
+            base, n = f, 1
+        merged[base] = merged.get(base, 0) + n
     out = []
-    for kb, (base, n) in merged.items():
-        if n == 1:
-            out.append((kb, base))
-        elif n != 0:
-            key = (_RANK_BINARY, _OP_RANK["pow"], *kb, _RANK_INT, n)
-            out.append((key, Binary("pow", base, Int(n))))
-    out.sort()  # by key: the keys differ, so factors are never compared
-    return tuple(f for _, f in out), tuple(k for k, _ in out)
+    for base, n in merged.items():
+        if n != 0:
+            out += _factor(base if n == 1 else Binary("pow", base, Int(n)))[0][1]
+    out.sort(key=canonical_key)  # the keys differ, so factors are never compared
+    return tuple(out)
 
 
 def _canon_pow(b: Expr, exp: Expr) -> Expr:
@@ -360,12 +370,14 @@ def _canon_pow(b: Expr, exp: Expr) -> Expr:
     return Binary("pow", b, exp)
 
 
+_PLACEHOLDER = Placeholder()
+
+
 def _deriv_terms(e: Deriv, child: list) -> list:
     """Distribute a derivative over the terms of its child."""
     out = []
-    for term in _collect(child):
-        coeff, factors, _ = term
-        if factors in ((), (Placeholder(),)):
+    for coeff, factors in _collect(child):
+        if factors in ((), (_PLACEHOLDER,)):
             continue
         single = factors[0] if len(factors) == 1 else None
         if isinstance(single, Var):
@@ -373,8 +385,8 @@ def _deriv_terms(e: Deriv, child: list) -> list:
         elif isinstance(single, Deriv):
             unit = _factor(_normalize_deriv_nest(single, e.var, e.order))
         else:
-            unit = _factor(Deriv(build([(1.0, factors)]), e.var, e.order), [term])
-        out += [(coeff if c is _ONE else coeff * c, fs, ks) for c, fs, ks in unit]
+            unit = _factor(Deriv(build([(1.0, factors)]), e.var, e.order))
+        out += [(coeff if c is _ONE else _mul(coeff, c), fs) for c, fs in unit]
     return out
 
 
@@ -390,14 +402,3 @@ def _normalize_deriv_nest(inner: Deriv, var: str, order: int) -> Expr:
         if orders.get(v):
             node = Deriv(node, v, orders[v])
     return node
-
-
-def equivalent(a, b) -> bool:
-    """True iff the two expressions (or equations) share a canonical form.
-
-    Two canonical trees are equal exactly when their terms have equal
-    coefficients and factor keys, so the trees are not built.
-    """
-    sides = [e.residual if isinstance(e, Equation) else e for e in (a, b)]
-    sa, sb = ([(c, ks) for c, _, ks in _round(_collect(_terms(e)))] for e in sides)
-    return sa == sb

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import MalformedFile
 from .expr import FIELD, Binary, Const, Deriv, Equation, Expr, to_infix
 from .solver import (
     FLUXES,
@@ -222,22 +223,26 @@ def generate(manifest: DatasetManifest, outdir) -> dict:
 
 def load_equation_record(path) -> dict:
     """An equation record as :func:`equation_record` writes it. Raises
-    ``ValueError`` naming the file and the field unless the record is a
-    JSON object with a known ``family``, that family's ``flux_kind``, and
-    finite numbers ``q1`` and ``q2 >= 0``."""
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    :class:`MalformedFile` naming the file, and the field where there is
+    one, unless the file is UTF-8 JSON, not nested too deep to read, for an
+    object with a known ``family``, that family's ``flux_kind``, and finite
+    numbers ``q1`` and ``q2 >= 0``."""
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError):  # invalid UTF-8 or JSON, or too deep
+        raise MalformedFile(f"{path}: not a JSON equation record") from None
     if not isinstance(record, dict):
-        raise ValueError(f"{path}: an equation record must be a JSON object")
+        raise MalformedFile(f"{path}: an equation record must be a JSON object")
     family = record.get("family")
     if not (isinstance(family, str) and family in FAMILIES):
-        raise ValueError(f"{path}: 'family' must be one of {sorted(FAMILIES)}")
+        raise MalformedFile(f"{path}: 'family' must be one of {sorted(FAMILIES)}")
     if record.get("flux_kind") != FAMILIES[family].flux_kind:
-        raise ValueError(f"{path}: 'flux_kind' must be {FAMILIES[family].flux_kind!r}")
+        raise MalformedFile(f"{path}: 'flux_kind' must be {FAMILIES[family].flux_kind!r}")
     for key in ("q1", "q2"):
         if not _finite(record.get(key)):
-            raise ValueError(f"{path}: {key!r} must be a finite number")
+            raise MalformedFile(f"{path}: {key!r} must be a finite number")
     if record["q2"] < 0:
-        raise ValueError(f"{path}: 'q2' must be >= 0")
+        raise MalformedFile(f"{path}: 'q2' must be >= 0")
     return record
 
 

@@ -25,6 +25,11 @@ class DecodeError(PdesymError):
     """Token sequence cannot be decoded back into an equation."""
 
 
+class MalformedFile(PdesymError, ValueError):
+    """An equation record or a PDEGRID1 grid file is malformed; the message
+    names the file. Also a ``ValueError``, as these checks raised before."""
+
+
 class DivisionByZero(PdesymError):
     """Exact constant folding hit a zero divisor."""
 

@@ -1,9 +1,14 @@
 """Expression trees for 1-D time-dependent PDEs, plus an infix parser.
 
-Nodes are frozen dataclasses, so equality is structural and trees can be
-shared freely. The unknown field u(x, t) is the dedicated leaf ``FIELD``,
-partial derivatives are explicit ``Deriv`` nodes, and ``Placeholder`` marks
-a masked coefficient slot (rendered as the token ``[?]``).
+Nodes are immutable, so trees can be shared freely; the parser gives every
+shorthand derivative leaf one shared node (:data:`DERIV_LEAVES`). Nodes are
+slotted: each carries a structural hash, computed when it is built from
+its children's hashes, and caches its flat :func:`canonical_key` once that
+is asked for. Equality is structural, and neither ``==`` nor ``hash``
+recurses, however deep the tree. The unknown field u(x, t) is the
+dedicated leaf ``FIELD``, partial derivatives are explicit ``Deriv`` nodes,
+and ``Placeholder`` marks a masked coefficient slot (rendered as the token
+``[?]``).
 
 Grammar accepted by :func:`parse_infix` (whitespace-insensitive)::
 
@@ -23,8 +28,9 @@ to the left so division keeps its usual meaning. A number literal must
 be finite as a float.
 
 Every function here that takes a tree apart does so through :func:`walk`,
-an explicit-stack traversal, and the parser keeps its open groups on a
-stack too, so no input is too deep or too long for them.
+an explicit-stack traversal, or, for keys, a loop over an explicit stack,
+and the parser keeps its open groups on a stack too, so no input is too
+deep or too long for them.
 """
 from __future__ import annotations
 
@@ -51,78 +57,125 @@ _RESERVED_IDENTS = {"u", "sin", "cos"} | set(DERIV_SHORTHAND)
 
 
 class Expr:
-    """Base class for expression-tree nodes."""
+    """Base class for expression-tree nodes.
 
-    __slots__ = ()
+    A node is immutable once built: nothing assigns to its fields, only to
+    its key cache. ``hash`` returns the hash computed when the node was
+    built; ``==`` checks identity, then the hashes, then the flat keys
+    (computing, not caching, those not yet cached).
+    """
+
+    __slots__ = ("_hash", "_key", "__weakref__")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return self._hash == other._hash and _flat_key(self) == _flat_key(other)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # rebuilt, so the hash is this process's
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True)
+# Ranks order node classes in canonical keys: the coefficient-like
+# placeholder first, then the field, derivatives, applied functions, powers
+# and variables, constants last.
+_RANK_PLACEHOLDER, _RANK_FIELD, _RANK_DERIV, _RANK_UNARY, _RANK_BINARY, _RANK_VAR = range(6)
+_RANK_INT, _RANK_CONST = 8, 9
+_FN_RANK = {"sin": 0, "cos": 1, "neg": 2}
+_OP_RANK = {"pow": 0, "mul": 1, "add": 2, "sub": 3, "div": 4}
+
+
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, value: float):
+        self.value = value = float(value)
+        self._hash = hash((_RANK_CONST, value))
+        self._key = None
 
 
-@dataclass(frozen=True)
 class Int(Expr):
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value))
+    def __init__(self, value: int):
+        self.value = value = int(value)
+        self._hash = hash((_RANK_INT, value))
+        self._key = None
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if self.name in _RESERVED_IDENTS:
-            raise ValueError(f"reserved identifier {self.name!r} cannot be a variable")
+    def __init__(self, name: str):
+        if name in _RESERVED_IDENTS:
+            raise ValueError(f"reserved identifier {name!r} cannot be a variable")
+        self.name = name
+        self._hash = hash((_RANK_VAR, name))
+        self._key = None
 
 
-@dataclass(frozen=True)
 class Field(Expr):
     """The unknown field u(x, t)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+    def __init__(self):
+        self._hash = _RANK_FIELD
+        self._key = None
+
+
 class Placeholder(Expr):
     """A masked coefficient slot."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+    def __init__(self):
+        self._hash = _RANK_PLACEHOLDER
+        self._key = None
+
+
 class Unary(Expr):
-    fn: str
-    child: Expr
+    __slots__ = ("fn", "child")
 
-    def __post_init__(self):
-        if self.fn not in UNARY_FNS:
-            raise ValueError(f"unknown unary function {self.fn!r}")
+    def __init__(self, fn: str, child: Expr):
+        if fn not in _FN_RANK:
+            raise ValueError(f"unknown unary function {fn!r}")
+        self.fn, self.child = fn, child
+        self._hash = hash((_RANK_UNARY, fn, child._hash))
+        self._key = None
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
 
-    def __post_init__(self):
-        if self.op not in BINARY_OPS:
-            raise ValueError(f"unknown binary operator {self.op!r}")
+    def __init__(self, op: str, left: Expr, right: Expr):
+        if op not in _OP_RANK:
+            raise ValueError(f"unknown binary operator {op!r}")
+        self.op, self.left, self.right = op, left, right
+        self._hash = hash((_RANK_BINARY, op, left._hash, right._hash))
+        self._key = None
 
 
-@dataclass(frozen=True)
 class Deriv(Expr):
-    child: Expr
-    var: str
-    order: int
+    __slots__ = ("child", "var", "order")
 
-    def __post_init__(self):
-        if self.var not in DERIV_VARS:
+    def __init__(self, child: Expr, var: str, order: int):
+        if var not in DERIV_VARS:
             raise ValueError(f"derivative variable must be one of {DERIV_VARS}")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("derivative order must be >= 1")
+        self.child, self.var, self.order = child, var, order
+        self._hash = hash((_RANK_DERIV, var, order, child._hash))
+        self._key = None
 
 
 @dataclass(frozen=True)
@@ -133,6 +186,8 @@ class Equation:
 
 
 FIELD = Field()
+#: shorthand leaf spelling -> its node, shared by every tree that has it
+DERIV_LEAVES = {name: Deriv(FIELD, var, n) for name, (var, n) in DERIV_SHORTHAND.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +254,81 @@ def walk(root: Expr, enter, leave=None, ctx=None):
                 append((r[3], r[4]))
             append((r[1], r[2]))
     return values[0] if leave is not None else None
+
+
+KEY_CACHE_MAX = 256  # entries
+_LONG = ()  # the cached "key" of a node whose key is too long to cache
+
+
+def canonical_key(e: Expr) -> tuple:
+    """Total-order key over subtrees; equal keys mean structurally equal
+    trees. Computed once per node and cached on it, unless it is longer
+    than :data:`KEY_CACHE_MAX`: a deep chain whose every node kept its key
+    would hold memory quadratic in its depth.
+
+    The key is flat: every node's rank and fields in pre-order. A rank
+    fixes how many children follow it, so no key is a prefix of another and
+    flat keys sort as the nested ``(rank, fields, child keys)`` would. Being
+    flat, keys of deep trees compare and hash without recursion. A subtree
+    whose key is cached is copied in, not walked.
+    """
+    key = e._key
+    if not key:
+        key = _flat_key(e)
+        e._key = key if len(key) <= KEY_CACHE_MAX else _LONG
+    return key
+
+
+def cached_key(e: Expr) -> tuple | None:
+    """:func:`canonical_key` if it is short enough to cache, else None,
+    found in time bounded by :data:`KEY_CACHE_MAX` whatever the tree."""
+    if e._key is None:
+        key = _flat_key(e, KEY_CACHE_MAX)
+        e._key = _LONG if key is None else key
+    return e._key or None
+
+
+def _flat_key(e: Expr, limit: float = math.inf) -> tuple | None:
+    """The key of ``e``, from its cache if it has one; nothing is cached.
+    A pre-order loop over an explicit stack, copying in cached keys. None
+    once the key is known to be longer than ``limit``."""
+    out = []
+    todo = [e]
+    pop, push, extend = todo.pop, todo.append, out.extend
+    while todo:
+        if len(out) > limit:
+            return None
+        e = pop()
+        key = e._key
+        if key:
+            extend(key)
+            continue
+        if key is _LONG and limit < math.inf:
+            return None
+        t = type(e)
+        if t is Binary:
+            extend((_RANK_BINARY, _OP_RANK[e.op]))
+            push(e.right)
+            push(e.left)
+        elif t is Unary:
+            extend((_RANK_UNARY, _FN_RANK[e.fn]))
+            push(e.child)
+        elif t is Deriv:
+            extend((_RANK_DERIV, e.var, e.order))
+            push(e.child)
+        elif t is Field:
+            out.append(_RANK_FIELD)
+        elif t is Var:
+            extend((_RANK_VAR, e.name))
+        elif t is Int:
+            extend((_RANK_INT, e.value))
+        elif t is Const:
+            extend((_RANK_CONST, e.value))
+        elif t is Placeholder:
+            out.append(_RANK_PLACEHOLDER)
+        else:
+            raise TypeError(f"cannot key {t.__name__}")
+    return tuple(out) if len(out) <= limit else None
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +460,7 @@ def _ident(toks: list, i: int) -> Expr:
             raise UnknownSymbol("'u' is the field, not a function", pos)
         return FIELD
     if name in DERIV_SHORTHAND:
-        return Deriv(FIELD, *DERIV_SHORTHAND[name])
+        return DERIV_LEAVES[name]
     if name.startswith("u_"):
         raise UnknownSymbol(f"unknown derivative shorthand {name!r}", pos)
     if toks[i][:2] == ("op", "("):

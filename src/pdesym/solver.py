@@ -57,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CFLViolation, NonFiniteState
+from .errors import CFLViolation, MalformedFile, NonFiniteState
 from .expr import FIELD, Binary, Expr, Int, Unary
 
 CFL_SAFETY = 0.4
@@ -625,7 +625,7 @@ def _parse_header(blob: bytes):
 
 def read_grid_file(path) -> SpaceTimeField:
     """Load a PDEGRID1 file; a malformed file, non-finite samples among
-    them, raises ``ValueError``."""
+    them, raises :class:`MalformedFile`."""
     data = Path(path).read_bytes()
     start = len(_MAGIC) + 4
     header = None
@@ -633,12 +633,12 @@ def read_grid_file(path) -> SpaceTimeField:
         (hlen,) = struct.unpack_from("<I", data, len(_MAGIC))
         header = _parse_header(data[start : start + hlen])
     if header is None or len(data) - start - hlen != 8 * header["nt"] * header["nx"]:
-        raise ValueError(f"{path}: not a PDEGRID1 file")
+        raise MalformedFile(f"{path}: not a PDEGRID1 file")
     nt, nx = header["nt"], header["nx"]
     values = np.frombuffer(
         data, dtype="<f8", count=nt * nx, offset=start + hlen
     ).reshape(nt, nx)
     if not np.isfinite(values).all():
-        raise ValueError(f"{path}: not a PDEGRID1 file")
+        raise MalformedFile(f"{path}: not a PDEGRID1 file")
     grid = Grid1D(nx=nx, dx=header["dx"], x0=header["x0"])
     return SpaceTimeField(grid, np.asarray(header["t"]), values.copy())

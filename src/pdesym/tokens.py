@@ -26,7 +26,7 @@ from enum import Enum
 from .canon import build, term_head, terms
 from .errors import DecodeError, UnsupportedNode
 from .expr import (
-    DERIV_SHORTHAND,
+    DERIV_LEAVES,
     FIELD,
     SHORTHAND_BY_DERIV,
     Binary,
@@ -275,8 +275,7 @@ def from_tokens(ts: TokenSeq) -> Equation:
 _MANUAL = (
     {**{tok: (op, 2) for tok, op in _MANUAL_OPS.items()},
      "sin": ("sin", 1), "cos": ("cos", 1), "neg": ("neg", 1)},
-    {"u": FIELD, PLACEHOLDER_TOKEN: Placeholder(),
-     **{tok: Deriv(FIELD, var, n) for tok, (var, n) in DERIV_SHORTHAND.items()}},
+    {"u": FIELD, PLACEHOLDER_TOKEN: Placeholder(), **DERIV_LEAVES},
     False,
 )
 _CANONICAL = (

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from pdesym import canon as canon_module
 from pdesym.canon import build, canonical_key, canonicalize, equivalent, terms
-from pdesym.errors import DivisionByZero, UnsupportedNode
+from pdesym.datagen import FAMILIES, equation_for
+from pdesym.errors import DivisionByZero, PdesymError, UnsupportedNode
 from pdesym.expr import (
     FIELD,
     Binary,
@@ -19,13 +21,15 @@ from pdesym.expr import (
     Unary,
     Var,
     parse_infix,
+    to_infix,
 )
 from pdesym.metrics import PolySurrogate
 from pdesym.perturb import PerturbConfig, swap_branches
-from pdesym.tokens import to_canonical_tokens
+from pdesym.tokens import from_tokens, to_canonical_tokens, to_manual_tokens
 
 from helpers import (
     evaluate,
+    random_deriv_tree,
     random_general_tree,
     random_manual_tree,
     substitute_field,
@@ -244,23 +248,22 @@ def _quotient_by_rewalk(left, denom):
     if not denom:
         raise DivisionByZero("division by constant zero")
     if len(denom) == 1 and not denom[0][1]:
-        return canon_module._product(left, canon_module._constant(1 / denom[0][0]))
+        m, e = denom[0][0]
+        return canon_module._product(left, [((1 / Fraction(m), -e), ())])
     inverse = Binary("pow", build(canon_module._round(denom)), Int(-1))
     return canon_module._product(left, canon_module._collect(canon_module._terms(inverse)))
 
 
 def test_quotient_matches_the_walk_of_its_built_inverse(monkeypatch):
-    trees = [random_manual_tree(np.random.default_rng(seed), 5) for seed in range(600)]
-
-    def tokens_of(tree):
+    def tokens_of(seed):  # a fresh tree each time, so no fold is reused
         try:
-            return to_canonical_tokens(tree)
+            return to_canonical_tokens(random_manual_tree(np.random.default_rng(seed), 5))
         except (DivisionByZero, UnsupportedNode) as exc:
             return type(exc)
 
-    ours = [tokens_of(t) for t in trees]
+    ours = [tokens_of(seed) for seed in range(600)]
     monkeypatch.setattr(canon_module, "_quotient", _quotient_by_rewalk)
-    assert ours == [tokens_of(t) for t in trees]
+    assert ours == [tokens_of(seed) for seed in range(600)]
 
 
 def test_canonical_key_is_total_order_on_distinct_nodes():
@@ -354,3 +357,64 @@ def test_random_swap_harness_with_numeric_cross_check():
 def test_canonical_zero_residual():
     assert canon("u - u") == Const(0.0)
     assert list(to_canonical_tokens(parse_infix("u - u")).tokens) == ["×", "0"]
+
+
+def test_canonical_tokens_then_equivalent_fold_the_tree_once(monkeypatch):
+    """``equivalent`` reuses the fold ``to_canonical_tokens`` has just made
+    of the same root."""
+    p = parse_infix("u_t + 0.5*(u^2)_x - 0.05*u_xx = 0")
+    folded = []
+    fold = canon_module._terms
+    monkeypatch.setattr(canon_module, "_terms", lambda e: folded.append(e) or fold(e))
+    decoded = from_tokens(to_canonical_tokens(p))
+    assert equivalent(decoded, p)
+    assert [e is p.residual for e in folded] == [True, False]
+    assert folded[1] is decoded.residual
+
+
+def test_terms_returns_a_fresh_list_each_call():
+    e = parse_infix("u_t + 0.5*(u^2)_x - 0.05*u_xx").residual
+    first = terms(e)
+    expected = list(first)
+    first.reverse()
+    first.append((2.0, ()))
+    assert terms(e) == expected
+
+
+# Pinned against the canonicalizer before node keys were cached; a change
+# to it is a change of canonical output, to be recorded in CHANGES.md.
+_CANONICAL_OUTPUTS_SHA256 = "50a8097da11095fde86a5d622cb8c863a55769400169f81e478f05fedb62afa7"
+
+
+def _canonical_outputs_digest() -> str:
+    """sha256 over the canonical tokens, canonical infix, manual tokens (or
+    the error type where there are none) and three ``equivalent`` verdicts
+    of 3,000 seeded random trees and the six family templates."""
+    trees = []
+    for seed, make in ((1, random_manual_tree), (2, random_general_tree), (3, random_deriv_tree)):
+        rng = np.random.default_rng(seed)
+        trees += [make(rng) for _ in range(1000)]
+    trees += [equation_for(spec, spec.q1, spec.q2).residual for spec in FAMILIES.values()]
+    digest = hashlib.sha256()
+    previous = trees[-1]
+    for i, tree in enumerate(trees):
+        swapped = swap_branches(tree, PerturbConfig(swap_prob=0.5, seed=i))
+        for output in (
+            lambda: to_canonical_tokens(tree).text,
+            lambda: to_infix(canonicalize(tree)),
+            lambda: to_manual_tokens(tree).text,
+            lambda: equivalent(tree, swapped),
+            lambda: equivalent(from_tokens(to_canonical_tokens(tree)), tree),
+            lambda: equivalent(tree, previous),
+        ):
+            try:
+                text = str(output())
+            except PdesymError as exc:
+                text = type(exc).__name__
+            digest.update(text.encode() + b"\n")
+        previous = tree
+    return digest.hexdigest()
+
+
+def test_canonical_outputs_match_the_pinned_digest():
+    assert _canonical_outputs_digest() == _CANONICAL_OUTPUTS_SHA256

@@ -216,7 +216,7 @@ def test_truncated_grid_is_a_data_error(tmp_path, capsys):
     assert code == 2
     payload = json.loads(err)
     assert set(payload) == {"error", "message"}
-    assert payload["error"] == "ValueError"
+    assert payload["error"] == "MalformedFile"
 
 
 def test_solve_writes_readable_grid(tmp_path, capsys):
@@ -433,8 +433,35 @@ def test_bad_equation_record_is_a_data_error(tmp_path, capsys, edit):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         payload = json.loads(err)
-        assert payload["error"] == "ValueError"
+        assert payload["error"] == "MalformedFile"
         assert str(bad_path) in payload["message"] and field in payload["message"]
+
+
+@pytest.mark.parametrize("content", [
+    b"[" * 200_000 + b"]" * 200_000,  # deeper than the JSON reader recurses
+    b'{"family": "burgers"',  # not JSON
+    b'{"family": "\xff"}',  # not UTF-8
+], ids=["deep", "truncated", "not-utf8"])
+def test_unreadable_equation_record_is_one_json_error_line(tmp_path, capsys, content):
+    """``refine`` and ``eval`` of a record the JSON reader cannot read exit
+    2 with one JSON error line that names the file, and no traceback."""
+    from pdesym.datagen import FAMILIES, equation_record
+    from pdesym.solver import Grid1D, SpaceTimeField, write_grid_file
+
+    bad_path, good_path = tmp_path / "bad.json", tmp_path / "good.json"
+    bad_path.write_bytes(content)
+    good_path.write_text(json.dumps(equation_record("x", FAMILIES["burgers"], 0.5, 0.05)))
+    grid_path = tmp_path / "traj.grid"
+    write_grid_file(SpaceTimeField(Grid1D(8, 0.125), np.linspace(0, 1, 11), np.zeros((11, 8))),
+                    grid_path)
+    for argv in (
+        ("refine", "--equation", str(bad_path), "--observations", str(grid_path)),
+        ("eval", "--truth", str(bad_path), "--learned", str(good_path)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "MalformedFile",
+                                   "message": f"{bad_path}: not a JSON equation record"}
 
 
 def test_non_finite_grid_samples_are_a_data_error(tmp_path, capsys):
@@ -453,7 +480,7 @@ def test_non_finite_grid_samples_are_a_data_error(tmp_path, capsys):
         capsys, "refine", "--equation", str(eq_path), "--observations", str(grid_path)
     )
     assert code == 2
-    assert json.loads(err) == {"error": "ValueError",
+    assert json.loads(err) == {"error": "MalformedFile",
                                "message": f"{grid_path}: not a PDEGRID1 file"}
 
 

@@ -17,6 +17,7 @@ from pdesym.expr import (
     Deriv,
     Equation,
     Expr,
+    Field,
     Int,
     Placeholder,
     Unary,
@@ -208,9 +209,7 @@ def test_to_infix_round_trips_long_chains():
     for src in (" + ".join(["u_x"] * 3000), "*".join(["u"] * 3000),
                 " - ".join(["x"] * 3000), "/".join(["2"] * 3000)):
         tree = parse_infix(src).residual
-        # a prefix walk fixes the structure; == on a deep tree would recurse
-        again = parse_infix(to_infix(tree)).residual
-        assert to_manual_tokens(again) == to_manual_tokens(tree)
+        assert parse_infix(to_infix(tree)).residual == tree
 
 
 _BURGERS = equation_for(FAMILIES["burgers"], 0.5, 0.05)
@@ -249,16 +248,14 @@ def _chain(seed: int, links: int) -> Expr:
 def test_every_walker_handles_long_chains(seed, links):
     """Deep trees of every node type go through every public walker with no
     recursion: each returns or raises its typed error, and printing or
-    serializing then reading back is the identity. Trees are compared by
-    canonical key, which is flat, since == on a deep tree would recurse."""
+    serializing then reading back is the identity."""
     e = swap_branches(_chain(seed, links), PerturbConfig(swap_prob=0.5, seed=seed))
-    key = canonical_key(e)
     for write, read in ((to_infix, parse_infix), (to_manual_tokens, from_tokens)):
         try:
             written = write(e)
         except UnsupportedNode:
             continue
-        assert canonical_key(read(written).residual) == key
+        assert read(written).residual == e
     env = {"x": np.linspace(0.0, 1.0, 4), "t": 0.5}
     for walk in (
         canonicalize,
@@ -340,6 +337,34 @@ def test_equation_is_value_like():
     b = parse_infix("u_t + u_x")
     assert a == Equation(a.residual)
     assert a.residual == b.residual
+
+
+def test_node_equality_keeps_float_semantics():
+    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+    a, b = Const(float("nan")), Const(float("nan"))
+    assert a != b and a == a
+    assert Int(1) != Const(1.0) and Field() != Placeholder()
+    assert Var("x") != Var("y") and Deriv(FIELD, "x", 1) != Deriv(FIELD, "t", 1)
+
+
+def test_equal_trees_built_apart_are_equal_and_hash_equal():
+    for seed in range(200):
+        a, b = (random_manual_tree(np.random.default_rng(seed)) for _ in range(2))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    src = "u_t + 0.5*(u^2)_x - 0.05*u_xx"
+    assert hash(parse_infix(src).residual) == hash(equation_for(FAMILIES["burgers"], 0.5, 0.05).residual)
+
+
+def test_deep_trees_compare_and_hash_without_recursion():
+    def nest(fn):
+        e = FIELD
+        for _ in range(5000):
+            e = Unary(fn, e)
+        return e
+
+    a, b = nest("sin"), nest("sin")
+    assert a == b and hash(a) == hash(b) and a in {b}
+    assert a != nest("cos") and a != Unary("sin", a)
 
 
 def _nested_flux_derivative(k: int) -> Expr:
