@@ -3,7 +3,9 @@
 Subcommands: parse, canon, tokens, perturb, solve, gen, refine, eval,
 study. Every command is deterministic given its flags, input files and
 seed; JSON goes to stdout unless ``--output`` is given. Exit codes:
-1 usage error, 2 data error, 3 numeric failure.
+1 usage error; 3 numeric failure (a ``NumericError``); 2 data error (any
+other ``PdesymError``, a ``ValueError``, or an ``OSError`` such as an
+input path that is a directory). Each writes one JSON line to stderr.
 """
 from __future__ import annotations
 
@@ -20,17 +22,7 @@ import numpy as np
 
 from . import datagen, metrics, perturb, smc, solver, study
 from .canon import build, terms
-from .errors import (
-    AllWeightsDegenerate,
-    DecodeError,
-    DegenerateReference,
-    DivisionByZero,
-    NonFiniteState,
-    NotSolvable,
-    ParseError,
-    UnsupportedNode,
-    ZeroCoefficient,
-)
+from .errors import NonFiniteState, NumericError, PdesymError, UnsupportedNode
 from .expr import parse_infix, to_infix
 from .tokens import (
     Dialect,
@@ -39,24 +31,6 @@ from .tokens import (
     from_tokens,
     to_canonical_tokens,
     to_manual_tokens,
-)
-
-_DATA_ERRORS = (
-    ParseError,
-    DecodeError,
-    UnsupportedNode,
-    NotSolvable,
-    DegenerateReference,
-    FileNotFoundError,
-    ValueError,
-    KeyError,
-    json.JSONDecodeError,
-)
-_NUMERIC_ERRORS = (
-    NonFiniteState,
-    AllWeightsDegenerate,
-    DivisionByZero,
-    ZeroCoefficient,
 )
 
 
@@ -318,11 +292,12 @@ def build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=0)
 
     def filter_flags(p):
-        p.add_argument("--particles", type=int, default=500)
-        p.add_argument("--steps", type=int, default=10)
-        p.add_argument("--process-var", type=float, default=1e-5)
-        p.add_argument("--obs-scale", type=float, default=0.05)
-        p.add_argument("--likelihood", choices=smc.LIKELIHOODS, default="pointwise")
+        cfg = smc.FilterConfig
+        p.add_argument("--particles", type=int, default=cfg.particles)
+        p.add_argument("--steps", type=int, default=cfg.steps)
+        p.add_argument("--process-var", type=float, default=cfg.process_var)
+        p.add_argument("--obs-scale", type=float, default=cfg.obs_scale)
+        p.add_argument("--likelihood", choices=smc.LIKELIHOODS, default=cfg.likelihood)
 
     p = sub.add_parser("parse", help="parse an equation and echo both dialects")
     p.add_argument("--expr", required=True)
@@ -342,8 +317,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("perturb", help="noise injection followed by branch swapping")
     p.add_argument("--eq", required=True)
-    p.add_argument("--swap-prob", type=float, default=0.5)
-    p.add_argument("--noise-prob", type=float, default=0.5)
+    p.add_argument("--swap-prob", type=float, default=perturb.PerturbConfig.swap_prob)
+    p.add_argument("--noise-prob", type=float, default=perturb.PerturbConfig.noise_prob)
     p.add_argument("--dialect", choices=("manual", "canonical"), default="manual")
     common(p)
     p.set_defaults(func=_cmd_perturb)
@@ -415,9 +390,9 @@ def main(argv=None) -> int:
         args.func(args)
     except _UsageError as exc:
         return _fail(1, exc)
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         return _fail(3, exc)
-    except _DATA_ERRORS as exc:
+    except (PdesymError, ValueError, OSError) as exc:
         return _fail(2, exc)
     return 0
 

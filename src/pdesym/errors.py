@@ -2,7 +2,15 @@
 
 
 class PdesymError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    The class decides the CLI's exit code: a :class:`NumericError` exits 3,
+    and any other ``PdesymError`` exits 2, as bad input does.
+    """
+
+
+class NumericError(PdesymError):
+    """A computation on valid input failed numerically."""
 
 
 class ParseError(PdesymError):
@@ -30,23 +38,23 @@ class MalformedFile(PdesymError, ValueError):
     names the file. Also a ``ValueError``, as these checks raised before."""
 
 
-class DivisionByZero(PdesymError):
+class DivisionByZero(NumericError):
     """Exact constant folding hit a zero divisor."""
 
 
-class CFLViolation(PdesymError):
+class CFLViolation(NumericError):
     """Requested time step exceeds the stability bound."""
 
 
-class NonFiniteState(PdesymError):
+class NonFiniteState(NumericError):
     """Numerical state contains NaN or infinity."""
 
 
-class ZeroCoefficient(PdesymError):
+class ZeroCoefficient(NumericError):
     """A relative initialization interval degenerates at zero."""
 
 
-class AllWeightsDegenerate(PdesymError):
+class AllWeightsDegenerate(NumericError):
     """Every particle simulation failed; no usable importance weights."""
 
 

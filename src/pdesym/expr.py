@@ -40,8 +40,6 @@ from dataclasses import dataclass
 
 from .errors import ParseError, UnknownSymbol, UnsupportedNode
 
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
-UNARY_FNS = ("sin", "cos", "neg")
 DERIV_VARS = ("x", "t")
 
 #: shorthand leaf spelling -> (variable, order)
@@ -78,8 +76,21 @@ class Expr:
         return self._hash
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        out, hole = [], "\0"  # no field's repr holds a NUL
+
+        def enter(e, prefix):  # write ``e`` up to its first child
+            fields = [(name, getattr(e, name)) for name in e.__slots__]
+            kids = [value for _, value in fields if isinstance(value, Expr)]
+            text = ", ".join(f"{name}={hole if isinstance(value, Expr) else repr(value)}"
+                             for name, value in fields)
+            head, *tails = f"{type(e).__name__}({text})".split(hole)
+            out.append(prefix + head)
+            if len(kids) == 2:
+                return tails[1], kids[0], "", kids[1], tails[0]
+            return (tails[0], kids[0], "") if kids else (None,)
+
+        walk(self, enter, lambda e, tail, *_: out.append(tail), "")
+        return "".join(out)
 
     def __reduce__(self):  # rebuilt, so the hash is this process's
         return type(self), tuple(getattr(self, name) for name in self.__slots__)

@@ -82,8 +82,9 @@ def r2_score(targets, preds) -> float:
     for u, v in zip(targets, preds):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        num += float(np.sum((u - v) ** 2))
-        den += float(np.sum((u - np.mean(u)) ** 2))
+        with np.errstate(all="ignore"):  # an overflowing sum is inf, not a warning
+            num += float(np.sum((u - v) ** 2))
+            den += float(np.sum((u - np.mean(u)) ** 2))
     if den == 0.0:
         raise DegenerateReference("targets are constant; R^2 undefined")
     return 1.0 - num / den

@@ -107,7 +107,8 @@ class RefineResult:
 
 def discrete_l2(u: np.ndarray, dx: float) -> float:
     """sqrt(sum(u^2) * dx)."""
-    return float(np.sqrt(np.sum(u * u) * dx))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, not a warning
+        return float(np.sqrt(np.sum(u * u) * dx))
 
 
 def init_ensemble(alpha0, cfg: FilterConfig, rng=None) -> ParticleEnsemble:
@@ -154,7 +155,8 @@ def _coefficient_arrays(particles: np.ndarray, template: ConservationLaw):
 
 def weights_from_sq_residuals(sq_residuals: np.ndarray, eps: float) -> np.ndarray:
     """Normalized softmax of -r^2/(2 eps^2); -inf entries get weight zero."""
-    logw = -np.asarray(sq_residuals, dtype=float) / (2.0 * eps * eps)
+    with np.errstate(invalid="ignore"):  # inf / inf, when eps^2 overflows, is NaN
+        logw = -np.asarray(sq_residuals, dtype=float) / (2.0 * eps * eps)
     m = np.max(logw)
     if not np.isfinite(m):
         raise AllWeightsDegenerate("no particle produced a finite simulation")
@@ -183,8 +185,9 @@ def reweight(ens: ParticleEnsemble, u_prev: np.ndarray, u_obs: np.ndarray,
         states, ok = advance_ensemble(
             law_template.flux_kind, q1[idx], q2[idx], u_prev, dt_obs, grid
         )
-        diff = u_obs[None, :] - states[ok]
-        sq[idx[ok]] = np.sum(diff * diff, axis=1) * scale
+        with np.errstate(over="ignore"):  # a residual that overflows is inf
+            diff = u_obs[None, :] - states[ok]
+            sq[idx[ok]] = np.sum(diff * diff, axis=1) * scale
     weights = weights_from_sq_residuals(sq, eps)
     return ParticleEnsemble(ens.particles.copy(), weights)
 

@@ -116,6 +116,13 @@ FLUXES = {
 }
 
 
+def _flux(kind: str) -> Flux:
+    """The :data:`FLUXES` entry for ``kind``; any other kind raises ``ValueError``."""
+    if kind not in FLUXES:
+        raise ValueError(f"flux_kind must be one of {tuple(FLUXES)}")
+    return FLUXES[kind]
+
+
 @dataclass(frozen=True)
 class ConservationLaw:
     """Flux kind plus coefficients; ``q2 = 0`` means inviscid."""
@@ -125,8 +132,7 @@ class ConservationLaw:
     q2: float = 0.0
 
     def __post_init__(self):
-        if self.flux_kind not in FLUXES:
-            raise ValueError(f"flux_kind must be one of {tuple(FLUXES)}")
+        _flux(self.flux_kind)
         if not math.isfinite(self.q1):
             raise ValueError("q1 must be finite")
         if not (math.isfinite(self.q2) and self.q2 >= 0.0):
@@ -481,7 +487,7 @@ def advance_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray,
     """
     frames = np.empty((q1.size, 1, grid.nx))
     alive = np.full(q1.size, dt_total >= 0.0)
-    _advance(FLUXES[flux_kind], q1, q2, np.asarray(u_start, dtype=float),
+    _advance(_flux(flux_kind), q1, q2, np.asarray(u_start, dtype=float),
              np.array([dt_total]), grid.dx, frames, alive, MAX_SUBSTEPS)
     states = frames[:, 0]
     return states, alive & np.isfinite(states).all(axis=1)
@@ -537,8 +543,7 @@ def solve_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray, u0: np.ndarra
     :func:`advance_ensemble`, no substep cap applies. A horizon so small that
     the output times are not strictly increasing raises ``ValueError``.
     """
-    if flux_kind not in FLUXES:
-        raise ValueError(f"flux_kind must be one of {tuple(FLUXES)}")
+    flux = _flux(flux_kind)
     if not 0.0 < t_final < math.inf:
         raise ValueError("t_final must be finite and positive")
     if nt_out < 2:
@@ -556,7 +561,7 @@ def solve_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray, u0: np.ndarra
     values = np.empty((q1.size, nt_out, grid.nx))
     values[:, 0] = u0
     ok = np.ones(q1.size, dtype=bool)
-    _advance(FLUXES[flux_kind], q1, q2, u0, dts, grid.dx, values[:, 1:], ok, math.inf)
+    _advance(flux, q1, q2, u0, dts, grid.dx, values[:, 1:], ok, math.inf)
     return times, values, ok & np.isfinite(values[:, -1]).all(axis=1)
 
 

@@ -564,3 +564,98 @@ def test_non_finite_horizon_is_one_json_error_line(tmp_path, t_final):
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "ValueError",
                                     "message": "t_final must be finite and positive"}
+
+
+def _os_error_argv(tmp_path):
+    """Per case, an argv whose one bad path the OS rejects, and the error."""
+    from pdesym.solver import Grid1D, SpaceTimeField, write_grid_file
+
+    record, grid, folder = _burgers_record(tmp_path), str(tmp_path / "traj.grid"), str(tmp_path)
+    wave = np.tile(np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)), (11, 1))
+    write_grid_file(SpaceTimeField(Grid1D(8, 0.125), np.linspace(0, 1, 11), wave), grid)
+    eval_ = ("eval", "--truth", record, "--learned", record)
+    return {
+        "equation": (("refine", "--equation", folder, "--observations", grid),
+                     "IsADirectoryError"),
+        "observations": (("refine", "--equation", record, "--observations", folder),
+                         "IsADirectoryError"),
+        "truth": (("eval", "--truth", folder, "--learned", record), "IsADirectoryError"),
+        "learned": (("eval", "--truth", record, "--learned", folder), "IsADirectoryError"),
+        "trajectory": ((*eval_, "--trajectory", folder), "IsADirectoryError"),
+        "prediction": ((*eval_, "--trajectory", grid, "--prediction", folder),
+                       "IsADirectoryError"),
+        "output": (("canon", "--expr", "u", "--output", folder), "IsADirectoryError"),
+        "gen-out": (("gen", "--out", record, "--families", "burgers", "--params", "1",
+                     "--ics", "1"), "FileExistsError"),
+    }
+
+
+@pytest.mark.parametrize("case", ["equation", "observations", "truth", "learned",
+                                  "trajectory", "prediction", "output", "gen-out"])
+def test_paths_the_os_rejects_are_data_errors(tmp_path, capsys, case):
+    """A directory where a file is read or written, or an existing file as
+    ``gen --out``, exits 2 with one JSON line that names the ``OSError``."""
+    argv, error = _os_error_argv(tmp_path)[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+
+
+def _error_classes():
+    from pdesym import errors
+
+    return [obj for obj in vars(errors).values()
+            if isinstance(obj, type) and issubclass(obj, errors.PdesymError)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_class(capsys, monkeypatch, cls):
+    """Every error class exits by its base: a ``NumericError`` 3, any other
+    ``PdesymError`` 2. A new class needs no CLI edit."""
+    from pdesym import cli, errors
+
+    exc = cls("boom", 0) if issubclass(cls, errors.ParseError) else cls("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_canon", fail)
+    code, out, err = run_cli(capsys, "canon", "--expr", "u")
+    assert (code, out) == (3 if issubclass(cls, errors.NumericError) else 2, "")
+    assert json.loads(err) == {"error": cls.__name__, "message": str(exc)}
+
+
+def test_numeric_errors_are_the_failures_of_valid_input():
+    from pdesym.errors import NumericError
+
+    assert {cls.__name__ for cls in _error_classes() if issubclass(cls, NumericError)} == {
+        "NumericError", "NonFiniteState", "AllWeightsDegenerate", "DivisionByZero",
+        "ZeroCoefficient", "CFLViolation",
+    }
+
+
+def test_a_key_error_is_a_bug_not_a_data_error(monkeypatch):
+    from pdesym import cli
+
+    def fail(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_canon", fail)
+    with pytest.raises(KeyError):
+        main(["canon", "--expr", "u"])
+
+
+def test_flag_defaults_are_the_config_defaults(capsys, monkeypatch):
+    from pdesym import cli, perturb, smc
+
+    parser = cli.build_parser()
+    args = parser.parse_args(["refine", "--equation", "eq.json", "--observations", "t.grid"])
+    assert cli._filter_config(args, seed=args.seed) == smc.FilterConfig(seed=0)
+    assert cli._filter_config(parser.parse_args(["study"])) == smc.FilterConfig()
+    seen, inject = [], perturb.inject_noise_term
+    monkeypatch.setattr(perturb, "inject_noise_term",
+                        lambda eq, cfg: seen.append(cfg) or inject(eq, cfg))
+    code, _, _ = run_cli(capsys, "perturb", "--eq", "u_t + u*u_x")
+    assert code == 0 and seen == [perturb.PerturbConfig()]

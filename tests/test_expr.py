@@ -367,6 +367,22 @@ def test_deep_trees_compare_and_hash_without_recursion():
     assert a != nest("cos") and a != Unary("sin", a)
 
 
+def test_repr_names_every_field_and_does_not_recurse():
+    assert repr(Binary("add", FIELD, Const(1.0))) == (
+        "Binary(op='add', left=Field(), right=Const(value=1.0))"
+    )
+    assert repr(parse_infix("sin(x)*k1 - (u^2)_x").residual) == (
+        "Binary(op='sub', left=Binary(op='mul', left=Unary(fn='sin', child=Var(name='x')),"
+        " right=Var(name='k1')), right=Deriv(child=Binary(op='pow', left=Field(),"
+        " right=Int(value=2)), var='x', order=1))"
+    )
+    assert repr(Placeholder()) == "Placeholder()"
+    e = FIELD
+    for _ in range(5000):
+        e = Unary("sin", e)
+    assert repr(e) == "Unary(fn='sin', child=" * 5000 + "Field()" + ")" * 5000
+
+
 def _nested_flux_derivative(k: int) -> Expr:
     """``e = ((e u)_x)`` nested k times from ``e = u``."""
     e = FIELD

@@ -1,17 +1,23 @@
 """Fuzz tests for the three input decoders: ``parse_infix``, ``from_tokens``
 in both dialects and ``read_grid_file``. On any input each one returns a
 result or raises its documented typed error; nothing else escapes. The same
-holds for ``symbolic_error`` on every equation the decoders return."""
+holds for ``symbolic_error`` on every equation the decoders return, and the
+CLI's ``refine``, ``eval`` and ``study`` exit with a documented code and one
+JSON error line on mutated records, grid files and flag values."""
+import contextlib
+import io
 import json
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdesym.datagen import FAMILIES, equation_for
+from pdesym.cli import main
+from pdesym.datagen import FAMILIES, equation_for, equation_record
 from pdesym.errors import PdesymError
 from pdesym.expr import parse_infix
 from pdesym.metrics import symbolic_error
@@ -195,3 +201,173 @@ def test_read_grid_file_raises_only_value_errors(raw):
             read_grid_file(path)
         except ValueError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# the CLI on mutated equation records, PDEGRID1 files and flag values
+
+_RECORD = equation_record("x", FAMILIES["burgers"], 0.5, 0.05)
+_GRID_HEADER = {"nt": 3, "nx": 8, "t": [0.0, 0.05, 0.1], "x0": 0.0, "dx": 0.125}
+_GRID_VALUES = np.tile(0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)), (3, 1))
+
+# Finite magnitudes stay within a few decades of the families' own: ``solve``,
+# which ``eval --trajectory`` runs on the learned law, has no substep cap, so
+# a learned q1 near 1e300, or a grid spacing near 1e-300, runs for hours.
+_RECORD_VALUES = [None, True, 0, -1, 0.5, 1e-300, 1e3, -0.05, float("nan"), float("inf"),
+                  "0.5", "burgers", "quadratic", "sine", [], {}, [0.5]]
+_HEADER_VALUES = {
+    "nt": [0, 1, 2, 4, -1, 3.0, "3", None],
+    "nx": [0, 4, 7, 9, 16, -8, 8.5, None],
+    "t": [[0.0, 0.1, 0.05], [0.0, 0.0, 0.1], [0.0, 0.05], [0.0, 1e-9, 2e-9], [0.0, 1.0, 2.0],
+          [0.0, float("nan"), 0.1], "0", None],
+    "x0": [-1.0, 1e3, float("inf"), "0", None],
+    "dx": [0.0, -0.125, 1e-3, 1e3, float("nan"), "0.125", None],
+}
+_SAMPLES = [float("nan"), float("inf"), -float("inf"), 1e300, 1e3, -1e3, 5e-324]
+
+
+def _mostly(values: list):
+    """The first of ``values`` half the time, else any of them."""
+    return st.one_of(st.just(values[0]), st.sampled_from(values))
+
+
+@st.composite
+def _records(draw) -> bytes:
+    """The burgers record as is, with one field set or dropped, or cut short."""
+    record = dict(_RECORD)
+    kind = draw(_mostly(["good", "set", "drop", "cut"]))
+    key = draw(st.sampled_from(sorted(record) + ["extra"]))
+    if kind == "set":
+        record[key] = draw(st.sampled_from(_RECORD_VALUES))
+    elif kind == "drop":
+        record.pop(key, None)
+    raw = json.dumps(record).encode()
+    return raw[: draw(st.integers(0, len(raw) - 1))] if kind == "cut" else raw
+
+
+@st.composite
+def _cli_grids(draw) -> bytes:
+    """A 3-frame, 8-cell PDEGRID1 file as is, with one header field or one
+    sample changed, or cut short. A changed ``nt`` or ``nx`` resizes the
+    samples to match."""
+    header, values = dict(_GRID_HEADER), _GRID_VALUES.copy()
+    kind = draw(_mostly(["good", "header", "sample", "cut"]))
+    if kind == "header":
+        key = draw(st.sampled_from(sorted(header)))
+        header[key] = draw(st.sampled_from(_HEADER_VALUES[key]))
+        nt, nx = header["nt"], header["nx"]
+        if type(nt) is int and type(nx) is int and nt >= 0 and nx >= 0:
+            values = np.resize(values, (nt, nx))
+    elif kind == "sample":
+        values[draw(st.integers(0, 2)), draw(st.integers(0, 7))] = draw(st.sampled_from(_SAMPLES))
+    blob = json.dumps(header).encode()
+    raw = b"PDEGRID1" + struct.pack("<I", len(blob)) + blob + values.astype("<f8").tobytes()
+    return raw[: draw(st.integers(0, len(raw) - 1))] if kind == "cut" else raw
+
+
+_FILTER_FLAGS = {
+    "--particles": ["4", "2", "1", "0", "-3", "x"],
+    "--steps": ["1", "2", "3", "0", "-1", "1.5"],
+    "--process-var": ["1e-5", "0", "-1", "nan", "inf"],
+    "--obs-scale": ["0.05", "0", "nan", "1e300"],
+    "--likelihood": ["pointwise", "norm", "bogus"],
+    "--seed": ["0", "7", "-1", "x", "9" * 30],
+}
+_REFINE_FLAGS = {
+    **_FILTER_FLAGS,
+    "--alpha0": ["0.5,0.05", "0.5", "0.45,0.06", "0", "-0.5,0.05", "nan", "inf", "1e3",
+                 "0.5,0.05,1", ",", "", "x"],
+}
+_STUDY_FLAGS = {
+    **_FILTER_FLAGS,
+    "--families": ["burgers", "icl_cubic", "cl_cubic", "nope", " ", ",", "burgers,nope"],
+    "--trials": ["1", "0", "-1", "1.5", "x"],
+    "--coeff-error": ["0.03", "0", "-0.5", "2", "nan", "inf", "x"],
+}
+_EVAL_FLAGS = {
+    "--seed": _FILTER_FLAGS["--seed"],
+    "--dialect": ["canonical", "manual", "infix"],
+}
+_ALWAYS = ("--particles", "--steps", "--families", "--trials")  # their defaults run long
+
+
+@st.composite
+def _flags(draw, pools: dict) -> list:
+    """``--flag=value`` for about a third of ``pools``' flags, and for those in
+    ``_ALWAYS``; each value is the first of its pool half the time."""
+    return [
+        f"{flag}={draw(_mostly(values))}"
+        for flag, values in pools.items()
+        if flag in _ALWAYS or draw(st.integers(0, 2)) == 0
+    ]
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in the JSON payload")
+
+
+def _exits_cleanly(argv) -> None:
+    """``main(argv)`` exits 0 with a JSON payload free of NaN and Infinity, or
+    exits 1, 2 or 3 with nothing on stdout and one JSON error line on stderr.
+    Either way no warning is issued: a process would print it to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        json.loads(out, parse_constant=_no_constant)
+        assert err == ""
+        return
+    assert code in (1, 2, 3) and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+@given(_records(), _cli_grids(), _flags(_REFINE_FLAGS))
+@settings(max_examples=60, deadline=None)
+def test_refine_exits_cleanly_on_mutated_input(record, grid, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        eq, traj = Path(tmp) / "eq.json", Path(tmp) / "traj.grid"
+        eq.write_bytes(record)
+        traj.write_bytes(grid)
+        _exits_cleanly(["refine", "--equation", str(eq), "--observations", str(traj), *flags])
+
+
+_BURGERS_TOKENS = {
+    "canonical": list(to_canonical_tokens(_BURGERS).tokens),
+    "manual": list(to_manual_tokens(parse_infix("u_t + 1.0*u*u_x - 0.05*u_xx")).tokens),
+}
+
+
+@given(_records(), _records(), st.integers(0, 2**32 - 1), st.integers(0, 4),
+       st.sampled_from(["record", "canonical", "manual"]), st.lists(_cli_grids(), max_size=2),
+       _flags(_EVAL_FLAGS))
+@settings(max_examples=60, deadline=None)
+def test_eval_exits_cleanly_on_mutated_input(truth, learned, seed, edits, source, grids, flags):
+    """``--learned`` is a mutated record, or ``--learned-tokens`` are the burgers
+    tokens with a few edits; a first grid is the trajectory, a second the
+    prediction."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "truth.json").write_bytes(truth)
+        argv = ["eval", "--truth", str(tmp / "truth.json")]
+        if source == "record":
+            (tmp / "learned.json").write_bytes(learned)
+            argv += ["--learned", str(tmp / "learned.json")]
+        else:
+            tokens = _mutated(list(_BURGERS_TOKENS[source]), np.random.default_rng(seed), edits)
+            argv += ["--learned-tokens", " ".join(tokens), f"--dialect={source}"]
+        for flag, grid in zip(("--trajectory", "--prediction"), grids):
+            (tmp / flag[2:]).write_bytes(grid)
+            argv += [flag, str(tmp / flag[2:])]
+        _exits_cleanly(argv + flags)
+
+
+@given(_flags(_STUDY_FLAGS))
+@settings(max_examples=25, deadline=None)
+def test_study_exits_cleanly_on_mutated_flags(flags):
+    _exits_cleanly(["study", *flags])

@@ -335,6 +335,18 @@ def test_solve_ensemble_rows_match_solve_and_flag_failures():
         solve_ensemble("quadratic", q1, q2[:3], u0, grid, 0.5, 6)
 
 
+def test_unknown_flux_kind_is_a_value_error_everywhere():
+    grid = _grid()
+    q, u0 = np.array([0.5]), np.zeros((1, grid.nx))
+    message = r"flux_kind must be one of \('quadratic', 'cubic', 'sine'\)"
+    with pytest.raises(ValueError, match=message):
+        advance_ensemble("bogus", q, q, u0, 0.1, grid)
+    with pytest.raises(ValueError, match=message):
+        solve_ensemble("bogus", q, q, u0, grid, 0.5, 6)
+    with pytest.raises(ValueError, match=message):
+        ConservationLaw("bogus", 0.5)
+
+
 @pytest.mark.parametrize(
     "t_final, nt_out, u0, error",
     [
