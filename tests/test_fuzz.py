@@ -212,7 +212,7 @@ _GRID_VALUES = np.tile(0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=Fa
 
 # Finite magnitudes stay within a few decades of the families' own: ``solve``,
 # which ``eval --trajectory`` runs on the learned law, has no substep cap, so
-# a learned q1 near 1e300, or a grid spacing near 1e-300, runs for hours.
+# a learned q1 near 1e300, or a grid spacing near 1e-300, never finishes.
 _RECORD_VALUES = [None, True, 0, -1, 0.5, 1e-300, 1e3, -0.05, float("nan"), float("inf"),
                   "0.5", "burgers", "quadratic", "sine", [], {}, [0.5]]
 _HEADER_VALUES = {
