@@ -14,15 +14,22 @@ Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 13), not by
 expanding each derivative node symbolically; that expansion is the
 reference the tests check the jets against, and it lives with them in
 ``tests/helpers.py``. A residual compiles once into a postfix program over
-its unexpanded tree, in one explicit-stack walk; the program then runs
-once per surrogate. Each node's value is a jet: a dict from multi-index
-(i, j) to the grid of d^i/dx^i d^j/dt^j f / (i! j!), holding only the
-entries the derivative nodes above it need. A leaf that the expanded
-residual could not evaluate (an unbound variable, say) is an entry that
-carries its error through the arithmetic, so the error surfaces when the
-program runs, and only if the residual's value uses that leaf.
-``symbolic_error`` shares one surrogate's field grids between the truth and
-the learned residual.
+its unexpanded tree, in one explicit-stack walk; the program then runs on
+a block of surrogates at once, one (n_t, n_x) grid per surrogate along a
+leading axis. Each node's value is a jet: a dict from multi-index (i, j)
+to the grids of d^i/dx^i d^j/dt^j f / (i! j!), holding only the entries
+the derivative nodes above it need. A leaf that the expanded residual
+could not evaluate (an unbound variable, say) is an entry that carries its
+error through the arithmetic, so the error surfaces when the program runs,
+and only if the residual's value uses that leaf.
+
+``symbolic_error`` draws the surrogates it still needs as one block, runs
+the truth program once on it and accepts rows in draw order; the learned
+program then runs once on the accepted rows, on the truth's own field
+grids when the first block is accepted whole. Every operation is
+elementwise, and each row's acceptance test and error are reduced over
+its own slice, so batching moves no bit: :func:`residual_on_surrogate` is
+the one-row case.
 """
 from __future__ import annotations
 
@@ -94,14 +101,17 @@ def r2_score(targets, preds) -> float:
 # polynomial surrogate
 
 def _polyval(coeffs, z, order: int):
-    """The ``order``-th derivative of sum_k c_k z^k.
+    """The ``order``-th derivative of sum_k c_k z^k, where each c_k is a
+    float or a column of coefficients that broadcasts against z.
 
     Term k is c_k * (k * ((k-1) * (... * z^(k-order)))), summed over k in
     turn: the order in which the symbolic-expansion reference in
     ``tests/helpers.py`` evaluates the derivative of the surrogate's
-    polynomial tree, so the two agree bit for bit.
+    polynomial tree, so the two agree bit for bit. Every operation is
+    elementwise, so a column's entries are the bits of its floats.
     """
-    out = np.full_like(np.asarray(z, dtype=float), 0.0 if order else coeffs[0])
+    shape = np.broadcast_shapes(np.shape(coeffs[0]), np.shape(z))
+    out = np.full(shape, 0.0 if order else coeffs[0])
     for k, c in enumerate(coeffs[1:], start=1):
         if k < order:
             continue
@@ -128,6 +138,8 @@ class PolySurrogate:
         return cls(tuple(rng.uniform(-1.0, 1.0, 8)))
 
     def value(self, x, t, dx_order: int = 0, dt_order: int = 0):
+        """d^dx_order/dx d^dt_order/dt P at (x, t): the one-row case of the
+        field grids :func:`symbolic_error` computes for a block."""
         return _polyval(self.c[:3], t, dt_order) * _polyval(self.c[3:], x, dx_order)
 
 
@@ -135,13 +147,15 @@ def residual_on_surrogate(eq, surrogate: PolySurrogate, xs: np.ndarray,
                           ts: np.ndarray) -> np.ndarray:
     """Evaluate the residual with u := P on a (len(ts), len(xs)) grid.
 
-    The residual is not expanded. One walk over the tree gives each node a
-    jet: the grids of its normalized Taylor coefficients
-    d^i/dx^i d^j/dt^j f / (i! j!) for the multi-indices (i, j) that the
-    derivative nodes above it need. The field's entries come from
-    :meth:`PolySurrogate.value`, sums add entrywise, products use the
-    Leibniz rule, quotients its recurrence, and ``sin``, ``cos`` and integer
-    powers the chain rule (Faa di Bruno) around their order-0 value.
+    This is the one-row case of the run that :func:`symbolic_error` makes
+    on a block of surrogates at once. The residual is not expanded. One
+    walk over the tree gives each node a jet: the grids of its normalized
+    Taylor coefficients d^i/dx^i d^j/dt^j f / (i! j!) for the multi-indices
+    (i, j) that the derivative nodes above it need. The field's entries are
+    :meth:`PolySurrogate.value`'s products of a t- and an x-polynomial,
+    sums add entrywise, products use the Leibniz rule, quotients its
+    recurrence, and ``sin``, ``cos`` and integer powers the chain rule
+    (Faa di Bruno) around their order-0 value.
 
     The reference, kept in ``tests/helpers.py``, substitutes P's polynomial
     tree for the field, expands every derivative node symbolically and
@@ -153,7 +167,7 @@ def residual_on_surrogate(eq, surrogate: PolySurrogate, xs: np.ndarray,
     order :data:`MAX_JET_ORDER`.
     """
     X, T = np.meshgrid(xs, ts)
-    return _run(_compile(eq, X, T), _FieldGrids(surrogate, xs, ts))
+    return _run(_compile(eq, X, T), _FieldGrids(np.array([surrogate.c]), xs, ts))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +354,28 @@ class _Unevaluable:
 
 
 class _FieldGrids(dict):
-    """One surrogate's derivative grids, each computed on first use."""
+    """The derivative grids of a block of surrogates, one per row of a
+    (k, 8) coefficient matrix, stacked as (k, n_t, n_x) and each computed
+    on first use as the product of a t- and an x-polynomial, themselves
+    computed once per derivative order."""
 
-    def __init__(self, surrogate: PolySurrogate, xs, ts):
+    def __init__(self, coeffs: np.ndarray, xs, ts):
         super().__init__()
         xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
-        # a row and a column broadcast to the grid with the same bits
-        self.surrogate, self.x, self.t = surrogate, xs[None, :], ts[:, None]
-        self.shape = (ts.size, xs.size)
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        # coefficient columns of shape (k, 1, 1), a row of x and a column of
+        # t broadcast to the grids with the same bits
+        self.cols, self.x, self.t = self.coeffs.T[:, :, None, None], xs[None, :], ts[:, None]
+        self.shape = (len(self.coeffs), ts.size, xs.size)
+        self.tpolys, self.xpolys = {}, {}
 
     def __missing__(self, key):
-        grid = self[key] = self.surrogate.value(self.x, self.t, *key)
+        i, j = key
+        if j not in self.tpolys:
+            self.tpolys[j] = _polyval(self.cols[:3], self.t, j)
+        if i not in self.xpolys:
+            self.xpolys[i] = _polyval(self.cols[3:], self.x, i)
+        grid = self[key] = self.tpolys[j] * self.xpolys[i]
         return grid
 
 
@@ -372,9 +397,9 @@ def _convolve(l: dict, r: dict, plan: list) -> dict:
 
 
 def _run(prog: list, field: _FieldGrids) -> np.ndarray:
-    """The residual grid of a program from :func:`_compile` on one
-    surrogate's grids; :class:`UnsupportedNode` if the residual's value
-    uses a leaf the expansion cannot evaluate."""
+    """The (k, n_t, n_x) residual grids of a program from :func:`_compile`
+    on a block of surrogates' grids; :class:`UnsupportedNode` if the
+    residual's value uses a leaf the expansion cannot evaluate."""
     out = _jet(prog, field)[(0, 0)]
     if isinstance(out, _Unevaluable):
         raise UnsupportedNode(out.message)
@@ -453,8 +478,16 @@ def symbolic_error(learned: Equation, truth: Equation, n_polys: int = 10,
                    n_x: int = 32, n_t: int = 32, seed: int = 0) -> float:
     """Mean relative L2 discrepancy of the two residuals over surrogates.
 
-    Surrogate coefficients are Unif(-1, 1); draws whose truth residual has
-    grid RMS below 1e-6 are rejected so the reference never degenerates.
+    Surrogate coefficients are Unif(-1, 1). The k surrogates still needed
+    are drawn as one (k, 8) block, and the truth program runs once on the
+    block's (k, n_t, n_x) grids. Rows are accepted in draw order: a draw
+    whose truth residual has grid RMS below 1e-6 is rejected, so the
+    reference never degenerates, and the 100th rejection in a row raises
+    :class:`DegenerateReference`. The learned program then runs once on the
+    accepted rows, on the truth's own grids when the first block is
+    accepted whole. Each row's RMS test and relative L2 error reduce over
+    that row's slice alone, so the result, and which error is raised, are
+    those of drawing, testing and scoring one surrogate at a time.
     """
     for name, size in (("n_polys", n_polys), ("n_x", n_x), ("n_t", n_t)):
         if size < 1:
@@ -464,22 +497,25 @@ def symbolic_error(learned: Equation, truth: Equation, n_polys: int = 10,
     X, T = np.meshgrid(xs, ts)
     rng = np.random.default_rng(seed)
     truth_prog = _compile(truth, X, T)
-    learned_prog = None
-    errors = []
-    for _ in range(n_polys):
-        for _attempt in range(100):
-            field = _FieldGrids(PolySurrogate.random(rng), xs, ts)
-            truth_vals = _run(truth_prog, field)
-            if float(np.sqrt(np.mean(truth_vals**2))) >= 1e-6:
-                break
-        else:
-            raise DegenerateReference(
-                "truth residual vanishes on every sampled surrogate"
-            )
-        if learned_prog is None:  # the learned residual is first needed here
-            learned_prog = _compile(learned, X, T)
-        errors.append(rel_l2(truth_vals, _run(learned_prog, field)))
-    return float(np.mean(errors))
+    accepted, truth_vals, rejected = [], [], 0
+    while len(accepted) < n_polys and rejected < 100:
+        field = _FieldGrids(rng.uniform(-1.0, 1.0, (n_polys - len(accepted), 8)), xs, ts)
+        for c, vals in zip(field.coeffs, _run(truth_prog, field)):
+            if float(np.sqrt(np.mean(vals**2))) >= 1e-6:
+                accepted.append(c)
+                truth_vals.append(vals)
+                rejected = 0
+            else:
+                rejected += 1
+                if rejected == 100:
+                    break
+    if accepted:  # the learned residual is first needed at the first acceptance
+        if not len(accepted) == len(field.coeffs) == n_polys:
+            field = _FieldGrids(np.array(accepted), xs, ts)
+        learned_vals = _run(_compile(learned, X, T), field)
+    if len(accepted) < n_polys:
+        raise DegenerateReference("truth residual vanishes on every sampled surrogate")
+    return float(np.mean([rel_l2(u, v) for u, v in zip(truth_vals, learned_vals)]))
 
 
 def valid_fraction(generated: list[TokenSeq], truths: list[Equation]) -> float:

@@ -172,7 +172,9 @@ def reweight(ens: ParticleEnsemble, u_prev: np.ndarray, u_obs: np.ndarray,
     Each particle's coefficients are substituted into the law template and
     advanced from ``u_prev`` over ``dt_obs``; ``ref_norm`` is the discrete
     L2 norm of the initial frame, fixing ``eps = obs_scale * ref_norm``.
-    Particles whose simulation blows up receive weight zero.
+    Particles whose simulation blows up receive weight zero. When none has
+    a finite squared residual, :class:`AllWeightsDegenerate` names the
+    cause: no finite simulation, or only residuals that overflowed.
     """
     eps = cfg.obs_scale * ref_norm
     if eps <= 0.0:
@@ -188,6 +190,8 @@ def reweight(ens: ParticleEnsemble, u_prev: np.ndarray, u_obs: np.ndarray,
         with np.errstate(over="ignore"):  # a residual that overflows is inf
             diff = u_obs[None, :] - states[ok]
             sq[idx[ok]] = np.sum(diff * diff, axis=1) * scale
+        if ok.any() and np.isinf(sq).all():
+            raise AllWeightsDegenerate("every finite simulation's squared residual overflowed")
     weights = weights_from_sq_residuals(sq, eps)
     return ParticleEnsemble(ens.particles.copy(), weights)
 

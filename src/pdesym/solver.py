@@ -35,10 +35,12 @@ with a clipped Heun step from the march's state that reuses the march's
 first slope. The kernel splits many march rows into contiguous blocks, one
 thread per core, and runs each block in padded buffers allocated once per
 call and cut to a leading slice when rows retire. A row that fails (a NaN
-or zero step, or in :func:`advance_ensemble` more than ``MAX_SUBSTEPS``
-substeps) holds its last state in its remaining frames. Every row's
-arithmetic is the same whatever batch, march or block it lands in, so
-batching, sharing and splitting change no bit of the result.
+or zero step, or more than ``MAX_SUBSTEPS`` substeps in an
+:func:`advance_ensemble` interval or ``MAX_SOLVE_SUBSTEPS`` in a
+:func:`solve_ensemble` output interval) holds its last state in its
+remaining frames. Every row's arithmetic is the same whatever batch, march
+or block it lands in, so batching, sharing and splitting change no bit of
+the result.
 
 The module also owns the ``PDEGRID1`` binary trajectory format: magic bytes
 ``PDEGRID1``, a little-endian uint32 header length, a UTF-8 JSON header
@@ -189,9 +191,16 @@ _MIN_BLOCK_ROWS = 128
 # interval is one output interval of a trajectory: the most any took in 480
 # solves of the six families, half of them at amplitude 2 and 1.3 q1, was 51.
 # A particle that needs more (|q1| near 1e12, say) fails as a NaN step does,
-# instead of running for ~1e13 substeps. solve_ensemble has no cap: its
-# caller chooses the grid, the horizon and the frames.
+# instead of running for ~1e13 substeps.
 MAX_SUBSTEPS = 2**14
+
+# Most substeps a row may take in one solve_ensemble output interval. Its
+# caller chooses the grid, the horizon and the frames, so one frame may span
+# many filter intervals: an icl_sine solve over 60 time units in one frame
+# takes 19,201. A law or grid whose steps are tiny (q1 = 1e300, dx = 1e-300)
+# fails here instead of never returning: a one-row burgers solve at
+# q1 = 1e300 reaches the cap in about 4 s on one core of a Xeon VM.
+MAX_SOLVE_SUBSTEPS = 2**15
 
 
 def _padded(u: np.ndarray) -> np.ndarray:
@@ -293,7 +302,7 @@ def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
     two half steps of exact diffusion on the rows with ``q2 > 0`` (Strang
     splitting), so only the advective limit bounds the step. A row whose
     step turns NaN or zero, or that still has budget after ``limit``
-    substeps, fails: its remaining frames hold its last state.
+    substeps in one frame, fails: its remaining frames hold its last state.
 
     ``side = (srows, sown, srem)`` lists the other members of the marches,
     which have one frame: row ``srows[i]`` starts on march ``rows[sown[i]]``
@@ -312,7 +321,8 @@ def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
     last = budget.shape[1] - 1
     rem = budget[:, 0].copy()
     frame = np.zeros(rows.size, dtype=np.intp)
-    n = 0
+    began = np.zeros(rows.size, dtype=np.intp)  # the substep each frame began at
+    n = oldest = 0
     # numpy's error state is per thread, so each worker sets its own
     with np.errstate(all="ignore"):
         fc, sc = fc[:, None], sc[:, None]
@@ -324,7 +334,7 @@ def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
         while True:
             flux.speed(sc, u, w)
             dt = _stable_dt(w, dx)
-            if not (dt.min() > 0.0 and rem.all()) or n >= limit:
+            if not (dt.min() > 0.0 and rem.all()) or n - oldest >= limit:
                 # write the frames whose budget is spent and refill it; then
                 # a NaN or zero step, or too many substeps, fails a march
                 # and freezes its remaining frames and members
@@ -333,10 +343,11 @@ def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
                 while i.size:
                     frames[rows[i], frame[i]] = mid[i]
                     frame[i] += 1
+                    began[i] = n
                     rem[i] = budget[i, frame[i]]
                     i = i[(rem[i] == 0.0) & (frame[i] < last)]
                 pending = rem > 0.0
-                failed = (~(dt > 0.0) | (n >= limit)) & pending
+                failed = (~(dt > 0.0) | (n - began >= limit)) & pending
                 if failed.any():
                     lost = failed[sown]
                     i, j = np.nonzero(failed[:, None] & (np.arange(last) >= frame[:, None]))
@@ -351,11 +362,12 @@ def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
                         return
                     sown = (np.cumsum(keep) - 1)[sown]
                     u[:m], w[:m] = u[keep], w[keep]
-                    rows, dt, rem, fc, sc, budget, frame = (
-                        a[keep] for a in (rows, dt, rem, fc, sc, budget, frame))
+                    rows, dt, rem, fc, sc, budget, frame, began = (
+                        a[keep] for a in (rows, dt, rem, fc, sc, budget, frame, began))
                     q2c = None if q2c is None else q2c[keep]
                     ws = tuple(a[:m] for a in ws)
                     u, w, k1 = ws[0], ws[2], ws[6]
+                oldest = began.min()
             np.minimum(dt, rem, out=dt)
             rem -= dt
             dtc = dt[:, None]
@@ -397,7 +409,7 @@ def _advance(flux: Flux, q1: np.ndarray, q2: np.ndarray, u_start: np.ndarray,
     """Advance every row from ``u_start`` (one state shared by every row,
     or one state per row) over the intervals ``dts``, writing frame k into
     ``frames[:, k]``, and clear ``alive`` where a row fails or still has
-    budget after ``limit`` substeps: the planner behind
+    budget after ``limit`` substeps in one interval: the planner behind
     :func:`advance_ensemble` and :func:`solve_ensemble`. It builds the tau
     columns, freezes the rows that cannot move, forms the shared-start
     marches (one shared state and one interval only) and splits the march
@@ -538,10 +550,13 @@ def solve_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray, u0: np.ndarra
     output intervals.
 
     Returns ``(times, values, ok)`` with ``values`` of shape (M, nt_out, nx)
-    and ``ok`` a boolean mask of the rows that stayed finite. A failed row's
-    frames from its failure on hold the state it failed at. Unlike
-    :func:`advance_ensemble`, no substep cap applies. A horizon so small that
-    the output times are not strictly increasing raises ``ValueError``.
+    and ``ok`` a boolean mask of the rows that stayed finite and finished.
+    A row that needs more than ``MAX_SOLVE_SUBSTEPS`` substeps in one output
+    interval fails, as :func:`advance_ensemble`'s rows do past
+    ``MAX_SUBSTEPS``; the larger cap leaves room for frames that span many
+    filter intervals. A failed row's frames from its failure on hold the
+    state it failed at. A horizon so small that the output times are not
+    strictly increasing raises ``ValueError``.
     """
     flux = _flux(flux_kind)
     if not 0.0 < t_final < math.inf:
@@ -561,7 +576,7 @@ def solve_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray, u0: np.ndarra
     values = np.empty((q1.size, nt_out, grid.nx))
     values[:, 0] = u0
     ok = np.ones(q1.size, dtype=bool)
-    _advance(flux, q1, q2, u0, dts, grid.dx, values[:, 1:], ok, math.inf)
+    _advance(flux, q1, q2, u0, dts, grid.dx, values[:, 1:], ok, MAX_SOLVE_SUBSTEPS)
     return times, values, ok & np.isfinite(values[:, -1]).all(axis=1)
 
 
@@ -581,7 +596,10 @@ def solve(law: ConservationLaw, u0: np.ndarray, grid: Grid1D, t_final: float,
         t_final, nt_out,
     )
     if not ok[0]:
-        raise NonFiniteState("state became non-finite during integration")
+        raise NonFiniteState(
+            "integration failed: the state or its step stopped being finite, or an "
+            f"output interval needed more than {MAX_SOLVE_SUBSTEPS} substeps"
+        )
     return SpaceTimeField(grid, times, values[0])
 
 

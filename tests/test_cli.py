@@ -526,6 +526,79 @@ def test_refine_fails_particles_that_need_too_many_substeps(tmp_path, capsys):
     assert json.loads(err)["error"] == "AllWeightsDegenerate"
 
 
+def _cli_process(*argv):
+    """Run the CLI in a fresh interpreter with numpy's warnings shown; a run
+    that does not end within 60 s fails the test."""
+    src = str(pathlib.Path(pdesym.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="default")
+    return subprocess.run([sys.executable, "-m", "pdesym.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def _assert_substep_cap_error(proc):
+    assert (proc.returncode, proc.stdout) == (3, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "NonFiniteState" and "substeps" in error["message"]
+
+
+def test_eval_of_a_learned_law_with_tiny_steps_stops_at_the_substep_cap(tmp_path, capsys):
+    """A learned q1 of 1e300 makes every step of the re-simulation about
+    1e-302 long: it stops at ``MAX_SOLVE_SUBSTEPS``, in a few seconds,
+    instead of never returning."""
+    data = tmp_path / "data"
+    run_cli(capsys, "gen", "--out", str(data), "--families", "burgers",
+            "--params", "1", "--ics", "1", "--seed", "17")
+    entry = json.loads((data / "manifest.json").read_text())["entries"][0]
+    record = json.loads((data / entry["equation"]).read_text())
+    learned = tmp_path / "fast.json"
+    learned.write_text(json.dumps(dict(record, q1=1e300)))
+    _assert_substep_cap_error(_cli_process(
+        "eval", "--truth", str(data / entry["equation"]), "--learned", str(learned),
+        "--trajectory", str(data / entry["trajectory"])))
+
+
+def test_eval_on_a_grid_with_tiny_spacing_stops_at_the_substep_cap(tmp_path):
+    from pdesym.datagen import FAMILIES, equation_record
+
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_text(json.dumps(equation_record("x", FAMILIES["inviscid_burgers"], 0.5, 0.0)))
+    header = json.dumps({"nt": 3, "nx": 8, "t": [0.0, 0.05, 0.1],
+                         "x0": 0.0, "dx": 1e-300}).encode()
+    values = np.tile(0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)), (3, 1))
+    grid_path = tmp_path / "traj.grid"
+    grid_path.write_bytes(b"PDEGRID1" + struct.pack("<I", len(header)) + header
+                          + values.astype("<f8").tobytes())
+    _assert_substep_cap_error(_cli_process(
+        "eval", "--truth", str(eq_path), "--learned", str(eq_path),
+        "--trajectory", str(grid_path)))
+
+
+def test_refine_names_residuals_that_overflow(tmp_path, capsys):
+    """Every particle's simulation is finite, but one observed sample of
+    1e300 overflows every squared residual."""
+    from pdesym.datagen import FAMILIES, equation_record
+
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_text(json.dumps(equation_record("x", FAMILIES["burgers"], 0.5, 0.05)))
+    header = json.dumps({"nt": 3, "nx": 8, "t": [0.0, 0.05, 0.1],
+                         "x0": 0.0, "dx": 0.125}).encode()
+    values = np.tile(0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)), (3, 1))
+    values[1, 3] = 1e300
+    grid_path = tmp_path / "traj.grid"
+    grid_path.write_bytes(b"PDEGRID1" + struct.pack("<I", len(header)) + header
+                          + values.astype("<f8").tobytes())
+    code, out, err = run_cli(
+        capsys, "refine", "--equation", str(eq_path), "--observations", str(grid_path),
+        "--particles", "8", "--steps", "2",
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "AllWeightsDegenerate",
+                               "message": "every finite simulation's squared residual overflowed"}
+
+
 def test_refine_with_norm_likelihood(tmp_path, capsys):
     code, out, err = _refine_burgers(tmp_path, capsys, "--likelihood", "norm")
     assert (code, err) == (0, "")
@@ -551,14 +624,8 @@ def test_non_finite_horizon_is_one_json_error_line(tmp_path, t_final):
     """``solve --t-final inf`` (or nan) writes its data error to stderr and
     nothing else: no numpy warning escapes from forming the output times,
     and the message names the horizon."""
-    src = str(pathlib.Path(pdesym.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="default")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pdesym.cli", "solve", "--family", "burgers",
-         "--t-final", t_final, "--nt", "3", "--output-grid", str(tmp_path / "traj.grid")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _cli_process("solve", "--family", "burgers", "--t-final", t_final, "--nt", "3",
+                        "--output-grid", str(tmp_path / "traj.grid"))
     assert (proc.returncode, proc.stdout) == (2, "")
     lines = proc.stderr.splitlines()
     assert len(lines) == 1

@@ -211,8 +211,9 @@ _GRID_HEADER = {"nt": 3, "nx": 8, "t": [0.0, 0.05, 0.1], "x0": 0.0, "dx": 0.125}
 _GRID_VALUES = np.tile(0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)), (3, 1))
 
 # Finite magnitudes stay within a few decades of the families' own: ``solve``,
-# which ``eval --trajectory`` runs on the learned law, has no substep cap, so
-# a learned q1 near 1e300, or a grid spacing near 1e-300, never finishes.
+# which ``eval --trajectory`` runs on the learned law, stops a learned q1 near
+# 1e300, or a grid spacing near 1e-300, only at its substep cap, seconds later
+# (``test_cli`` checks both once).
 _RECORD_VALUES = [None, True, 0, -1, 0.5, 1e-300, 1e3, -0.05, float("nan"), float("inf"),
                   "0.5", "burgers", "quadratic", "sine", [], {}, [0.5]]
 _HEADER_VALUES = {

@@ -17,6 +17,7 @@ from pdesym.expr import (
     Var,
     parse_infix,
 )
+from pdesym import metrics
 from pdesym.metrics import (
     PolySurrogate,
     law_from_equation,
@@ -29,7 +30,7 @@ from pdesym.metrics import (
     time_series_error,
     valid_fraction,
 )
-from pdesym.perturb import PerturbConfig, inject_noise_term, swap_branches
+from pdesym.perturb import PerturbConfig, inject_noise_term, mask_coefficients, swap_branches
 from pdesym.solver import FLUXES, SpaceTimeField, solve
 from pdesym.tokens import Dialect, TokenSeq, to_canonical_tokens
 
@@ -41,6 +42,7 @@ from helpers import (
     random_manual_tree,
     substitute_field,
     surrogate_expr,
+    symbolic_error_per_surrogate,
 )
 
 
@@ -195,6 +197,94 @@ def test_symbolic_error_on_a_long_sum():
     truth = equation_for(FAMILIES["burgers"], 0.5, 0.05)
     err = symbolic_error(parse_infix(src), truth, n_polys=2)
     assert isinstance(err, float) and np.isfinite(err)
+
+
+# ---------------------------------------------------------------------------
+# the batched run against the per-surrogate reference
+
+def _assert_matches_per_surrogate(learned, truth, **kwargs):
+    """Both scores' bytes, or both errors' type and message, are equal;
+    returns the error's type, or None."""
+    got, want = (_outcome(lambda: np.float64(score(learned, truth, **kwargs)).tobytes())
+                 for score in (symbolic_error, symbolic_error_per_surrogate))
+    assert got == want, (learned, truth, kwargs)
+    return got[0] and got[0][0]
+
+
+def test_batched_symbolic_error_matches_per_surrogate_on_family_variants():
+    variants = [eq for _, eq in _family_variants()]
+    templates = [equation_for(spec, spec.q1, spec.q2) for spec in FAMILIES.values()]
+    variants += templates + [mask_coefficients(eq) for eq in templates]
+    for truth in templates:
+        for seed, learned in enumerate(variants):
+            _assert_matches_per_surrogate(learned, truth, seed=seed)
+
+
+def test_batched_symbolic_error_matches_per_surrogate_on_random_trees():
+    rng = np.random.default_rng(15)
+    generators = (random_manual_tree, random_general_tree, random_deriv_tree)
+    kinds = []
+    for i in range(2001):
+        truth = Equation(generators[i % 3](rng))
+        learned = Equation(generators[i // 3 % 3](rng))
+        error = _assert_matches_per_surrogate(learned, truth, seed=i)
+        kinds.append(error.__name__ if error else "ok")
+    # the set has many of each outcome: a score, a degenerate truth, a failure
+    assert set(kinds) == {"ok", "DegenerateReference", "UnsupportedNode"}
+    assert min(map(kinds.count, set(kinds))) > 100
+
+
+def test_batched_symbolic_error_draws_blocks_until_enough_are_accepted(monkeypatch):
+    """A truth of 1e-6*u is rejected on about 94% of draws, so it takes many
+    blocks, each of the surrogates still needed."""
+    blocks = []
+    run = metrics._run
+
+    def counted(prog, field):
+        blocks.append(len(field.coeffs))
+        return run(prog, field)
+
+    monkeypatch.setattr(metrics, "_run", counted)
+    learned = equation_for(FAMILIES["burgers"], 0.5, 0.05)
+    assert _assert_matches_per_surrogate(learned, parse_infix("1e-6*u = 0")) is None
+    *truth_blocks, learned_block = blocks
+    assert truth_blocks[0] == learned_block == 10 and len(truth_blocks) > 20
+    assert truth_blocks == sorted(truth_blocks, reverse=True)
+
+
+_BURGERS = equation_for(FAMILIES["burgers"], 0.5, 0.05)
+_INVISCID = equation_for(FAMILIES["inviscid_burgers"], 0.5, 0.0)
+_UNBOUND = parse_infix("u_t + y*u_x = 0")  # fails when its program runs
+_TOO_DEEP = Equation(Deriv(Binary("pow", FIELD, Int(2)), "x", 17))  # fails to compile
+_DEGENERATE = parse_infix("(u_xx)_xxx = 0")
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"n_polys": 1}, {"n_x": 7, "n_t": 13},
+                                    {"n_polys": 3, "n_x": 40, "n_t": 1}])
+@pytest.mark.parametrize("learned,truth,want", [
+    (_BURGERS, parse_infix("1e-6*u = 0"), None),
+    (_BURGERS, _INVISCID, None),
+    (_INVISCID, _BURGERS, None),
+    (_BURGERS, _DEGENERATE, DegenerateReference),
+    (_UNBOUND, _BURGERS, UnsupportedNode),
+    (_TOO_DEEP, _BURGERS, UnsupportedNode),
+    # a truth that vanishes on every draw is reported before the learned
+    # residual is compiled or run
+    (_UNBOUND, _DEGENERATE, DegenerateReference),
+    (_TOO_DEEP, _DEGENERATE, DegenerateReference),
+])
+def test_batched_symbolic_error_matches_per_surrogate_on_edge_cases(learned, truth, want, kwargs):
+    assert _assert_matches_per_surrogate(learned, truth, **kwargs) is want
+
+
+def test_learned_errors_come_before_a_later_degenerate_surrogate():
+    """At seed 0 a truth of 5e-7*u accepts a few draws, then is rejected
+    100 times in a row: the learned residual's error, met at the first
+    accepted draw, is the one raised."""
+    late = parse_infix("5e-7*u = 0")
+    assert _assert_matches_per_surrogate(_BURGERS, late) is DegenerateReference
+    assert _assert_matches_per_surrogate(_UNBOUND, late) is UnsupportedNode
+    assert _assert_matches_per_surrogate(_TOO_DEEP, late) is UnsupportedNode
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,8 @@ def test_substep_cap_fails_march_members_as_alone(flux_kind, monkeypatch):
     """With the step limit capped at 2^-10 and the cap at 32 substeps, a
     budget of 2^-5 takes exactly the cap and finishes, alone and as a march
     member; a budget an ulp-sized step larger fails, at the march's state
-    after 32 substeps as alone. ``solve_ensemble`` has no cap."""
+    after 32 substeps as alone. ``solve_ensemble`` has its own cap,
+    ``MAX_SOLVE_SUBSTEPS``, which this does not lower."""
     stable = solver._stable_dt
     monkeypatch.setattr(solver, "_stable_dt", lambda w, dx: np.minimum(stable(w, dx), 2.0**-10))
     monkeypatch.setattr(solver, "MAX_SUBSTEPS", 32)
@@ -462,10 +463,33 @@ def test_substep_cap_fails_march_members_as_alone(flux_kind, monkeypatch):
     assert ok.all()
 
 
+@pytest.mark.parametrize("flux_kind", sorted(solver.FLUXES))
+def test_solve_caps_the_substeps_of_each_output_interval(flux_kind, monkeypatch):
+    """With the step limit capped at 2^-10 and ``MAX_SOLVE_SUBSTEPS`` at 32,
+    eight frames of tau budget 2^-5 take 256 substeps in all, 32 in each,
+    and finish; a budget an ulp-sized step larger fails in its first frame
+    and holds the state it failed at, as it would alone."""
+    stable = solver._stable_dt
+    monkeypatch.setattr(solver, "_stable_dt", lambda w, dx: np.minimum(stable(w, dx), 2.0**-10))
+    monkeypatch.setattr(solver, "MAX_SOLVE_SUBSTEPS", 32)
+    grid = _grid()
+    u0 = np.tile(_smooth_ic(grid, seed=7), (3, 1))
+    q1 = np.array([0.5, np.nextafter(0.5, 1.0), -0.5])
+    times, values, ok = solve_ensemble(flux_kind, q1, np.zeros(3), u0, grid, 0.5, 9)
+    assert ok.tolist() == [True, False, True]
+    assert np.array_equal(values[1, 2:], np.broadcast_to(values[1, 1], (7, grid.nx)))
+    for i in range(3):
+        solo = solve_ensemble(flux_kind, q1[i : i + 1], np.zeros(1), u0[:1], grid, 0.5, 9)
+        assert solo[2][0] == ok[i] and solo[1][0].tobytes() == values[i].tobytes()
+    with pytest.raises(NonFiniteState, match="more than 32 substeps"):
+        solve(ConservationLaw(flux_kind, q1[1], 0.0), u0[0], grid, 0.5, 9)
+
+
 @pytest.mark.parametrize("nt_out", [2, 32])
 def test_long_frames_are_not_capped(nt_out):
     """An icl_sine solve over 60 time units needs about 19,000 substeps, all
-    in one frame when ``nt_out`` is 2, and finishes whatever the frames."""
+    in one frame when ``nt_out`` is 2, and finishes whatever the frames:
+    ``MAX_SOLVE_SUBSTEPS`` leaves room for it."""
     spec = FAMILIES["icl_sine"]
     grid = grid_for(spec)
     u0 = sample_ic(spec, np.random.default_rng(0))
