@@ -464,18 +464,29 @@ def test_unreadable_equation_record_is_one_json_error_line(tmp_path, capsys, con
                                    "message": f"{bad_path}: not a JSON equation record"}
 
 
+def _write_grid(path, header: dict, values: np.ndarray):
+    """A PDEGRID1 file with any header and samples, unchecked."""
+    blob = json.dumps(header).encode()
+    path.write_bytes(b"PDEGRID1" + struct.pack("<I", len(blob)) + blob
+                     + values.astype("<f8").tobytes())
+
+
+def _three_frames(dx: float):
+    """A 3-frame, 8-cell grid header and its samples, a sine in each frame."""
+    header = {"nt": 3, "nx": 8, "t": [0.0, 0.05, 0.1], "x0": 0.0, "dx": dx}
+    return header, np.tile(0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)), (3, 1))
+
+
 def test_non_finite_grid_samples_are_a_data_error(tmp_path, capsys):
     from pdesym.datagen import FAMILIES, equation_record
 
     eq_path = tmp_path / "eq.json"
     eq_path.write_text(json.dumps(equation_record("x", FAMILIES["icl_sine"], 1.0, 0.0)))
-    header = json.dumps({"nt": 11, "nx": 8, "t": [0.1 * k for k in range(11)],
-                         "x0": 0.0, "dx": 0.125}).encode()
     values = np.zeros((11, 8))
     values[4, 3] = np.nan
     grid_path = tmp_path / "traj.grid"
-    grid_path.write_bytes(b"PDEGRID1" + struct.pack("<I", len(header)) + header
-                          + values.astype("<f8").tobytes())
+    _write_grid(grid_path, {"nt": 11, "nx": 8, "t": [0.1 * k for k in range(11)],
+                            "x0": 0.0, "dx": 0.125}, values)
     code, _, err = run_cli(
         capsys, "refine", "--equation", str(eq_path), "--observations", str(grid_path)
     )
@@ -565,12 +576,8 @@ def test_eval_on_a_grid_with_tiny_spacing_stops_at_the_substep_cap(tmp_path):
 
     eq_path = tmp_path / "eq.json"
     eq_path.write_text(json.dumps(equation_record("x", FAMILIES["inviscid_burgers"], 0.5, 0.0)))
-    header = json.dumps({"nt": 3, "nx": 8, "t": [0.0, 0.05, 0.1],
-                         "x0": 0.0, "dx": 1e-300}).encode()
-    values = np.tile(0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)), (3, 1))
     grid_path = tmp_path / "traj.grid"
-    grid_path.write_bytes(b"PDEGRID1" + struct.pack("<I", len(header)) + header
-                          + values.astype("<f8").tobytes())
+    _write_grid(grid_path, *_three_frames(1e-300))
     _assert_substep_cap_error(_cli_process(
         "eval", "--truth", str(eq_path), "--learned", str(eq_path),
         "--trajectory", str(grid_path)))
@@ -583,13 +590,10 @@ def test_refine_names_residuals_that_overflow(tmp_path, capsys):
 
     eq_path = tmp_path / "eq.json"
     eq_path.write_text(json.dumps(equation_record("x", FAMILIES["burgers"], 0.5, 0.05)))
-    header = json.dumps({"nt": 3, "nx": 8, "t": [0.0, 0.05, 0.1],
-                         "x0": 0.0, "dx": 0.125}).encode()
-    values = np.tile(0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)), (3, 1))
+    header, values = _three_frames(0.125)
     values[1, 3] = 1e300
     grid_path = tmp_path / "traj.grid"
-    grid_path.write_bytes(b"PDEGRID1" + struct.pack("<I", len(header)) + header
-                          + values.astype("<f8").tobytes())
+    _write_grid(grid_path, header, values)
     code, out, err = run_cli(
         capsys, "refine", "--equation", str(eq_path), "--observations", str(grid_path),
         "--particles", "8", "--steps", "2",
