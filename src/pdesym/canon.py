@@ -41,6 +41,7 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, UnsupportedNode
 from .expr import (
+    PLACEHOLDER,
     Binary,
     Const,
     Deriv,
@@ -370,14 +371,11 @@ def _canon_pow(b: Expr, exp: Expr) -> Expr:
     return Binary("pow", b, exp)
 
 
-_PLACEHOLDER = Placeholder()
-
-
 def _deriv_terms(e: Deriv, child: list) -> list:
     """Distribute a derivative over the terms of its child."""
     out = []
     for coeff, factors in _collect(child):
-        if factors in ((), (_PLACEHOLDER,)):
+        if factors in ((), (PLACEHOLDER,)):
             continue
         single = factors[0] if len(factors) == 1 else None
         if isinstance(single, Var):

@@ -197,6 +197,8 @@ class Equation:
 
 
 FIELD = Field()
+#: the placeholder node that the token decoders and ``perturb`` share
+PLACEHOLDER = Placeholder()
 #: shorthand leaf spelling -> its node, shared by every tree that has it
 DERIV_LEAVES = {name: Deriv(FIELD, var, n) for name, (var, n) in DERIV_SHORTHAND.items()}
 

@@ -34,7 +34,9 @@ the one-row case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, perm
+from functools import lru_cache
+from math import factorial, perm, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +69,12 @@ from .tokens import TokenSeq, canonical_tokens_of_terms, from_tokens
 # ---------------------------------------------------------------------------
 # basic data metrics
 
+def _norm(x: np.ndarray) -> float:
+    """The L2 norm of a 1-D float array: sqrt(x . x), which is what
+    ``np.linalg.norm`` computes for one, bit for bit."""
+    return sqrt(x.dot(x))
+
+
 def rel_l2(u: np.ndarray, v: np.ndarray) -> float:
     """Relative L2 error ||u - v|| / ||u|| over all entries (u is the target)."""
     u = np.asarray(u, dtype=float)
@@ -74,10 +82,10 @@ def rel_l2(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
         raise ValueError("shapes must match")
     with np.errstate(all="ignore"):  # an overflowing norm is inf, not a warning
-        denom = float(np.linalg.norm(u.ravel()))
+        denom = _norm(u.ravel())
         if denom == 0.0:
             raise DegenerateReference("reference field has zero norm")
-        return float(np.linalg.norm((u - v).ravel()) / denom)
+        return _norm((u - v).ravel()) / denom
 
 
 def r2_score(targets, preds) -> float:
@@ -100,26 +108,72 @@ def r2_score(targets, preds) -> float:
 # ---------------------------------------------------------------------------
 # polynomial surrogate
 
-def _polyval(coeffs, z, order: int):
-    """The ``order``-th derivative of sum_k c_k z^k, where each c_k is a
-    float or a column of coefficients that broadcasts against z.
-
-    Term k is c_k * (k * ((k-1) * (... * z^(k-order)))), summed over k in
-    turn: the order in which the symbolic-expansion reference in
-    ``tests/helpers.py`` evaluates the derivative of the surrogate's
-    polynomial tree, so the two agree bit for bit. Every operation is
-    elementwise, so a column's entries are the bits of its floats.
-    """
-    shape = np.broadcast_shapes(np.shape(coeffs[0]), np.shape(z))
-    out = np.full(shape, 0.0 if order else coeffs[0])
-    for k, c in enumerate(coeffs[1:], start=1):
-        if k < order:
-            continue
+def _monomials(z, degree: int, order: int) -> tuple:
+    """The factors k * ((k-1) * (... * z^(k-order))) of c_k, for k from
+    max(order, 1) to ``degree``, in the ``order``-th derivative of
+    sum_k c_k z^k; a float where the power is z^0, and none past the degree."""
+    row = []
+    for k in range(max(order, 1), degree + 1):
         mono = np.power(z, float(k - order)) if k > order else 1.0
         for m in range(k - order + 1, k + 1):
             mono = float(m) * mono
+        row.append(mono)
+    return tuple(row)
+
+
+def _polyval(coeffs, z, order: int, table: tuple = ()):
+    """The ``order``-th derivative of sum_k c_k z^k, where each c_k is a
+    float or a column of coefficients that broadcasts against z.
+
+    Term k is c_k times its factor from :func:`_monomials`, summed over k
+    in turn: the order in which the symbolic-expansion reference in
+    ``tests/helpers.py`` evaluates the derivative of the surrogate's
+    polynomial tree, so the two agree bit for bit. ``table[order]``, when
+    there is one, is that row of factors already computed for z; it holds
+    the same bits. Every operation is elementwise, so a column's entries
+    are the bits of its floats.
+    """
+    shape = np.broadcast_shapes(np.shape(coeffs[0]), np.shape(z))
+    out = np.full(shape, 0.0 if order else coeffs[0])
+    row = table[order] if order < len(table) else _monomials(z, len(coeffs) - 1, order)
+    for c, mono in zip(coeffs[max(order, 1):], row):
         out = out + c * mono
     return out
+
+
+def _surrogate_monomials(xs: np.ndarray, ts: np.ndarray) -> tuple:
+    """:func:`_monomials` rows of the surrogate's t- and x-polynomials, for
+    every derivative order up to their degrees (2 and 4), on a column of t
+    and a row of x."""
+    t, x = ts[:, None], xs[None, :]
+    return (tuple(_monomials(t, 2, j) for j in range(3)),
+            tuple(_monomials(x, 4, i) for i in range(5)))
+
+
+class _SampleGrid(NamedTuple):
+    """The sample grid of :func:`symbolic_error` for one (n_x, n_t): its
+    axes, their meshgrid and :func:`_surrogate_monomials`."""
+
+    xs: np.ndarray
+    ts: np.ndarray
+    X: np.ndarray
+    T: np.ndarray
+    monomials: tuple
+
+
+@lru_cache(maxsize=8)
+def _sample_grid(n_x: int, n_t: int) -> _SampleGrid:
+    """The shared, read-only :class:`_SampleGrid` of one size, built on its
+    first use. None of it depends on the equations scored, and it is
+    computed as each call computed it before, so sharing moves no bit."""
+    xs = np.linspace(0.0, 1.0, n_x)
+    ts = np.linspace(0.0, 1.0, n_t)
+    X, T = np.meshgrid(xs, ts)
+    grid = _SampleGrid(xs, ts, X, T, _surrogate_monomials(xs, ts))
+    for a in (xs, ts, X, T, *(m for rows in grid.monomials for row in rows for m in row)):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -181,6 +235,10 @@ _ORIGIN = ((0, 0),)
 MAX_JET_ORDER = 16
 
 
+# The plan helpers below are pure functions of small index tuples (orders
+# are at most MAX_JET_ORDER), so each result is computed once per process.
+
+@lru_cache(maxsize=1024)
 def _below(need: tuple) -> tuple:
     """Every multi-index at or below one in ``need``, lowest order first."""
     if need == _ORIGIN:
@@ -189,12 +247,14 @@ def _below(need: tuple) -> tuple:
     return tuple(sorted(keys, key=lambda k: (k[0] + k[1], k[0])))
 
 
-def _splits(k: tuple) -> list:
+@lru_cache(maxsize=1024)
+def _splits(k: tuple) -> tuple:
     """The pairs (p, k - p) with p <= k."""
-    return [((p, q), (k[0] - p, k[1] - q))
-            for p in range(k[0] + 1) for q in range(k[1] + 1)]
+    return tuple(((p, q), (k[0] - p, k[1] - q))
+                 for p in range(k[0] + 1) for q in range(k[1] + 1))
 
 
+@lru_cache(maxsize=1024)
 def _chain_plan(fn: str, n: int, keys: tuple) -> tuple:
     """Coefficients f^(m)(a0)/m! and the sums of (a - a0)^m for f(a).
 
@@ -216,12 +276,12 @@ def _chain_plan(fn: str, n: int, keys: tuple) -> tuple:
         else:  # sin's derivatives cycle cos, -sin, -cos, sin; cos's lag one
             sign = (1.0, 1.0, -1.0, -1.0)[(m + (fn == "cos")) % 4]
             coeffs.append((sign / factorial(m), (m % 2 == 1) == (fn == "sin")))
-    powers = [
-        [(k, [(p, r) for p, r in _splits(k) if p[0] + p[1] >= m - 1 and r != (0, 0)])
-         for k in keys if k[0] + k[1] >= m]
+    powers = tuple(
+        tuple((k, tuple((p, r) for p, r in _splits(k) if p[0] + p[1] >= m - 1 and r != (0, 0)))
+              for k in keys if k[0] + k[1] >= m)
         for m in range(2, top + 1)
-    ]
-    return coeffs, powers
+    )
+    return tuple(coeffs), powers
 
 
 def _compile(eq, X, T) -> list:
@@ -357,9 +417,16 @@ class _FieldGrids(dict):
     """The derivative grids of a block of surrogates, one per row of a
     (k, 8) coefficient matrix, stacked as (k, n_t, n_x) and each computed
     on first use as the product of a t- and an x-polynomial, themselves
-    computed once per derivative order."""
+    computed once per derivative order.
 
-    def __init__(self, coeffs: np.ndarray, xs, ts):
+    ``monomials``, when given, is :func:`_surrogate_monomials` of the same
+    axes: :func:`symbolic_error` passes the tables its shared
+    :class:`_SampleGrid` holds, so only the coefficient arithmetic runs per
+    block. The tables hold the bits the polynomials would compute, so the
+    grids do not depend on where the tables came from.
+    """
+
+    def __init__(self, coeffs: np.ndarray, xs, ts, monomials: tuple = ((), ())):
         super().__init__()
         xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
         self.coeffs = np.asarray(coeffs, dtype=float)
@@ -367,14 +434,15 @@ class _FieldGrids(dict):
         # t broadcast to the grids with the same bits
         self.cols, self.x, self.t = self.coeffs.T[:, :, None, None], xs[None, :], ts[:, None]
         self.shape = (len(self.coeffs), ts.size, xs.size)
+        self.tmono, self.xmono = monomials
         self.tpolys, self.xpolys = {}, {}
 
     def __missing__(self, key):
         i, j = key
         if j not in self.tpolys:
-            self.tpolys[j] = _polyval(self.cols[:3], self.t, j)
+            self.tpolys[j] = _polyval(self.cols[:3], self.t, j, self.tmono)
         if i not in self.xpolys:
-            self.xpolys[i] = _polyval(self.cols[3:], self.x, i)
+            self.xpolys[i] = _polyval(self.cols[3:], self.x, i, self.xmono)
         grid = self[key] = self.tpolys[j] * self.xpolys[i]
         return grid
 
@@ -488,20 +556,30 @@ def symbolic_error(learned: Equation, truth: Equation, n_polys: int = 10,
     accepted whole. Each row's RMS test and relative L2 error reduce over
     that row's slice alone, so the result, and which error is raised, are
     those of drawing, testing and scoring one surrogate at a time.
+
+    What does not depend on the equations is shared by every call of one
+    size: the axes, their meshgrid and the surrogate monomial tables of
+    :func:`_sample_grid`, and the index plans the compiler reads. They are
+    built on first use and hold the bits each call would compute, so
+    sharing them changes no result. The programs themselves are compiled
+    on every call.
     """
     for name, size in (("n_polys", n_polys), ("n_x", n_x), ("n_t", n_t)):
         if size < 1:
             raise ValueError(f"{name} must be at least 1, got {size}")
-    xs = np.linspace(0.0, 1.0, n_x)
-    ts = np.linspace(0.0, 1.0, n_t)
-    X, T = np.meshgrid(xs, ts)
+    grid = _sample_grid(n_x, n_t)
     rng = np.random.default_rng(seed)
-    truth_prog = _compile(truth, X, T)
+    truth_prog = _compile(truth, grid.X, grid.T)
     accepted, truth_vals, rejected = [], [], 0
     while len(accepted) < n_polys and rejected < 100:
-        field = _FieldGrids(rng.uniform(-1.0, 1.0, (n_polys - len(accepted), 8)), xs, ts)
-        for c, vals in zip(field.coeffs, _run(truth_prog, field)):
-            if float(np.sqrt(np.mean(vals**2))) >= 1e-6:
+        field = _FieldGrids(rng.uniform(-1.0, 1.0, (n_polys - len(accepted), 8)),
+                            grid.xs, grid.ts, grid.monomials)
+        block = _run(truth_prog, field)
+        # each row's (n_t, n_x) slice is contiguous, so its mean sums the
+        # entries as the mean of that row alone does
+        passed = np.sqrt(np.mean(block**2, axis=(1, 2))) >= 1e-6
+        for c, vals, ok in zip(field.coeffs, block, passed):
+            if ok:
                 accepted.append(c)
                 truth_vals.append(vals)
                 rejected = 0
@@ -511,11 +589,14 @@ def symbolic_error(learned: Equation, truth: Equation, n_polys: int = 10,
                     break
     if accepted:  # the learned residual is first needed at the first acceptance
         if not len(accepted) == len(field.coeffs) == n_polys:
-            field = _FieldGrids(np.array(accepted), xs, ts)
-        learned_vals = _run(_compile(learned, X, T), field)
+            field = _FieldGrids(np.array(accepted), grid.xs, grid.ts, grid.monomials)
+        learned_vals = _run(_compile(learned, grid.X, grid.T), field)
     if len(accepted) < n_polys:
         raise DegenerateReference("truth residual vanishes on every sampled surrogate")
-    return float(np.mean([rel_l2(u, v) for u, v in zip(truth_vals, learned_vals)]))
+    with np.errstate(all="ignore"):  # rel_l2 of each row; no accepted row has zero norm
+        errors = [_norm((u - v).ravel()) / _norm(u.ravel())
+                  for u, v in zip(truth_vals, learned_vals)]
+    return float(np.mean(errors))
 
 
 def valid_fraction(generated: list[TokenSeq], truths: list[Equation]) -> float:

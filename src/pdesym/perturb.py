@@ -15,12 +15,12 @@ import numpy as np
 from .canon import build, term_head, terms
 from .expr import (
     FIELD,
+    PLACEHOLDER,
     Binary,
     Const,
     Deriv,
     Equation,
     Expr,
-    Placeholder,
     Unary,
     walk,
 )
@@ -139,5 +139,5 @@ def mask_coefficients(eq: Equation) -> Equation:
     masked = []
     for coeff, factors in terms(eq.residual) or [(0.0, ())]:
         _, rest = term_head(coeff, factors)
-        masked.append((1.0, (Placeholder(), *rest)))
+        masked.append((1.0, (PLACEHOLDER, *rest)))
     return Equation(build(masked))

@@ -154,9 +154,15 @@ def _coefficient_arrays(particles: np.ndarray, template: ConservationLaw):
 
 
 def weights_from_sq_residuals(sq_residuals: np.ndarray, eps: float) -> np.ndarray:
-    """Normalized softmax of -r^2/(2 eps^2); -inf entries get weight zero."""
-    with np.errstate(invalid="ignore"):  # inf / inf, when eps^2 overflows, is NaN
-        logw = -np.asarray(sq_residuals, dtype=float) / (2.0 * eps * eps)
+    """Normalized softmax of -r^2/(2 eps^2); infinite entries get weight zero.
+
+    Their log weight is set to -inf directly, so an overflowing eps^2 (where
+    inf / inf would be NaN) still leaves the finite entries their weights.
+    """
+    sq = np.asarray(sq_residuals, dtype=float)
+    logw = np.full(sq.shape, -np.inf)
+    live = sq != np.inf
+    logw[live] = -sq[live] / (2.0 * eps * eps)
     m = np.max(logw)
     if not np.isfinite(m):
         raise AllWeightsDegenerate("no particle produced a finite simulation")

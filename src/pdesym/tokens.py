@@ -28,6 +28,7 @@ from .errors import DecodeError, UnsupportedNode
 from .expr import (
     DERIV_LEAVES,
     FIELD,
+    PLACEHOLDER,
     SHORTHAND_BY_DERIV,
     Binary,
     Const,
@@ -275,13 +276,13 @@ def from_tokens(ts: TokenSeq) -> Equation:
 _MANUAL = (
     {**{tok: (op, 2) for tok, op in _MANUAL_OPS.items()},
      "sin": ("sin", 1), "cos": ("cos", 1), "neg": ("neg", 1)},
-    {"u": FIELD, PLACEHOLDER_TOKEN: Placeholder(), **DERIV_LEAVES},
+    {"u": FIELD, PLACEHOLDER_TOKEN: PLACEHOLDER, **DERIV_LEAVES},
     False,
 )
 _CANONICAL = (
     {ADD_TOKEN: ("add", 2), MUL_TOKEN: ("mul", 2), POW_TOKEN: ("pow", 2),
      "sin": ("sin", 1), "cos": ("cos", 1), PARTIAL_TOKEN: (PARTIAL_TOKEN, 1)},
-    {FIELD_TOKEN: FIELD, PLACEHOLDER_TOKEN: Placeholder()},
+    {FIELD_TOKEN: FIELD, PLACEHOLDER_TOKEN: PLACEHOLDER},
     True,
 )
 
@@ -369,7 +370,7 @@ def _decode_term(cur: _Cursor) -> tuple[float, list[Expr]]:
     cur.expect(MUL_TOKEN)
     tok = cur.next()
     if tok == PLACEHOLDER_TOKEN:
-        coeff, factors = 1.0, [Placeholder()]
+        coeff, factors = 1.0, [PLACEHOLDER]
     elif _NUM_RE.match(tok):
         coeff, factors = _float(tok), []
     else:
@@ -396,4 +397,6 @@ def _deriv(cur: _Cursor, child: Expr) -> Expr:
     cur.expect(")")
     if var not in ("x", "t"):
         raise DecodeError(f"derivative variable must be x or t, found {var!r}")
+    if child is FIELD and (var, order) in SHORTHAND_BY_DERIV:  # the parser's shared leaf
+        return DERIV_LEAVES[SHORTHAND_BY_DERIV[var, order]]
     return Deriv(child, var, order)

@@ -61,6 +61,27 @@ def test_rel_l2_degenerate_reference():
         rel_l2(np.zeros(3), np.ones(3))
 
 
+def test_rel_l2_keeps_the_bits_of_numpy_norms():
+    """The norm helper computes sqrt(x . x), as np.linalg.norm does for a
+    float vector: pinned on random, overflowing and zero-norm inputs."""
+    rng = np.random.default_rng(16)
+    cases = [(rng.normal(size=shape) * scale, rng.normal(size=shape) * scale)
+             for shape in [(1,), (7,), (32, 32), (13, 7), (3, 5, 4), (20000,)]
+             for scale in (1e-150, 1.0, 1e150, 1e200)]
+    big = np.array([1e300, -1e300, 3.0])
+    cases += [(big, -big), (big, big), (big, np.zeros(3)), (big[2:], np.array([np.inf])),
+              (np.array([2.0, 0.0]), np.array([2.0, 0.0]))]
+    for u, v in cases:
+        with np.errstate(all="ignore"):
+            want = np.linalg.norm(u - v) / np.linalg.norm(u)
+        assert np.float64(rel_l2(u, v)).tobytes() == np.float64(want).tobytes()
+    # a vector whose squares all underflow has zero norm, as numpy finds too
+    for u in (np.zeros((4, 4)), np.full(3, 1e-200)):
+        assert np.linalg.norm(u) == 0.0
+        with pytest.raises(DegenerateReference):
+            rel_l2(u, np.ones_like(u))
+
+
 @given(st.floats(min_value=0.01, max_value=100.0), st.integers(0, 1000))
 @settings(max_examples=60, deadline=None)
 def test_rel_l2_scale_invariance(c, seed):
@@ -285,6 +306,30 @@ def test_learned_errors_come_before_a_later_degenerate_surrogate():
     assert _assert_matches_per_surrogate(_BURGERS, late) is DegenerateReference
     assert _assert_matches_per_surrogate(_UNBOUND, late) is UnsupportedNode
     assert _assert_matches_per_surrogate(_TOO_DEEP, late) is UnsupportedNode
+
+
+def test_shared_sample_grids_are_keyed_by_size_and_read_only():
+    """Calls of three sizes, interleaved in one process, each match the
+    per-surrogate reference, which builds its grids afresh; every derivative
+    order of both surrogate polynomials is read, past their degrees too."""
+    metrics._sample_grid.cache_clear()
+    high = parse_infix("u_t + ((u_t)_t)_t + (u_xxx)_x + (u_xxx)_xx + u*u_x = 0")
+    pairs = [(_BURGERS, _INVISCID), (high, _BURGERS), (_INVISCID, high)]
+    for seed in range(3):
+        for learned, truth in pairs:
+            for n_x, n_t in ((32, 32), (7, 13), (40, 1)):
+                assert _assert_matches_per_surrogate(learned, truth, n_x=n_x, n_t=n_t,
+                                                     seed=seed) is None
+    assert metrics._sample_grid.cache_info().currsize == 3
+    grid = metrics._sample_grid(7, 13)
+    assert np.array_equal(grid.xs, np.linspace(0.0, 1.0, 7)) and grid.X.shape == (13, 7)
+    arrays = [grid.xs, grid.ts, grid.X, grid.T]
+    arrays += [m for rows in grid.monomials for row in rows for m in row
+               if isinstance(m, np.ndarray)]
+    assert len(arrays) == 4 + 3 + 10  # the axes, then every power of t and of x
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,11 @@ def test_weights_sum_to_one_and_failures_get_zero():
     assert w[1] == 0.0
 
 
+def test_failures_get_zero_when_the_noise_scale_squared_overflows():
+    assert np.array_equal(weights_from_sq_residuals(np.array([0.1, np.inf]), 1e200), [1.0, 0.0])
+    assert np.array_equal(weights_from_sq_residuals(np.array([0.1, 0.2]), 1e200), [0.5, 0.5])
+
+
 def test_all_failures_raise():
     with pytest.raises(AllWeightsDegenerate):
         weights_from_sq_residuals(np.array([np.inf, np.inf]), 0.5)

@@ -8,17 +8,21 @@ from hypothesis import strategies as st
 from pdesym.canon import canonical_key, canonicalize
 from pdesym.errors import DecodeError, UnsupportedNode
 from pdesym.expr import (
+    DERIV_LEAVES,
     FIELD,
+    PLACEHOLDER,
     Binary,
     Const,
     Deriv,
     Equation,
     Int,
+    Placeholder,
     Unary,
     Var,
     parse_infix,
     to_infix,
 )
+from pdesym.perturb import mask_coefficients
 from pdesym.tokens import (
     Dialect,
     TokenSeq,
@@ -327,9 +331,27 @@ def test_canonical_floats_fall_back_losslessly():
 
 
 def test_placeholder_round_trip():
-    from pdesym.expr import Placeholder
-
     tree = Binary("mul", Placeholder(), Deriv(FIELD, "t", 1))
     seq = to_canonical_tokens(tree)
     assert list(seq.tokens) == ["×", "[?]", "∂", "(", "u(x,t)", ",", "t", ")"]
     assert from_tokens(seq).residual == tree
+
+
+def test_decoded_leaves_are_the_shared_nodes():
+    """Both decoders return the parser's shared derivative leaves and the one
+    placeholder node, so interned lookups of decoded trees hit by identity."""
+    eq = mask_coefficients(parse_infix("u_t + u*u_x - 0.1*u_xx + 2*u_xxx"))
+    shared = {id(node) for node in DERIV_LEAVES.values()}
+    for seq in (to_canonical_tokens(eq), to_manual_tokens(eq)):
+        stack, placeholders, leaves = [from_tokens(seq).residual], [], []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Placeholder):
+                placeholders.append(node)
+            elif isinstance(node, Deriv) and node.child is FIELD:
+                leaves.append(node)
+            stack += [getattr(node, name) for name in ("left", "right", "child")
+                      if hasattr(node, name)]
+        assert len(placeholders) == 4 and all(n is PLACEHOLDER for n in placeholders)
+        assert set(leaves) == set(DERIV_LEAVES.values())
+        assert all(id(n) in shared for n in leaves)
