@@ -13,20 +13,20 @@ Residuals are evaluated as Taylor jets (forward-mode Taylor arithmetic,
 Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 13), not by
 expanding each derivative node symbolically; that expansion is the
 reference the tests check the jets against, and it lives with them in
-``tests/helpers.py``. A residual compiles once into a postfix program over
-its unexpanded tree, in one explicit-stack walk; the program then runs on
-a block of surrogates at once, one (n_t, n_x) grid per surrogate along a
-leading axis. Each node's value is a jet: a dict from multi-index (i, j)
-to the grids of d^i/dx^i d^j/dt^j f / (i! j!), holding only the entries
-the derivative nodes above it need. A leaf that the expanded residual
-could not evaluate (an unbound variable, say) is an entry that carries its
-error through the arithmetic, so the error surfaces when the program runs,
-and only if the residual's value uses that leaf.
+``tests/helpers.py``. One explicit-stack walk over a residual's
+unexpanded tree evaluates it on a block of surrogates at once, one
+(n_t, n_x) grid per surrogate along a leading axis. Each node's value is a
+jet: a dict from multi-index (i, j) to the grids of
+d^i/dx^i d^j/dt^j f / (i! j!), holding only the entries the derivative
+nodes above it need. A leaf that the expanded residual could not evaluate
+(an unbound variable, say) is an entry that carries its error through the
+arithmetic, so the error surfaces when the walk ends, and only if the
+residual's value uses that leaf.
 
-``symbolic_error`` draws the surrogates it still needs as one block, runs
-the truth program once on it and accepts rows in draw order; the learned
-program then runs once on the accepted rows, on the truth's own field
-grids when the first block is accepted whole. Every operation is
+``symbolic_error`` draws the surrogates it still needs as one block,
+evaluates the truth once on it and accepts rows in draw order; the learned
+residual is then evaluated once on the accepted rows, on the truth's own
+field grids when the first block is accepted whole. Every operation is
 elementwise, and each row's acceptance test and error are reduced over
 its own slice, so batching moves no bit: :func:`residual_on_surrogate` is
 the one-row case.
@@ -121,21 +121,19 @@ def _monomials(z, degree: int, order: int) -> tuple:
     return tuple(row)
 
 
-def _polyval(coeffs, z, order: int, table: tuple = ()):
+def _polyval(coeffs, z, order: int, row: tuple):
     """The ``order``-th derivative of sum_k c_k z^k, where each c_k is a
-    float or a column of coefficients that broadcasts against z.
+    float or a column of coefficients that broadcasts against z, and
+    ``row`` is :func:`_monomials` of z for that order.
 
-    Term k is c_k times its factor from :func:`_monomials`, summed over k
-    in turn: the order in which the symbolic-expansion reference in
-    ``tests/helpers.py`` evaluates the derivative of the surrogate's
-    polynomial tree, so the two agree bit for bit. ``table[order]``, when
-    there is one, is that row of factors already computed for z; it holds
-    the same bits. Every operation is elementwise, so a column's entries
-    are the bits of its floats.
+    Term k is c_k times its factor in ``row``, summed over k in turn: the
+    order in which the symbolic-expansion reference in ``tests/helpers.py``
+    evaluates the derivative of the surrogate's polynomial tree, so the two
+    agree bit for bit. Every operation is elementwise, so a column's
+    entries are the bits of its floats.
     """
     shape = np.broadcast_shapes(np.shape(coeffs[0]), np.shape(z))
     out = np.full(shape, 0.0 if order else coeffs[0])
-    row = table[order] if order < len(table) else _monomials(z, len(coeffs) - 1, order)
     for c, mono in zip(coeffs[max(order, 1):], row):
         out = out + c * mono
     return out
@@ -151,8 +149,8 @@ def _surrogate_monomials(xs: np.ndarray, ts: np.ndarray) -> tuple:
 
 
 class _SampleGrid(NamedTuple):
-    """The sample grid of :func:`symbolic_error` for one (n_x, n_t): its
-    axes, their meshgrid and :func:`_surrogate_monomials`."""
+    """A grid that surrogates are sampled on: its axes, their meshgrid and
+    :func:`_surrogate_monomials`."""
 
     xs: np.ndarray
     ts: np.ndarray
@@ -161,16 +159,20 @@ class _SampleGrid(NamedTuple):
     monomials: tuple
 
 
+def _grid(xs, ts) -> _SampleGrid:
+    """The :class:`_SampleGrid` of the axes ``xs`` and ``ts``."""
+    xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
+    X, T = np.meshgrid(xs, ts)
+    return _SampleGrid(xs, ts, X, T, _surrogate_monomials(xs, ts))
+
+
 @lru_cache(maxsize=8)
 def _sample_grid(n_x: int, n_t: int) -> _SampleGrid:
-    """The shared, read-only :class:`_SampleGrid` of one size, built on its
-    first use. None of it depends on the equations scored, and it is
-    computed as each call computed it before, so sharing moves no bit."""
-    xs = np.linspace(0.0, 1.0, n_x)
-    ts = np.linspace(0.0, 1.0, n_t)
-    X, T = np.meshgrid(xs, ts)
-    grid = _SampleGrid(xs, ts, X, T, _surrogate_monomials(xs, ts))
-    for a in (xs, ts, X, T, *(m for rows in grid.monomials for row in rows for m in row)):
+    """The shared, read-only :func:`_grid` of ``n_x`` by ``n_t`` points on
+    [0, 1], built on its first use. None of it depends on the equations
+    scored, so sharing it moves no bit."""
+    grid = _grid(np.linspace(0.0, 1.0, n_x), np.linspace(0.0, 1.0, n_t))
+    for a in (*grid[:4], *(m for rows in grid.monomials for row in rows for m in row)):
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return grid
@@ -194,14 +196,15 @@ class PolySurrogate:
     def value(self, x, t, dx_order: int = 0, dt_order: int = 0):
         """d^dx_order/dx d^dt_order/dt P at (x, t): the one-row case of the
         field grids :func:`symbolic_error` computes for a block."""
-        return _polyval(self.c[:3], t, dt_order) * _polyval(self.c[3:], x, dx_order)
+        return (_polyval(self.c[:3], t, dt_order, _monomials(t, 2, dt_order))
+                * _polyval(self.c[3:], x, dx_order, _monomials(x, 4, dx_order)))
 
 
 def residual_on_surrogate(eq, surrogate: PolySurrogate, xs: np.ndarray,
                           ts: np.ndarray) -> np.ndarray:
     """Evaluate the residual with u := P on a (len(ts), len(xs)) grid.
 
-    This is the one-row case of the run that :func:`symbolic_error` makes
+    This is the one-row case of the walk that :func:`symbolic_error` makes
     on a block of surrogates at once. The residual is not expanded. One
     walk over the tree gives each node a jet: the grids of its normalized
     Taylor coefficients d^i/dx^i d^j/dt^j f / (i! j!) for the multi-indices
@@ -220,8 +223,7 @@ def residual_on_surrogate(eq, surrogate: PolySurrogate, xs: np.ndarray,
     otherwise. Derivatives of other nodes are supported up to total
     order :data:`MAX_JET_ORDER`.
     """
-    X, T = np.meshgrid(xs, ts)
-    return _run(_compile(eq, X, T), _FieldGrids(np.array([surrogate.c]), xs, ts))[0]
+    return _residual(eq, _FieldGrids(np.array([surrogate.c]), _grid(xs, ts)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,54 +286,64 @@ def _chain_plan(fn: str, n: int, keys: tuple) -> tuple:
     return tuple(coeffs), powers
 
 
-def _compile(eq, X, T) -> list:
-    """Postfix program for the residual's jet entry (0, 0) on the grid X, T.
+def _residual(eq, field: _FieldGrids) -> np.ndarray:
+    """The (k, n_t, n_x) residual grids of ``eq`` on a block of surrogates'
+    field grids, from one walk over its unexpanded tree.
 
-    A subtree with no field leaf has the same jet for every surrogate, so
-    its program runs here, once, and stays as that jet.
-
-    Raises :class:`UnsupportedNode` for a non-integer power under a
-    derivative and for an entry of total order above
-    :data:`MAX_JET_ORDER`. A leaf the expansion cannot evaluate compiles to
-    an :class:`_Unevaluable` entry, which :func:`_run` raises.
+    Each node's jet holds the entries its parent needs and comes from its
+    children's jets; a subtree with no field leaf is evaluated on the
+    grid's X and T, which broadcast against the block. Raises
+    :class:`UnsupportedNode` for a non-integer power under a derivative, for
+    an entry of total order above :data:`MAX_JET_ORDER`, and, once the walk
+    is done, for an :class:`_Unevaluable` value.
     """
-    prog: list = []
-    env = {"x": X, "t": T}
+    env = {"x": field.grid.X, "t": field.grid.T}
 
-    # A node's value is whether it holds the field.
     def enter(e, need):
         kids = _children(e, need)
         if not kids:
-            prog.append(_leaf(e, need, env))
-            return (prog[-1][0] == "field",)
-        note = (need, kids[0][1], len(prog))
+            return (_leaf(e, need, env, field),)
+        note = (need, kids[0][1])
         return (note, *kids[0]) if len(kids) == 1 else (note, *kids[0], *kids[1])
 
-    def leave(e, note, *fields):
-        need, keys, start = note
-        op = "deriv" if isinstance(e, Deriv) else e.fn if isinstance(e, Unary) else e.op
-        if op == "deriv":
+    def leave(e, note, l, r=None):
+        need, keys = note
+        if isinstance(e, Deriv):
             axis = int(e.var == "t")
-            prog.append((op, [(k, src, float(perm(src[axis], e.order)))
-                              for k, src in zip(need, keys)]))
-        elif op in ("add", "sub", "neg"):
-            prog.append((op, need))
-        elif op == "pow" and len(fields) == 2:  # a non-integer exponent
-            prog.append(("power",))
-        elif op in ("sin", "cos", "pow"):
-            n = e.right.value if op == "pow" else 0
-            prog.append(("chain", op, int_to_float(n), need, *_chain_plan(op, n, keys)))
-        elif op == "div":  # the recurrence runs through every key below
-            prog.append((op, [(k, [(m, q) for m, q in _splits(k) if m != (0, 0)])
-                              for k in keys]))
-        else:
-            prog.append((op, [(k, _splits(k)) for k in need]))
-        if not any(fields):
-            prog[start:] = [("jet", _jet(prog[start:], None))]
-        return any(fields)
+            out = {}
+            for k, src in zip(need, keys):
+                f = float(perm(src[axis], e.order))
+                out[k] = l[src] if f == 1.0 else l[src] * f
+            return out
+        op = e.fn if isinstance(e, Unary) else e.op
+        if op == "neg":
+            return {k: -l[k] for k in need}
+        if op == "add":
+            return {k: l[k] + r[k] for k in need}
+        if op == "sub":
+            return {k: l[k] - r[k] for k in need}
+        if op == "mul":
+            return _convolve(l, r, [(k, _splits(k)) for k in need])
+        if op == "div":  # (l - sum of r[m] q[k - m] over m != 0) / r[0], through every key below
+            q, r0 = {}, r[(0, 0)]
+            for k in keys:
+                pairs = [(m, rest) for m, rest in _splits(k) if m != (0, 0)]
+                # past order 0 the expansion, l'/r - l r'/r^2, reads r right after l'
+                acc = l[k] + r0 if pairs and isinstance(r0, _Unevaluable) else l[k]
+                for m, rest in pairs:
+                    acc = acc - r[m] * q[rest]
+                q[k] = np.divide(acc, r0)
+            return q
+        if r is not None:  # a non-integer power, at order 0 only
+            return {(0, 0): np.power(l[(0, 0)], r[(0, 0)])}
+        n = e.right.value if op == "pow" else 0
+        return _chain(l, op, int_to_float(n), need, *_chain_plan(op, n, keys))
 
-    walk(eq.residual if isinstance(eq, Equation) else eq, enter, leave, _ORIGIN)
-    return prog
+    with np.errstate(all="ignore"):
+        out = walk(eq.residual if isinstance(eq, Equation) else eq, enter, leave, _ORIGIN)[(0, 0)]
+    if isinstance(out, _Unevaluable):
+        raise UnsupportedNode(out.message)
+    return np.broadcast_to(np.asarray(out, dtype=float), field.shape).copy()
 
 
 def _children(e: Expr, need: tuple) -> list:
@@ -364,17 +376,20 @@ def _children(e: Expr, need: tuple) -> list:
     return [(e.left, _below(need)), (e.right, _below(need))]
 
 
-def _leaf(e: Expr, need: tuple, env: dict) -> tuple:
-    """The instruction for a leaf or a chain of derivative nodes over the
-    field. A value the expansion cannot evaluate is an
-    :class:`_Unevaluable`; its derivatives, like any leaf's, are 0 or 1."""
+def _leaf(e: Expr, need: tuple, env: dict, field: _FieldGrids) -> dict:
+    """The jet of a leaf or of a chain of derivative nodes over the field.
+    A value the expansion cannot evaluate is an :class:`_Unevaluable`; its
+    derivatives, like any leaf's, are 0 or 1."""
     if isinstance(e, (Deriv, Field)):
         shift = [0, 0]
         while isinstance(e, Deriv):
             shift[e.var == "t"] += e.order
             e = e.child
-        return ("field", [(k, (k[0] + shift[0], k[1] + shift[1]),
-                           float(factorial(k[0]) * factorial(k[1]))) for k in need])
+        out = {}
+        for i, j in need:
+            grid, s = field[i + shift[0], j + shift[1]], float(factorial(i) * factorial(j))
+            out[i, j] = grid if s == 1.0 else grid / s
+        return out
     if isinstance(e, Const):
         value = e.value
     elif isinstance(e, Int):
@@ -390,7 +405,7 @@ def _leaf(e: Expr, need: tuple, env: dict) -> tuple:
         raise UnsupportedNode(f"cannot evaluate {type(e).__name__}")
     # derivatives of x and t are the unit multi-indices, of anything else 0
     unit = {"x": (1, 0), "t": (0, 1)}.get(getattr(e, "name", None))
-    return ("jet", {k: value if k == (0, 0) else float(k == unit) for k in need})
+    return {k: value if k == (0, 0) else float(k == unit) for k in need}
 
 
 class _Unevaluable:
@@ -398,7 +413,7 @@ class _Unevaluable:
 
     Arithmetic and numpy ufuncs return it unchanged, the left operand's
     when two meet, so it reaches exactly the entries that evaluate the
-    leaf; :func:`_run` raises its message.
+    leaf; :func:`_residual` raises its message.
     """
 
     def __init__(self, message: str):
@@ -414,35 +429,30 @@ class _Unevaluable:
 
 
 class _FieldGrids(dict):
-    """The derivative grids of a block of surrogates, one per row of a
-    (k, 8) coefficient matrix, stacked as (k, n_t, n_x) and each computed
-    on first use as the product of a t- and an x-polynomial, themselves
-    computed once per derivative order.
-
-    ``monomials``, when given, is :func:`_surrogate_monomials` of the same
-    axes: :func:`symbolic_error` passes the tables its shared
-    :class:`_SampleGrid` holds, so only the coefficient arithmetic runs per
-    block. The tables hold the bits the polynomials would compute, so the
-    grids do not depend on where the tables came from.
+    """The derivative grids of a block of surrogates on a
+    :class:`_SampleGrid`, one per row of a (k, 8) coefficient matrix,
+    stacked as (k, n_t, n_x) and each computed on first use as the product
+    of a t- and an x-polynomial. Those are computed once per derivative
+    order from the grid's monomial tables, so only the coefficient
+    arithmetic runs per block; an order past a polynomial's degree reads
+    an empty row.
     """
 
-    def __init__(self, coeffs: np.ndarray, xs, ts, monomials: tuple = ((), ())):
+    def __init__(self, coeffs: np.ndarray, grid: _SampleGrid):
         super().__init__()
-        xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        # coefficient columns of shape (k, 1, 1), a row of x and a column of
-        # t broadcast to the grids with the same bits
-        self.cols, self.x, self.t = self.coeffs.T[:, :, None, None], xs[None, :], ts[:, None]
-        self.shape = (len(self.coeffs), ts.size, xs.size)
-        self.tmono, self.xmono = monomials
+        self.coeffs, self.grid = np.asarray(coeffs, dtype=float), grid
+        # coefficient columns of shape (k, 1, 1) broadcast to the grids with the same bits
+        self.cols = self.coeffs.T[:, :, None, None]
+        self.shape = (len(self.coeffs), grid.ts.size, grid.xs.size)
         self.tpolys, self.xpolys = {}, {}
 
     def __missing__(self, key):
         i, j = key
+        (tmono, xmono), t, x = self.grid.monomials, self.grid.ts[:, None], self.grid.xs[None, :]
         if j not in self.tpolys:
-            self.tpolys[j] = _polyval(self.cols[:3], self.t, j, self.tmono)
+            self.tpolys[j] = _polyval(self.cols[:3], t, j, tmono[j] if j < len(tmono) else ())
         if i not in self.xpolys:
-            self.xpolys[i] = _polyval(self.cols[3:], self.x, i, self.xmono)
+            self.xpolys[i] = _polyval(self.cols[3:], x, i, xmono[i] if i < len(xmono) else ())
         grid = self[key] = self.tpolys[j] * self.xpolys[i]
         return grid
 
@@ -462,56 +472,6 @@ def _convolve(l: dict, r: dict, plan: list) -> dict:
             acc = l[p] * r[q] + acc
         out[k] = acc
     return out
-
-
-def _run(prog: list, field: _FieldGrids) -> np.ndarray:
-    """The (k, n_t, n_x) residual grids of a program from :func:`_compile`
-    on a block of surrogates' grids; :class:`UnsupportedNode` if the
-    residual's value uses a leaf the expansion cannot evaluate."""
-    out = _jet(prog, field)[(0, 0)]
-    if isinstance(out, _Unevaluable):
-        raise UnsupportedNode(out.message)
-    return np.broadcast_to(np.asarray(out, dtype=float), field.shape).copy()
-
-
-def _jet(prog: list, field: _FieldGrids | None) -> dict:
-    """Execute a program, or a field-free part of one, and return its jet."""
-    stack: list[dict] = []
-    push, pop = stack.append, stack.pop
-    with np.errstate(all="ignore"):
-        for op, *args in prog:
-            if op == "field":
-                push({k: field[src] if s == 1.0 else field[src] / s for k, src, s in args[0]})
-            elif op == "jet":
-                push(args[0])
-            elif op == "deriv":
-                c = pop()
-                push({k: c[src] if f == 1.0 else c[src] * f for k, src, f in args[0]})
-            elif op == "neg":
-                c = pop()
-                push({k: -c[k] for k in args[0]})
-            elif op == "chain":
-                push(_chain(pop(), *args))
-            else:
-                r, l = pop(), pop()
-                if op == "add":
-                    push({k: l[k] + r[k] for k in args[0]})
-                elif op == "sub":
-                    push({k: l[k] - r[k] for k in args[0]})
-                elif op == "mul":
-                    push(_convolve(l, r, args[0]))
-                elif op == "div":  # (l - sum of r[m] q[k - m] over m != 0) / r[0]
-                    q, r0 = {}, r[(0, 0)]
-                    for k, pairs in args[0]:
-                        # past order 0 the expansion, l'/r - l r'/r^2, reads r right after l'
-                        acc = l[k] + r0 if pairs and isinstance(r0, _Unevaluable) else l[k]
-                        for m, rest in pairs:
-                            acc = acc - r[m] * q[rest]
-                        q[k] = np.divide(acc, r0)
-                    push(q)
-                else:  # a non-integer power, at order 0 only
-                    push({(0, 0): np.power(l[(0, 0)], r[(0, 0)])})
-    return stack[0]
 
 
 def _chain(a: dict, fn: str, n: float, need: tuple, coeffs: list, powers: list) -> dict:
@@ -547,37 +507,38 @@ def symbolic_error(learned: Equation, truth: Equation, n_polys: int = 10,
     """Mean relative L2 discrepancy of the two residuals over surrogates.
 
     Surrogate coefficients are Unif(-1, 1). The k surrogates still needed
-    are drawn as one (k, 8) block, and the truth program runs once on the
-    block's (k, n_t, n_x) grids. Rows are accepted in draw order: a draw
-    whose truth residual has grid RMS below 1e-6 is rejected, so the
-    reference never degenerates, and the 100th rejection in a row raises
-    :class:`DegenerateReference`. The learned program then runs once on the
-    accepted rows, on the truth's own grids when the first block is
-    accepted whole. Each row's RMS test and relative L2 error reduce over
-    that row's slice alone, so the result, and which error is raised, are
-    those of drawing, testing and scoring one surrogate at a time.
+    are drawn as one (k, 8) block, and one walk of the truth's residual
+    evaluates it on the block's (k, n_t, n_x) grids. Rows are accepted in
+    draw order: a draw whose truth residual has grid RMS below 1e-6 is
+    rejected, so the reference never degenerates, and the 100th rejection
+    in a row raises :class:`DegenerateReference`. One walk of the learned
+    residual then evaluates it on the accepted rows, on the truth's own
+    grids when the first block is accepted whole. Each row's RMS test and
+    relative L2 error reduce over that row's slice alone, so the result,
+    and which error is raised, are those of drawing, testing and scoring
+    one surrogate at a time. A residual that overflows gives a NaN or inf
+    score, not a warning.
 
     What does not depend on the equations is shared by every call of one
     size: the axes, their meshgrid and the surrogate monomial tables of
-    :func:`_sample_grid`, and the index plans the compiler reads. They are
+    :func:`_sample_grid`, and the index plans the walk reads. They are
     built on first use and hold the bits each call would compute, so
-    sharing them changes no result. The programs themselves are compiled
-    on every call.
+    sharing them changes no result.
     """
     for name, size in (("n_polys", n_polys), ("n_x", n_x), ("n_t", n_t)):
         if size < 1:
             raise ValueError(f"{name} must be at least 1, got {size}")
     grid = _sample_grid(n_x, n_t)
     rng = np.random.default_rng(seed)
-    truth_prog = _compile(truth, grid.X, grid.T)
     accepted, truth_vals, rejected = [], [], 0
     while len(accepted) < n_polys and rejected < 100:
-        field = _FieldGrids(rng.uniform(-1.0, 1.0, (n_polys - len(accepted), 8)),
-                            grid.xs, grid.ts, grid.monomials)
-        block = _run(truth_prog, field)
+        field = _FieldGrids(rng.uniform(-1.0, 1.0, (n_polys - len(accepted), 8)), grid)
+        block = _residual(truth, field)
         # each row's (n_t, n_x) slice is contiguous, so its mean sums the
-        # entries as the mean of that row alone does
-        passed = np.sqrt(np.mean(block**2, axis=(1, 2))) >= 1e-6
+        # entries as the mean of that row alone does; an overflowing square
+        # is inf, not a warning
+        with np.errstate(all="ignore"):
+            passed = np.sqrt(np.mean(block**2, axis=(1, 2))) >= 1e-6
         for c, vals, ok in zip(field.coeffs, block, passed):
             if ok:
                 accepted.append(c)
@@ -589,8 +550,8 @@ def symbolic_error(learned: Equation, truth: Equation, n_polys: int = 10,
                     break
     if accepted:  # the learned residual is first needed at the first acceptance
         if not len(accepted) == len(field.coeffs) == n_polys:
-            field = _FieldGrids(np.array(accepted), grid.xs, grid.ts, grid.monomials)
-        learned_vals = _run(_compile(learned, grid.X, grid.T), field)
+            field = _FieldGrids(np.array(accepted), grid)
+        learned_vals = _residual(learned, field)
     if len(accepted) < n_polys:
         raise DegenerateReference("truth residual vanishes on every sampled surrogate")
     with np.errstate(all="ignore"):  # rel_l2 of each row; no accepted row has zero norm
@@ -653,8 +614,9 @@ def law_from_equation(eq: Equation) -> ConservationLaw:
 
     Accepts the flux-derivative form ``u_t + q1 (f(u))_x - q2 u_xx`` and the
     expanded products ``u*u_x`` (quadratic, q1 = c/2), ``u^2*u_x`` (cubic,
-    q1 = c/3) and ``cos(u)*u_x`` (sine, q1 = c). Raises
-    :class:`NotSolvable` for anything else.
+    q1 = c/3) and ``cos(u)*u_x`` (sine, q1 = c). The q1 of flux terms of
+    one kind add up. Raises :class:`NotSolvable` for flux terms of two
+    kinds and for anything else.
     """
     coeff_t = None
     q1 = None
@@ -673,8 +635,11 @@ def law_from_equation(eq: Equation) -> ConservationLaw:
                 except UnsupportedNode:
                     shown = "a term with no token form"
                 raise NotSolvable(f"unrecognized term in residual: {shown}")
-            flux_kind, scale = match
-            q1 = coeff * scale
+            kind, scale = match
+            if flux_kind not in (None, kind):
+                raise NotSolvable(f"residual mixes {flux_kind} and {kind} flux terms")
+            flux_kind = kind
+            q1 = coeff * scale if q1 is None else q1 + coeff * scale
     if coeff_t is None or coeff_t == 0.0:
         raise NotSolvable("residual has no u_t term")
     if flux_kind is None or q1 is None:

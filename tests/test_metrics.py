@@ -259,13 +259,13 @@ def test_batched_symbolic_error_draws_blocks_until_enough_are_accepted(monkeypat
     """A truth of 1e-6*u is rejected on about 94% of draws, so it takes many
     blocks, each of the surrogates still needed."""
     blocks = []
-    run = metrics._run
+    residual = metrics._residual
 
-    def counted(prog, field):
+    def counted(eq, field):
         blocks.append(len(field.coeffs))
-        return run(prog, field)
+        return residual(eq, field)
 
-    monkeypatch.setattr(metrics, "_run", counted)
+    monkeypatch.setattr(metrics, "_residual", counted)
     learned = equation_for(FAMILIES["burgers"], 0.5, 0.05)
     assert _assert_matches_per_surrogate(learned, parse_infix("1e-6*u = 0")) is None
     *truth_blocks, learned_block = blocks
@@ -275,8 +275,8 @@ def test_batched_symbolic_error_draws_blocks_until_enough_are_accepted(monkeypat
 
 _BURGERS = equation_for(FAMILIES["burgers"], 0.5, 0.05)
 _INVISCID = equation_for(FAMILIES["inviscid_burgers"], 0.5, 0.0)
-_UNBOUND = parse_infix("u_t + y*u_x = 0")  # fails when its program runs
-_TOO_DEEP = Equation(Deriv(Binary("pow", FIELD, Int(2)), "x", 17))  # fails to compile
+_UNBOUND = parse_infix("u_t + y*u_x = 0")  # fails when the walk ends
+_TOO_DEEP = Equation(Deriv(Binary("pow", FIELD, Int(2)), "x", 17))  # fails during the walk
 _DEGENERATE = parse_infix("(u_xx)_xxx = 0")
 
 
@@ -290,7 +290,7 @@ _DEGENERATE = parse_infix("(u_xx)_xxx = 0")
     (_UNBOUND, _BURGERS, UnsupportedNode),
     (_TOO_DEEP, _BURGERS, UnsupportedNode),
     # a truth that vanishes on every draw is reported before the learned
-    # residual is compiled or run
+    # residual is evaluated
     (_UNBOUND, _DEGENERATE, DegenerateReference),
     (_TOO_DEEP, _DEGENERATE, DegenerateReference),
 ])
@@ -306,6 +306,29 @@ def test_learned_errors_come_before_a_later_degenerate_surrogate():
     assert _assert_matches_per_surrogate(_BURGERS, late) is DegenerateReference
     assert _assert_matches_per_surrogate(_UNBOUND, late) is UnsupportedNode
     assert _assert_matches_per_surrogate(_TOO_DEEP, late) is UnsupportedNode
+
+
+def test_a_truth_whose_squares_overflow_scores_nan_without_a_warning():
+    """RuntimeWarnings are errors in these tests: the acceptance test of a
+    truth residual near 1e300 squares to inf quietly, in both paths."""
+    huge = equation_for(FAMILIES["burgers"], 1e300, 0.05)
+    assert _assert_matches_per_surrogate(_BURGERS, huge) is None
+    assert np.isnan(symbolic_error(_BURGERS, huge))
+
+
+@pytest.mark.parametrize("learned,message", [
+    (Binary("add", Var("y"), _TOO_DEEP.residual), "derivatives above total order 16"),
+    (Binary("add", _TOO_DEEP.residual, Var("y")), "derivatives above total order 16"),
+    (Binary("mul", Var("y"), Deriv(Binary("pow", FIELD, Const(0.5)), "x", 1)),
+     "cannot differentiate a non-integer power"),
+    (parse_infix("u/0 + y").residual, "unbound variable 'y'"),
+])
+def test_a_residual_with_two_failures_raises_the_same_one_in_both_paths(learned, message):
+    """A node the walk cannot take fails before any unevaluable leaf,
+    wherever the two are; a zero divisor is no failure."""
+    with pytest.raises(UnsupportedNode, match=message):
+        symbolic_error(Equation(learned), _BURGERS)
+    assert _assert_matches_per_surrogate(Equation(learned), _BURGERS) is UnsupportedNode
 
 
 def test_shared_sample_grids_are_keyed_by_size_and_read_only():
@@ -439,7 +462,7 @@ def test_jets_match_symbolic_path_on_derivatives_of_composite_trees():
     "((k + y*u)^1)_xx",
     "((k/y)^1)_x",
     "(((y^1)_x*u)^1)_t",
-    # an unevaluable leaf in a field-free subtree, folded once at compile time
+    # an unevaluable leaf in a subtree with no field leaf
     "(k*y)_x + u",
     "u_t + (y/k)_xx*u",
     "sin(k*y)*u_x",
@@ -568,6 +591,17 @@ def test_law_extraction_from_expanded_forms():
     assert (law.flux_kind, law.q1) == ("cubic", pytest.approx(0.3))
     law = law_from_equation(parse_infix("u_t + 0.955*cos(u)*u_x = 0"))
     assert (law.flux_kind, law.q1) == ("sine", pytest.approx(0.955))
+
+
+def test_law_extraction_sums_flux_terms_of_one_kind():
+    law = law_from_equation(parse_infix("u_t + u*u_x + 0.2*(u^2)_x = 0"))
+    assert (law.flux_kind, law.q1) == ("quadratic", pytest.approx(0.7))
+    law = law_from_equation(parse_infix("u_t + (sin(u))_x + 0.5*cos(u)*u_x = 0.1*u_xx"))
+    assert (law.flux_kind, law.q1, law.q2) == ("sine", pytest.approx(1.5), pytest.approx(0.1))
+    with pytest.raises(NotSolvable, match="mixes quadratic and cubic"):
+        law_from_equation(parse_infix("u_t + 0.5*(u^2)_x + 0.3*(u^3)_x = 0"))
+    with pytest.raises(NotSolvable, match="mixes"):
+        law_from_equation(parse_infix("u_t + u^2*u_x + u*u_x = 0"))
 
 
 def test_law_extraction_requires_time_derivative():
