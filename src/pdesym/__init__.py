@@ -16,7 +16,6 @@ from .datagen import (
 )
 from .errors import (
     AllWeightsDegenerate,
-    CFLViolation,
     DecodeError,
     DegenerateReference,
     DivisionByZero,
@@ -80,10 +79,8 @@ from .solver import (
     ConservationLaw,
     Grid1D,
     SpaceTimeField,
-    cfl_dt,
     read_grid_file,
     solve,
-    step,
     write_grid_file,
 )
 from .study import STUDY_FAMILIES, StudyRow, run_study

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import datagen, metrics, perturb, smc, solver, study
 from .canon import build, terms
-from .errors import NonFiniteState, NumericError, PdesymError, UnsupportedNode
+from .errors import MalformedFile, NonFiniteState, NumericError, PdesymError, UnsupportedNode
 from .expr import parse_infix, to_infix
 from .tokens import (
     Dialect,
@@ -250,11 +250,15 @@ def _cmd_eval(args) -> None:
         eq_learned = from_tokens(seq)
     else:
         raise _UsageError("eval needs --learned or --learned-tokens")
+    if args.prediction and not args.trajectory:
+        raise _UsageError("eval --prediction needs --trajectory")
     payload["symbolic_error"] = metrics.symbolic_error(
         eq_learned, eq_true, seed=args.seed
     )
     if args.trajectory:
         field = solver.read_grid_file(args.trajectory)
+        if field.times.size < 2:
+            raise MalformedFile(f"{args.trajectory}: a trajectory needs at least two frames")
         payload["time_series_error"] = metrics.time_series_error(
             eq_learned, field.values[0], field
         )

@@ -226,10 +226,6 @@ def walk(root: Expr, enter, leave=None, ctx=None):
     of ``e``; the note is None in the first case. A walk with no ``leave``
     is run for what ``enter`` does and returns None.
     """
-    t = type(root)
-    if t is not Binary and t is not Unary and t is not Deriv:  # a lone leaf
-        r = enter(root, ctx)
-        return r[0] if r is not None and leave is not None else None
     values = []
     push = values.append
     todo = [(root, ctx)]  # (node, its context) pairs, and leave frames

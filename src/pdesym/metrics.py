@@ -243,8 +243,6 @@ MAX_JET_ORDER = 16
 @lru_cache(maxsize=1024)
 def _below(need: tuple) -> tuple:
     """Every multi-index at or below one in ``need``, lowest order first."""
-    if need == _ORIGIN:
-        return need
     keys = {(p, q) for i, j in need for p in range(i + 1) for q in range(j + 1)}
     return tuple(sorted(keys, key=lambda k: (k[0] + k[1], k[0])))
 

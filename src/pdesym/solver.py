@@ -9,10 +9,12 @@ and another half step of exact diffusion. The second difference is
 circulant on the periodic grid, so its exact flow is a multiply by
 ``exp(t q2 lambda_k)`` between one ``rfft`` and one ``irfft``; it needs no
 step limit, and the substeps obey only the advective CFL bound with safety
-factor 0.4. A row with ``q2 = 0`` takes exactly the Heun step. :func:`step`
-and :func:`cfl_dt` remain the explicit forward-Euler update with explicit
-diffusion and its stability bound. Everything is pure and deterministic:
-identical inputs give bit-identical outputs.
+factor 0.4. A row with ``q2 = 0`` takes exactly the Heun step.
+:func:`step` and :func:`cfl_dt` are a reference built from the kernel's
+pieces, not a mode inside them: a forward-Euler update of the kernel's
+advective right-hand side plus an explicit second difference, and its
+stability bound. Everything is pure and deterministic: identical inputs
+give bit-identical outputs.
 
 A row with ``q2 <= 0`` advances in rescaled time tau = |q1| t instead:
 ``q1`` only scales time in ``u_t + q1 f(u)_x = 0``, and the Rusanov flux
@@ -203,21 +205,18 @@ MAX_SUBSTEPS = 2**14
 MAX_SOLVE_SUBSTEPS = 2**15
 
 
-def _padded(u: np.ndarray) -> np.ndarray:
-    """Rows of ``u`` with one periodic ghost cell on each side."""
-    return np.concatenate((u[:, -1:], u, u[:, :1]), axis=1)
-
-
 def _fill_ghosts(a: np.ndarray) -> None:
     """Copy columns ``-2`` and ``1`` of the padded rows ``a`` into their
     ghost columns ``0`` and ``-1``."""
     a[:, 0], a[:, -1] = a[:, -2], a[:, 1]
 
 
-def _workspace(ub: np.ndarray) -> tuple:
-    """The buffers of a block whose padded state is ``ub``: ``(u, um, w, f,
-    face, tmp, k1, k2)``, that is the state, the Heun midpoint, the wave
-    speeds, the :func:`_rhs` scratch rows and the two stage slopes."""
+def _workspace(u: np.ndarray) -> tuple:
+    """The buffers of a block whose state is the rows ``u``: ``(u, um, w, f,
+    face, tmp, k1, k2)``, that is the state padded with one periodic ghost
+    cell on each side, the Heun midpoint, the wave speeds, the :func:`_rhs`
+    scratch rows and the two stage slopes."""
+    ub = np.concatenate((u[:, -1:], u, u[:, :1]), axis=1)
     rows, width = ub.shape
     return (ub, np.empty_like(ub), np.empty_like(ub), np.empty_like(ub),
             np.empty((rows, width - 1)), np.empty((rows, width - 1)),
@@ -242,16 +241,14 @@ def _diffuse(u: np.ndarray, q2c: np.ndarray, gain: np.ndarray) -> None:
     np.copyto(u, np.add(u, inc, out=inc), where=q2c > 0.0)
 
 
-def _rhs(flux: Flux, q1c, q2c, u: np.ndarray, ws: tuple, dx: float,
-         out=None) -> np.ndarray:
-    """Semi-discrete right-hand side of the padded rows ``u`` given their
-    wave speeds ``w = |q1 f'(u)|`` in the workspace ``ws``: the (rows, nx)
-    interior values, written into ``out`` (allocated when None) through the
-    scratch rows of ``ws``. The central-difference viscosity is added only
-    when ``q2c`` is given, as :func:`step` does; the kernel diffuses
-    exactly instead."""
+def _rhs(flux: Flux, fc, u: np.ndarray, ws: tuple, dx: float, out: np.ndarray) -> None:
+    """Semi-discrete advective right-hand side ``-(F_{i+1/2} - F_{i-1/2}) / dx``
+    of the padded rows ``u`` given their wave speeds ``w = |q1 f'(u)|`` in
+    the workspace ``ws``: the (rows, nx) interior values, written into
+    ``out`` through the scratch rows of ``ws``. It has no viscous term; the
+    kernel diffuses exactly instead."""
     _, _, w, f, face, tmp, _, _ = ws
-    flux.flux(q1c, u, f)
+    flux.flux(fc, u, f)
     # F_{i+1/2} = 0.5 (f_i + f_{i+1}) - (0.5 max(w_i, w_{i+1})) (u_{i+1} - u_i)
     # at the nx + 1 faces of the padded row. Every ufunc below keeps the
     # operand order of this formula.
@@ -260,15 +257,8 @@ def _rhs(flux: Flux, q1c, q2c, u: np.ndarray, ws: tuple, dx: float,
     np.multiply(0.5, np.maximum(w[:, :-1], w[:, 1:], out=tmp), out=tmp)
     jump = np.subtract(u[:, 1:], u[:, :-1], out=fhi)  # f is spent
     np.subtract(face, np.multiply(tmp, jump, out=tmp), out=face)
-    out = np.subtract(face[:, 1:], face[:, :-1], out=out)
+    np.subtract(face[:, 1:], face[:, :-1], out=out)
     np.divide(np.negative(out, out=out), dx, out=out)
-    if q2c is not None:
-        # out += (q2 ((u_{i+1} - 2.0 u_i) + u_{i-1})) / dx^2
-        lap = np.multiply(2.0, u[:, 1:-1], out=tmp[:, 1:])
-        np.add(np.subtract(u[:, 2:], lap, out=lap), u[:, :-2], out=lap)
-        np.divide(np.multiply(q2c, lap, out=lap), dx * dx, out=lap)
-        np.add(out, lap, out=out)
-    return out
 
 
 def _heun(flux: Flux, fc, sc, ws: tuple, h, dx: float) -> None:
@@ -280,7 +270,7 @@ def _heun(flux: Flux, fc, sc, ws: tuple, h, dx: float) -> None:
     np.add(mid, np.multiply(h, k1, out=k2), out=um[:, 1:-1])
     _fill_ghosts(um)
     flux.speed(sc, um, w)
-    _rhs(flux, fc, None, um, ws, dx, k2)
+    _rhs(flux, fc, um, ws, dx, k2)
     np.multiply(0.5 * h, np.add(k1, k2, out=k2), out=k2)
     np.add(mid, k2, out=mid)
 
@@ -316,7 +306,7 @@ def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
     is cut to a leading slice.
     """
     srows, sown, srem = side
-    ws = _workspace(_padded(start[rows]))
+    ws = _workspace(start[rows])
     u, w, k1 = ws[0], ws[2], ws[6]
     last = budget.shape[1] - 1
     rem = budget[:, 0].copy()
@@ -377,12 +367,12 @@ def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
                 _diffuse(u[:, 1:-1], q2c, gain)
                 _fill_ghosts(u)
                 flux.speed(sc, u, w)
-            _rhs(flux, fc, None, u, ws, dx, k1)
+            _rhs(flux, fc, u, ws, dx, k1)
             if srows.size:
                 out = srem <= dt[sown]
                 if out.any():
                     j = sown[out]
-                    sw = _workspace(u[j])
+                    sw = _workspace(u[j, 1:-1])
                     np.take(k1, j, axis=0, out=sw[6])
                     _heun(flux, fc[j], sc[j], sw, srem[out, None], dx)
                     frames[srows[out], 0] = sw[0][:, 1:-1]
@@ -505,33 +495,37 @@ def advance_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray,
     return states, alive & np.isfinite(states).all(axis=1)
 
 
-def cfl_dt(law: ConservationLaw, u: np.ndarray, grid: Grid1D,
-           dt_max: float = DT_MAX_DEFAULT) -> float:
-    """Stable forward-Euler step 0.4 * min(dx/max|q1 f'|, dx^2/(2 q2)).
-
-    Returns ``dt_max`` when both the wave speed and the viscosity vanish.
-    """
+def cfl_dt(law: ConservationLaw, u: np.ndarray, grid: Grid1D) -> float:
+    """Stable step 0.4 * min(dx/max|q1 f'|, dx^2/(2 q2)) of :func:`step`,
+    the explicit reference; ``DT_MAX_DEFAULT`` when both the wave speed and
+    the viscosity vanish. The kernel's own steps obey the advective bound
+    alone."""
     flux = FLUXES[law.flux_kind]
     w = flux.speed(law.q1 * flux.slope, np.asarray(u, dtype=float))
     dif = grid.dx * grid.dx / (2.0 * law.q2) if law.q2 > 0.0 else np.inf
     with np.errstate(divide="ignore"):
         dt = CFL_SAFETY * np.minimum(grid.dx / w.max(), dif)
-    return dt_max if dt == np.inf else float(dt)
+    return DT_MAX_DEFAULT if dt == np.inf else float(dt)
 
 
 def step(law: ConservationLaw, u: np.ndarray, dt: float, grid: Grid1D) -> np.ndarray:
-    """One conservative forward-Euler update with explicit diffusion;
-    enforces the CFL bound."""
+    """One conservative forward-Euler update with explicit diffusion, the
+    reference the kernel's Strang-split Heun steps are tested against: the
+    kernel's advective :func:`_rhs` plus ``(q2 ((u_{i+1} - 2.0 u_i) +
+    u_{i-1})) / dx^2``. A ``dt`` above :func:`cfl_dt` raises
+    :class:`CFLViolation`."""
     u = np.asarray(u, dtype=float)
     bound = cfl_dt(law, u, grid)
     if dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt={dt:g} exceeds stable bound {bound:g}")
-    flux = FLUXES[law.flux_kind]
-    q1c = np.array([[law.q1]])
-    sc, q2c = q1c * flux.slope, np.array([[law.q2]]) if law.q2 > 0.0 else None
-    ws = _workspace(_padded(u[None, :]))
-    flux.speed(sc, ws[0], ws[2])
-    out = u + dt * _rhs(flux, q1c, q2c, ws[0], ws, grid.dx)[0]
+    flux, dx = FLUXES[law.flux_kind], grid.dx
+    ws = _workspace(u[None, :])
+    up, rhs = ws[0], ws[6]
+    flux.speed(law.q1 * flux.slope, up, ws[2])
+    _rhs(flux, law.q1, up, ws, dx, rhs)
+    if law.q2 > 0.0:
+        rhs += (law.q2 * ((up[:, 2:] - 2.0 * up[:, 1:-1]) + up[:, :-2])) / (dx * dx)
+    out = u + dt * rhs[0]
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("state became non-finite during step")
     return out
@@ -647,21 +641,22 @@ def _parse_header(blob: bytes):
 
 
 def read_grid_file(path) -> SpaceTimeField:
-    """Load a PDEGRID1 file; a malformed file, non-finite samples among
-    them, raises :class:`MalformedFile`."""
+    """Load a PDEGRID1 file. A malformed file raises :class:`MalformedFile`:
+    a bad frame or header, a payload of the wrong size, a header that
+    contradicts itself (``len(t) != nt``, times not increasing, ``nx < 8``,
+    ``dx <= 0``) or non-finite samples."""
     data = Path(path).read_bytes()
     start = len(_MAGIC) + 4
-    header = None
     if len(data) >= start and data.startswith(_MAGIC):
         (hlen,) = struct.unpack_from("<I", data, len(_MAGIC))
         header = _parse_header(data[start : start + hlen])
-    if header is None or len(data) - start - hlen != 8 * header["nt"] * header["nx"]:
-        raise MalformedFile(f"{path}: not a PDEGRID1 file")
-    nt, nx = header["nt"], header["nx"]
-    values = np.frombuffer(
-        data, dtype="<f8", count=nt * nx, offset=start + hlen
-    ).reshape(nt, nx)
-    if not np.isfinite(values).all():
-        raise MalformedFile(f"{path}: not a PDEGRID1 file")
-    grid = Grid1D(nx=nx, dx=header["dx"], x0=header["x0"])
-    return SpaceTimeField(grid, np.asarray(header["t"]), values.copy())
+        if header is not None and len(data) - start - hlen == 8 * header["nt"] * header["nx"]:
+            nt, nx = header["nt"], header["nx"]
+            values = np.frombuffer(data, dtype="<f8", count=nt * nx, offset=start + hlen)
+            try:  # what Grid1D and SpaceTimeField reject is malformed here
+                grid = Grid1D(nx=nx, dx=header["dx"], x0=header["x0"])
+                return SpaceTimeField(grid, np.asarray(header["t"]),
+                                      values.reshape(nt, nx).copy())
+            except (ValueError, NonFiniteState):
+                pass
+    raise MalformedFile(f"{path}: not a PDEGRID1 file")

@@ -70,6 +70,7 @@ def test_reordered_burgers_trees_share_canonical_form():
     )
     assert canonicalize(left) == canonicalize(right)
     assert equivalent(left, right)
+    assert canonicalize(Equation(left)) == Equation(canonicalize(right))
 
 
 def test_leaf_fixed_points():

@@ -583,6 +583,48 @@ def test_eval_on_a_grid_with_tiny_spacing_stops_at_the_substep_cap(tmp_path):
         "--trajectory", str(grid_path)))
 
 
+@pytest.mark.parametrize("nt", [0, 1])
+def test_eval_of_a_trajectory_without_two_frames_is_a_data_error(tmp_path, capsys, nt):
+    truth = _burgers_record(tmp_path)
+    header, values = _three_frames(0.125)
+    grid_path = tmp_path / "traj.grid"
+    _write_grid(grid_path, dict(header, nt=nt, t=header["t"][:nt]), values[:nt])
+    code, out, err = run_cli(capsys, "eval", "--truth", truth, "--learned", truth,
+                             "--trajectory", str(grid_path))
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert json.loads(err) == {
+        "error": "MalformedFile",
+        "message": f"{grid_path}: a trajectory needs at least two frames",
+    }
+
+
+def test_eval_prediction_without_a_trajectory_is_a_usage_error(tmp_path, capsys):
+    truth = _burgers_record(tmp_path)
+    grid_path = tmp_path / "pred.grid"
+    _write_grid(grid_path, *_three_frames(0.125))
+    code, out, err = run_cli(capsys, "eval", "--truth", truth, "--learned", truth,
+                             "--prediction", str(grid_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == "eval --prediction needs --trajectory"
+
+
+def test_eval_scores_a_prediction_against_the_trajectory(tmp_path, capsys):
+    from pdesym import metrics
+
+    truth = _burgers_record(tmp_path)
+    header, values = _three_frames(0.125)
+    predicted = 1.1 * values + 0.01 * np.arange(8)
+    traj, pred = tmp_path / "traj.grid", tmp_path / "pred.grid"
+    _write_grid(traj, header, values)
+    _write_grid(pred, header, predicted)
+    code, out, _ = run_cli(capsys, "eval", "--truth", truth, "--learned", truth,
+                           "--trajectory", str(traj), "--prediction", str(pred))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rel_l2"] == metrics.rel_l2(values, predicted) > 0.0
+    assert payload["r2"] == metrics.r2_score([values], [predicted])
+
+
 def test_refine_names_residuals_that_overflow(tmp_path, capsys):
     """Every particle's simulation is finite, but one observed sample of
     1e300 overflows every squared residual."""

@@ -1,4 +1,9 @@
+import json
+import os
+import pickle
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -7,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pdesym
 from pdesym.canon import canonical_key, canonicalize
 from pdesym.datagen import FAMILIES, equation_for
 from pdesym.errors import ParseError, PdesymError, UnknownSymbol, UnsupportedNode
@@ -353,6 +359,34 @@ def test_equal_trees_built_apart_are_equal_and_hash_equal():
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     src = "u_t + 0.5*(u^2)_x - 0.05*u_xx"
     assert hash(parse_infix(src).residual) == hash(equation_for(FAMILIES["burgers"], 0.5, 0.05).residual)
+
+
+def test_pickled_trees_rehash_where_they_are_loaded():
+    """A node's hash is made from string hashes, which change with the hash
+    seed, so a pickle carries no hash: unpickled in a process with another
+    ``PYTHONHASHSEED``, a tree hashes, compares and tokenizes as the same
+    tree parsed there."""
+    src = "u_t + 0.5*(u^2)_x - 0.05*u_xx + sin(x)*u_x"
+    eq = parse_infix(src)
+    code = (
+        "import json, pickle, sys\n"
+        "from pdesym.expr import parse_infix\n"
+        "from pdesym.tokens import to_canonical_tokens\n"
+        "eq = pickle.loads(sys.stdin.buffer.read())\n"
+        f"again = parse_infix({src!r})\n"
+        "print(json.dumps([hash(eq.residual), hash(again.residual), eq == again,\n"
+        "                  to_canonical_tokens(eq).text, to_canonical_tokens(again).text]))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(pdesym.__file__))
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(eq),
+                         capture_output=True, env=env, timeout=60, check=True).stdout
+    loaded_hash, parsed_hash, equal, loaded_text, parsed_text = json.loads(out)
+    assert loaded_hash == parsed_hash != hash(eq.residual)
+    assert equal
+    assert loaded_text == parsed_text == to_canonical_tokens(eq).text
 
 
 def test_deep_trees_compare_and_hash_without_recursion():

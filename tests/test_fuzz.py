@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from pdesym.cli import main
 from pdesym.datagen import FAMILIES, equation_for, equation_record
-from pdesym.errors import PdesymError
+from pdesym.errors import MalformedFile, PdesymError
 from pdesym.expr import parse_infix
 from pdesym.metrics import symbolic_error
 from pdesym.solver import read_grid_file
@@ -199,7 +199,7 @@ def test_read_grid_file_raises_only_value_errors(raw):
         path.write_bytes(raw)
         try:
             read_grid_file(path)
-        except ValueError:
+        except MalformedFile:
             pass
 
 
