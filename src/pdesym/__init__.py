@@ -56,9 +56,9 @@ from .metrics import (
     valid_fraction,
 )
 from .perturb import (
+    NOISE_TERMS,
     NoiseInjection,
     PerturbConfig,
-    default_noise_library,
     inject_noise_term,
     mask_coefficients,
     swap_branches,

@@ -211,7 +211,6 @@ def _filter_config(args, **extra) -> smc.FilterConfig:
         steps=args.steps,
         process_var=args.process_var,
         obs_scale=args.obs_scale,
-        likelihood=args.likelihood,
         **extra,
     )
 
@@ -257,13 +256,19 @@ def _cmd_eval(args) -> None:
     )
     if args.trajectory:
         field = solver.read_grid_file(args.trajectory)
-        if field.times.size < 2:
+        t = field.times
+        if t.size < 2:
             raise MalformedFile(f"{args.trajectory}: a trajectory needs at least two frames")
+        if not np.max(np.abs(t - np.linspace(0.0, t[-1], t.size))) <= 1e-12 * abs(t[-1]):
+            raise MalformedFile(f"{args.trajectory}: frame times must be evenly spaced from 0")
         payload["time_series_error"] = metrics.time_series_error(
             eq_learned, field.values[0], field
         )
         if args.prediction:
             pred = solver.read_grid_file(args.prediction)
+            if pred.values.shape != field.values.shape:
+                raise MalformedFile(f"{args.prediction}: shape {pred.values.shape} does not "
+                                    f"match {args.trajectory}'s {field.values.shape}")
             payload["rel_l2"] = metrics.rel_l2(field.values, pred.values)
             payload["r2"] = metrics.r2_score([field.values], [pred.values])
     _emit(args, _finite(payload))
@@ -301,7 +306,6 @@ def build_parser() -> _Parser:
         p.add_argument("--steps", type=int, default=cfg.steps)
         p.add_argument("--process-var", type=float, default=cfg.process_var)
         p.add_argument("--obs-scale", type=float, default=cfg.obs_scale)
-        p.add_argument("--likelihood", choices=smc.LIKELIHOODS, default=cfg.likelihood)
 
     p = sub.add_parser("parse", help="parse an equation and echo both dialects")
     p.add_argument("--expr", required=True)

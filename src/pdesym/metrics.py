@@ -577,7 +577,10 @@ def valid_fraction(generated: list[TokenSeq], truths: list[Equation]) -> float:
 
 def time_series_error(refined: Equation, u0: np.ndarray,
                       truth_traj: SpaceTimeField) -> float:
-    """Relative L2 error of the trajectory re-simulated from ``refined``."""
+    """Relative L2 error of the trajectory re-simulated from ``refined``.
+
+    The re-simulation reports at ``linspace(0, t[-1], nt)``, so
+    ``truth_traj`` must hold its frames at those times."""
     law = law_from_equation(refined)
     sim = solve(
         law,

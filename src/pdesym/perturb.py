@@ -8,7 +8,7 @@ rewritten as ``(-1)*b + a`` so the result stays mathematically equivalent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +26,17 @@ from .expr import (
 )
 
 
-def default_noise_library() -> list[Expr]:
-    """In-vocabulary erroneous terms: u, u*u_x, u_xx, sin(u)."""
-    return [
-        FIELD,
-        Binary("mul", FIELD, Deriv(FIELD, "x", 1)),
-        Deriv(FIELD, "x", 2),
-        Unary("sin", FIELD),
-    ]
+# In-vocabulary erroneous terms u, u*u_x, u_xx, sin(u), and the interval
+# their coefficient is drawn from.
+NOISE_TERMS = (FIELD, Binary("mul", FIELD, Deriv(FIELD, "x", 1)), Deriv(FIELD, "x", 2),
+               Unary("sin", FIELD))
+NOISE_COEFF_RANGE = (0.1, 1.0)
 
 
 @dataclass
 class PerturbConfig:
     swap_prob: float = 0.5
     noise_prob: float = 0.5
-    noise_term_library: list[Expr] = field(default_factory=default_noise_library)
-    noise_coeff_range: tuple[float, float] = (0.1, 1.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -49,11 +44,6 @@ class PerturbConfig:
             raise ValueError("swap_prob must lie in [0, 1]")
         if not 0.0 <= self.noise_prob <= 1.0:
             raise ValueError("noise_prob must lie in [0, 1]")
-        lo, hi = self.noise_coeff_range
-        if not lo < hi:
-            raise ValueError("noise_coeff_range must be a nonempty interval")
-        if not self.noise_term_library:
-            raise ValueError("noise_term_library must not be empty")
 
 
 def swap_branches(e, cfg: PerturbConfig):
@@ -115,15 +105,15 @@ class NoiseInjection:
 def inject_noise_term(eq: Equation, cfg: PerturbConfig) -> NoiseInjection:
     """With probability ``noise_prob`` add one random erroneous term c*T.
 
-    T is drawn uniformly from the term library and c uniformly from
-    ``noise_coeff_range``. The injected term is returned alongside the
+    T is drawn uniformly from ``NOISE_TERMS`` and c uniformly from
+    ``NOISE_COEFF_RANGE``. The injected term is returned alongside the
     equation so callers can verify detection/removal behaviour.
     """
     rng = np.random.default_rng(cfg.seed)
     if rng.random() >= cfg.noise_prob:
         return NoiseInjection(eq, None)
-    template = cfg.noise_term_library[rng.integers(len(cfg.noise_term_library))]
-    coeff = float(rng.uniform(*cfg.noise_coeff_range))
+    template = NOISE_TERMS[rng.integers(len(NOISE_TERMS))]
+    coeff = float(rng.uniform(*NOISE_COEFF_RANGE))
     term = Binary("mul", Const(coeff), template)
     return NoiseInjection(Equation(Binary("add", eq.residual, term)), term)
 

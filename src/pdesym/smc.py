@@ -14,15 +14,15 @@ is propagate -> reweight -> resample:
   observed frame under the observation model ``u_obs = H(alpha, u_prev) +
   sigma`` with iid per-point Gaussian noise of scale
   ``eps = obs_scale * ||u(., t=0)||_2``, so
-  ``log w_i = -sum_j (u_obs_j - u_hat_ij)^2 / (2 eps^2)``; the
-  ``likelihood="norm"`` switch instead treats the dx-weighted residual
-  norm as a single scalar Gaussian (a flatter, more conservative update);
+  ``log w_i = -sum_j (u_obs_j - u_hat_ij)^2 / (2 eps^2)``;
 * resample draws M particles from the weighted empirical CDF
   (multinomial, inverse-CDF), restoring uniform weights.
 
-After the configured number of steps the unweighted ensemble mean is the
-refined coefficient vector. One-coefficient laws refine q1; two-coefficient
-laws refine (q1, q2) jointly.
+Every draw comes from the one generator ``refine`` seeds with
+``cfg.seed``; ``init_ensemble``, ``propagate`` and ``resample`` take it as
+their ``rng``. After the configured number of steps the unweighted
+ensemble mean is the refined coefficient vector. One-coefficient laws
+refine q1; two-coefficient laws refine (q1, q2) jointly.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import AllWeightsDegenerate, ZeroCoefficient
 from .solver import ConservationLaw, Grid1D, SpaceTimeField, advance_ensemble
 
-LIKELIHOODS = ("norm", "pointwise")
+INIT_REL_HALFWIDTH = 0.1  # the initial cloud spans alpha0 * (1 -/+ this)
 
 
 @dataclass
@@ -42,9 +42,7 @@ class FilterConfig:
     steps: int = 10
     process_var: float = 1e-5
     obs_scale: float = 0.05
-    init_rel_halfwidth: float = 0.1
     seed: int = 0
-    likelihood: str = "pointwise"
 
     def __post_init__(self):
         if self.particles < 2:
@@ -55,10 +53,6 @@ class FilterConfig:
             raise ValueError("process_var must be positive and finite")
         if not 0.0 < self.obs_scale < np.inf:
             raise ValueError("obs_scale must be positive and finite")
-        if not 0.0 <= self.init_rel_halfwidth < np.inf:
-            raise ValueError("init_rel_halfwidth must be >= 0 and finite")
-        if self.likelihood not in LIKELIHOODS:
-            raise ValueError(f"likelihood must be one of {LIKELIHOODS}")
 
 
 @dataclass
@@ -93,9 +87,8 @@ class ObservationSeq:
             raise ValueError("need >= 2 frames with strictly increasing times")
 
     @classmethod
-    def from_field(cls, field: SpaceTimeField, n_frames: int | None = None):
-        n = field.times.size if n_frames is None else n_frames
-        return cls(field.times[:n].copy(), field.values[:n].copy(), field.grid)
+    def from_field(cls, field: SpaceTimeField, n_frames: int):
+        return cls(field.times[:n_frames].copy(), field.values[:n_frames].copy(), field.grid)
 
 
 @dataclass
@@ -111,10 +104,10 @@ def discrete_l2(u: np.ndarray, dx: float) -> float:
         return float(np.sqrt(np.sum(u * u) * dx))
 
 
-def init_ensemble(alpha0, cfg: FilterConfig, rng=None) -> ParticleEnsemble:
-    """Uniform cloud on [(1-h) a0_j, (1+h) a0_j] per coordinate. ``alpha0``
-    must hold one or two finite coefficients; anything else raises
-    ``ValueError``."""
+def init_ensemble(alpha0, cfg: FilterConfig, rng) -> ParticleEnsemble:
+    """Uniform cloud on [(1-h) a0_j, (1+h) a0_j] per coordinate, with
+    ``h = INIT_REL_HALFWIDTH``, drawn from ``rng``. ``alpha0`` must hold one
+    or two finite coefficients; anything else raises ``ValueError``."""
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=float))
     if alpha0.ndim != 1 or not 1 <= alpha0.size <= 2:
         raise ValueError(f"alpha0 must hold one or two coefficients, got {alpha0.size}")
@@ -124,19 +117,15 @@ def init_ensemble(alpha0, cfg: FilterConfig, rng=None) -> ParticleEnsemble:
         raise ZeroCoefficient(
             "relative initialization interval degenerates for a zero coefficient"
         )
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    lo = np.minimum((1.0 - cfg.init_rel_halfwidth) * alpha0,
-                    (1.0 + cfg.init_rel_halfwidth) * alpha0)
-    hi = np.maximum((1.0 - cfg.init_rel_halfwidth) * alpha0,
-                    (1.0 + cfg.init_rel_halfwidth) * alpha0)
+    a, b = (1.0 - INIT_REL_HALFWIDTH) * alpha0, (1.0 + INIT_REL_HALFWIDTH) * alpha0
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     particles = rng.uniform(lo, hi, size=(cfg.particles, alpha0.size))
     weights = np.full(cfg.particles, 1.0 / cfg.particles)
     return ParticleEnsemble(particles, weights)
 
 
-def propagate(ens: ParticleEnsemble, cfg: FilterConfig, rng=None) -> ParticleEnsemble:
+def propagate(ens: ParticleEnsemble, cfg: FilterConfig, rng) -> ParticleEnsemble:
     """Add N(0, process_var) noise to every coordinate; weights unchanged."""
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     noise = rng.normal(0.0, np.sqrt(cfg.process_var), size=ens.particles.shape)
     return ParticleEnsemble(ens.particles + noise, ens.weights.copy())
 
@@ -186,7 +175,6 @@ def reweight(ens: ParticleEnsemble, u_prev: np.ndarray, u_obs: np.ndarray,
     if eps <= 0.0:
         raise ZeroCoefficient("observation noise scale vanishes (zero initial norm)")
     sq = np.full(ens.size, np.inf)
-    scale = grid.dx if cfg.likelihood == "norm" else 1.0
     q1, q2, valid = _coefficient_arrays(ens.particles, law_template)
     idx = np.flatnonzero(valid)
     if idx.size:
@@ -195,16 +183,15 @@ def reweight(ens: ParticleEnsemble, u_prev: np.ndarray, u_obs: np.ndarray,
         )
         with np.errstate(over="ignore"):  # a residual that overflows is inf
             diff = u_obs[None, :] - states[ok]
-            sq[idx[ok]] = np.sum(diff * diff, axis=1) * scale
+            sq[idx[ok]] = np.sum(diff * diff, axis=1)
         if ok.any() and np.isinf(sq).all():
             raise AllWeightsDegenerate("every finite simulation's squared residual overflowed")
     weights = weights_from_sq_residuals(sq, eps)
     return ParticleEnsemble(ens.particles.copy(), weights)
 
 
-def resample(ens: ParticleEnsemble, cfg: FilterConfig, rng=None) -> ParticleEnsemble:
+def resample(ens: ParticleEnsemble, cfg: FilterConfig, rng) -> ParticleEnsemble:
     """Multinomial resampling through the weighted empirical CDF."""
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     cdf = np.cumsum(ens.weights)
     cdf[-1] = 1.0
     idx = np.searchsorted(cdf, rng.random(ens.size), side="right")

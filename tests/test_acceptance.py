@@ -246,7 +246,7 @@ def test_criterion_8_resampling_statistics():
     cfg = FilterConfig(particles=10_000, seed=8)
     particles = np.vstack([np.zeros((1, 1)), np.ones((9999, 1))])
     weights = np.concatenate([[0.75], np.full(9999, 0.25 / 9999)])
-    out = resample(ParticleEnsemble(particles, weights), cfg)
+    out = resample(ParticleEnsemble(particles, weights), cfg, np.random.default_rng(cfg.seed))
     count = int(np.sum(out.particles == 0.0))
 
     spec = FAMILIES["inviscid_burgers"]

@@ -37,11 +37,24 @@ def test_tokens_canonical_kdv_pattern(capsys):
     assert text.startswith("+ × 1 u(x,t)")
 
 
+def test_tokens_manual_dialect_keeps_the_input_order(capsys):
+    code, out, _ = run_cli(capsys, "tokens", "--dialect", "manual", "--eq", "u_t + 0.5*u*u_x = 0")
+    assert code == 0
+    assert json.loads(out) == {"dialect": "manual", "text": "+ u_t × 0.5 × u u_x",
+                               "tokens": ["+", "u_t", "×", "0.5", "×", "u", "u_x"]}
+
+
 def test_parse_reports_both_dialects(capsys):
     code, out, _ = run_cli(capsys, "parse", "--expr", "u_t + 0.955*cos(u)*u_x = 0")
     assert code == 0
     payload = json.loads(out)
     assert payload["manual"]["tokens"][0] == "+"
+    assert payload["canonical"]["tokens"][0] == "+"
+    # a flux derivative has no manual shorthand token
+    code, out, _ = run_cli(capsys, "parse", "--expr", "u_t + 0.5*(u^2)_x = 0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["manual"] is None
     assert payload["canonical"]["tokens"][0] == "+"
 
 
@@ -608,6 +621,46 @@ def test_eval_prediction_without_a_trajectory_is_a_usage_error(tmp_path, capsys)
     assert json.loads(err)["message"] == "eval --prediction needs --trajectory"
 
 
+def test_eval_without_a_learned_equation_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "eval", "--truth", _burgers_record(tmp_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == "eval needs --learned or --learned-tokens"
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.04, 0.1], [0.02, 0.06, 0.1]])
+def test_eval_of_a_trajectory_at_uneven_times_is_a_data_error(tmp_path, capsys, times):
+    """``time_series_error`` re-simulates at ``linspace(0, t[-1], nt)``; a
+    trajectory whose frames sit at other times cannot be scored against it."""
+    truth = _burgers_record(tmp_path)
+    header, values = _three_frames(0.125)
+    grid_path = tmp_path / "traj.grid"
+    _write_grid(grid_path, dict(header, t=times), values)
+    code, out, err = run_cli(capsys, "eval", "--truth", truth, "--learned", truth,
+                             "--trajectory", str(grid_path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "MalformedFile",
+        "message": f"{grid_path}: frame times must be evenly spaced from 0",
+    }
+
+
+def test_eval_of_a_prediction_of_another_shape_names_both_files(tmp_path, capsys):
+    truth = _burgers_record(tmp_path)
+    traj, pred = tmp_path / "traj.grid", tmp_path / "pred.grid"
+    code, _, _ = run_cli(capsys, "solve", "--family", "burgers", "--output-grid", str(traj))
+    assert code == 0
+    field = pdesym.read_grid_file(traj)
+    _write_grid(pred, {"nt": 1, "nx": field.grid.nx, "t": [0.0], "x0": field.grid.x0,
+                       "dx": field.grid.dx}, field.values[:1])
+    code, out, err = run_cli(capsys, "eval", "--truth", truth, "--learned", truth,
+                             "--trajectory", str(traj), "--prediction", str(pred))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "MalformedFile",
+        "message": f"{pred}: shape (1, 128) does not match {traj}'s (32, 128)",
+    }
+
+
 def test_eval_scores_a_prediction_against_the_trajectory(tmp_path, capsys):
     from pdesym import metrics
 
@@ -645,15 +698,17 @@ def test_refine_names_residuals_that_overflow(tmp_path, capsys):
                                "message": "every finite simulation's squared residual overflowed"}
 
 
-def test_refine_with_norm_likelihood(tmp_path, capsys):
-    code, out, err = _refine_burgers(tmp_path, capsys, "--likelihood", "norm")
-    assert (code, err) == (0, "")
-    payload = json.loads(out)
-    assert len(payload["refined_coefficients"]) == 2
-    assert len(payload["ess_per_step"]) == 2
-    assert np.isfinite(payload["refined_coefficients"]).all()
-    _, pointwise, _ = _refine_burgers(tmp_path, capsys)
-    assert json.loads(pointwise)["refined_coefficients"] != payload["refined_coefficients"]
+def test_refine_of_an_all_zero_trajectory_is_a_numeric_error(tmp_path, capsys):
+    """A zero initial frame leaves the observation noise scale zero."""
+    eq_path = _burgers_record(tmp_path)
+    grid_path = tmp_path / "traj.grid"
+    _write_grid(grid_path, {"nt": 3, "nx": 8, "t": [0.0, 0.05, 0.1], "x0": 0.0, "dx": 0.125},
+                np.zeros((3, 8)))
+    code, out, err = run_cli(capsys, "refine", "--equation", eq_path,
+                             "--observations", str(grid_path), "--particles", "8", "--steps", "2")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "ZeroCoefficient",
+                               "message": "observation noise scale vanishes (zero initial norm)"}
 
 
 @pytest.mark.parametrize("flag", ["--process-var=nan", "--obs-scale=inf"])
@@ -772,3 +827,18 @@ def test_flag_defaults_are_the_config_defaults(capsys, monkeypatch):
                         lambda eq, cfg: seen.append(cfg) or inject(eq, cfg))
     code, _, _ = run_cli(capsys, "perturb", "--eq", "u_t + u*u_x")
     assert code == 0 and seen == [perturb.PerturbConfig()]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["refine", "--equation", "eq.json", "--observations", "t.grid"], pdesym.FilterConfig),
+    (["study"], pdesym.FilterConfig),
+    (["perturb", "--eq", "u"], pdesym.PerturbConfig),
+], ids=["refine", "study", "perturb"])
+def test_every_config_field_has_a_flag(argv, config):
+    """A config field that no flag sets is reachable only from tests."""
+    import dataclasses
+
+    from pdesym import cli
+
+    args = vars(cli.build_parser().parse_args(argv))
+    assert {f.name for f in dataclasses.fields(config)} <= set(args)

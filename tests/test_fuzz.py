@@ -271,7 +271,6 @@ _FILTER_FLAGS = {
     "--steps": ["1", "2", "3", "0", "-1", "1.5"],
     "--process-var": ["1e-5", "0", "-1", "nan", "inf"],
     "--obs-scale": ["0.05", "0", "nan", "1e300"],
-    "--likelihood": ["pointwise", "norm", "bogus"],
     "--seed": ["0", "7", "-1", "x", "9" * 30],
 }
 _REFINE_FLAGS = {

@@ -539,6 +539,7 @@ def test_valid_fraction_counts_placeholders_as_invalid():
     truth = equation_for(spec, 0.955, 0.0)
     masked = to_canonical_tokens(mask_coefficients(truth))
     assert valid_fraction([masked], [truth]) == 0.0
+    assert valid_fraction([], []) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +612,8 @@ def test_law_extraction_requires_time_derivative():
         law_from_equation(parse_infix("u_t + 0.5*(u^2)_x + u"))
     with pytest.raises(NotSolvable):
         law_from_equation(parse_infix("u_t = 0.5*u_xx"))
+    with pytest.raises(NotSolvable, match="negative viscosity"):
+        law_from_equation(parse_infix("u_t + u*u_x + 0.1*u_xx"))
 
 
 def test_law_extraction_normalizes_time_coefficient():

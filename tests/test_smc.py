@@ -38,21 +38,15 @@ def _observations(family="inviscid_burgers", q1=0.5, q2=0.0, seed=0, frames=11):
 
 def test_init_uniform_cloud_bounds_and_weights():
     cfg = FilterConfig(particles=500, seed=1)
-    ens = init_ensemble(np.array([1.0]), cfg)
+    ens = init_ensemble(np.array([1.0]), cfg, np.random.default_rng(cfg.seed))
     assert ens.particles.shape == (500, 1)
     assert np.all(ens.particles >= 0.9) and np.all(ens.particles <= 1.1)
     assert np.allclose(ens.weights, 0.002)
 
 
-def test_init_degenerate_halfwidth_pins_particles():
-    cfg = FilterConfig(particles=50, init_rel_halfwidth=0.0, seed=2)
-    ens = init_ensemble(np.array([0.7]), cfg)
-    assert np.all(ens.particles == 0.7)
-
-
 def test_init_two_coefficient_intervals():
     cfg = FilterConfig(particles=400, seed=3)
-    ens = init_ensemble(np.array([0.5, 0.01]), cfg)
+    ens = init_ensemble(np.array([0.5, 0.01]), cfg, np.random.default_rng(cfg.seed))
     assert ens.particles.shape == (400, 2)
     assert ens.particles[:, 0].min() >= 0.45 and ens.particles[:, 0].max() <= 0.55
     assert ens.particles[:, 1].min() >= 0.009 and ens.particles[:, 1].max() <= 0.011
@@ -60,13 +54,13 @@ def test_init_two_coefficient_intervals():
 
 def test_init_negative_coefficient_interval_is_sorted():
     cfg = FilterConfig(particles=100, seed=4)
-    ens = init_ensemble(np.array([-1.0]), cfg)
+    ens = init_ensemble(np.array([-1.0]), cfg, np.random.default_rng(cfg.seed))
     assert np.all(ens.particles >= -1.1) and np.all(ens.particles <= -0.9)
 
 
 def test_init_rejects_zero_coefficient():
     with pytest.raises(ZeroCoefficient):
-        init_ensemble(np.array([0.5, 0.0]), FilterConfig())
+        init_ensemble(np.array([0.5, 0.0]), FilterConfig(), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("alpha0", [[np.nan], [np.inf], [0.5, -np.inf], [0.5, 0.05, 1.0], [],
@@ -74,7 +68,7 @@ def test_init_rejects_zero_coefficient():
                          ids=["nan", "inf", "minus-inf", "three", "empty", "nested"])
 def test_malformed_initial_coefficients_are_value_errors(alpha0):
     with pytest.raises(ValueError):
-        init_ensemble(alpha0, FilterConfig())
+        init_ensemble(alpha0, FilterConfig(), np.random.default_rng(0))
     obs, law = _observations(frames=3)
     with pytest.raises(ValueError):
         refine(alpha0, obs, law, FilterConfig(particles=8, steps=2))
@@ -98,15 +92,24 @@ def test_propagate_increment_variance():
 
 def test_propagate_tiny_variance_is_near_identity():
     cfg = FilterConfig(particles=100, process_var=1e-30, seed=6)
-    ens = init_ensemble(np.array([1.0]), cfg)
-    moved = propagate(ens, cfg)
+    ens = init_ensemble(np.array([1.0]), cfg, np.random.default_rng(cfg.seed))
+    moved = propagate(ens, cfg, np.random.default_rng(cfg.seed))
     assert np.allclose(moved.particles, ens.particles, atol=1e-12)
     assert np.array_equal(moved.weights, ens.weights)
 
 
+@pytest.mark.parametrize("step", [init_ensemble, propagate, resample])
+def test_random_steps_take_the_callers_generator(step):
+    """No step re-seeds a generator of its own from ``cfg.seed``."""
+    cfg = FilterConfig(particles=4)
+    ens = ParticleEnsemble(np.full((4, 1), 0.5), np.full(4, 0.25))
+    with pytest.raises(TypeError):
+        step(np.array([0.5]) if step is init_ensemble else ens, cfg)
+
+
 def test_propagate_mean_drift_bound():
     cfg = FilterConfig(particles=500, process_var=1e-5, seed=7)
-    ens = init_ensemble(np.array([1.0]), cfg)
+    ens = init_ensemble(np.array([1.0]), cfg, np.random.default_rng(cfg.seed))
     moved = propagate(ens, cfg, np.random.default_rng(7))
     drift = abs(float(moved.particles.mean() - ens.particles.mean()))
     assert drift <= 4.0 * np.sqrt(cfg.process_var / cfg.particles)
@@ -176,26 +179,6 @@ def test_negative_viscosity_particles_are_rejected():
     )
     assert out.weights[1] == 0.0
     assert out.weights[0] > 0.0 and out.weights[2] > 0.0
-
-
-def test_norm_likelihood_weights_the_dx_scaled_residual_norm():
-    """Under ``likelihood="norm"`` a particle's squared residual is
-    dx * sum((u_obs - u_hat)^2) over its advanced state u_hat."""
-    obs, law = _observations(family="burgers", q1=0.5, q2=0.05, seed=3)
-    cfg = FilterConfig(particles=4, seed=3, likelihood="norm")
-    particles = np.array([[0.5, 0.05], [0.52, 0.05], [0.47, 0.06], [0.5, 0.03]])
-    ens = ParticleEnsemble(particles, np.full(4, 0.25))
-    dt = float(obs.times[2] - obs.times[1])
-    ref = discrete_l2(obs.states[0], obs.grid.dx)
-    out = reweight(ens, obs.states[1], obs.states[2], law, cfg, dt, obs.grid, ref)
-    u_hat, ok = advance_ensemble(law.flux_kind, particles[:, 0], particles[:, 1],
-                                 obs.states[1], dt, obs.grid)
-    assert ok.all()
-    sq = obs.grid.dx * np.sum((obs.states[2] - u_hat) ** 2, axis=1)
-    assert np.array_equal(out.weights, weights_from_sq_residuals(sq, cfg.obs_scale * ref))
-    pointwise = reweight(ens, obs.states[1], obs.states[2], law, FilterConfig(particles=4),
-                         dt, obs.grid, ref)
-    assert not np.array_equal(out.weights, pointwise.weights)
 
 
 def test_batched_advance_matches_scalar_solver_bitwise():
@@ -329,7 +312,7 @@ def test_point_mass_resamples_to_copies():
     particles = np.arange(64, dtype=float).reshape(-1, 1)
     weights = np.zeros(64)
     weights[17] = 1.0
-    out = resample(ParticleEnsemble(particles, weights), cfg)
+    out = resample(ParticleEnsemble(particles, weights), cfg, np.random.default_rng(cfg.seed))
     assert np.all(out.particles == 17.0)
     assert np.allclose(out.weights, 1.0 / 64)
 
@@ -339,7 +322,7 @@ def test_resampling_multiplicity_within_binomial_bounds():
     particles = np.array([[0.0], [1.0]]).repeat(5000, axis=0)[:10_000]
     particles = np.vstack([np.zeros((1, 1)), np.ones((9999, 1))])
     weights = np.concatenate([[0.75], np.full(9999, 0.25 / 9999)])
-    out = resample(ParticleEnsemble(particles, weights), cfg)
+    out = resample(ParticleEnsemble(particles, weights), cfg, np.random.default_rng(cfg.seed))
     count = int(np.sum(out.particles == 0.0))
     assert 7350 <= count <= 7650
 
@@ -410,9 +393,7 @@ def test_config_validation():
         FilterConfig(steps=0)
     with pytest.raises(ValueError):
         FilterConfig(process_var=0.0)
-    with pytest.raises(ValueError):
-        FilterConfig(likelihood="exotic")
-    for field in ("process_var", "obs_scale", "init_rel_halfwidth"):
+    for field in ("process_var", "obs_scale"):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=field):
                 FilterConfig(**{field: value})
