@@ -44,13 +44,9 @@ from .expr import (
     to_infix,
 )
 from .metrics import (
-    PolySurrogate,
     law_from_equation,
-    normalize,
-    denormalize,
     r2_score,
     rel_l2,
-    residual_on_surrogate,
     symbolic_error,
     time_series_error,
     valid_fraction,

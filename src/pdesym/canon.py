@@ -30,8 +30,9 @@ over products, or trigonometric rewriting is performed.
 Each root is folded once while it is among the last few asked for, so
 ``equivalent(from_tokens(to_canonical_tokens(p)), p)`` walks ``p`` once.
 A function, power or derivative node that is its own canonical form is
-interned in a weak table: an equal node met later, in any tree, folds to
-it without a walk.
+entered in a weak table and folds to itself again without a walk. The
+expression module builds equal nodes as one shared object, so that node,
+met later in any tree, is found by identity.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ from .expr import (
     Placeholder,
     Unary,
     Var,
-    cached_key,
     canonical_key,
     walk,
 )
@@ -125,8 +125,9 @@ def equivalent(a, b) -> bool:
 # are sorted by their keys, which nodes cache.
 #
 # A function, power or derivative node that folds to itself, 1 times itself
-# as its one factor, is interned here. Every node equal to it then folds to
-# it without a walk, and every factor equal to it is that one node.
+# as its one factor, is interned here, and folds to itself again without a
+# walk. Equal nodes are one shared node (see ``expr``), so the table is
+# looked up by identity.
 _FACTORS = weakref.WeakValueDictionary()  # structural hash -> the node
 _ONE = (1, 0)
 # The rounded terms of the last few roots folded, by id(root): (root, terms),
@@ -175,9 +176,8 @@ def _mul(a, b):
 
 
 def _factor(f: Expr) -> list:
-    """``f`` as a term; the interned node equal to ``f`` takes its place."""
-    g = _FACTORS.get(f._hash)
-    return [(_ONE, (g if g is not None and g == f else f,))]
+    """``f`` as a term."""
+    return [(_ONE, (f,))]
 
 
 def _constant(value) -> list:
@@ -200,9 +200,8 @@ def _terms(e: Expr) -> list:
 def _enter_terms(e: Expr, _):
     t = type(e)
     if t is Unary or t is Deriv or t is Binary and e.op == "pow":
-        f = _FACTORS.get(e._hash)
-        if f is not None and f == e:  # it folds as the interned node did
-            return ([(_ONE, (f,))],)
+        if _FACTORS.get(e._hash) is e:  # an interned node folds to itself
+            return (_factor(e),)
         if t is Binary:  # the exponent first: it is canonicalized first
             return (None, e.right, None, e.left, None)
         return None
@@ -240,12 +239,8 @@ def _leave_terms(e: Expr, _, a: list, b: list | None = None) -> list:
         return _product(_collect(a), _collect(b))
     else:
         return _quotient(_collect(a), _collect(b))
-    if len(ts) == 1 and ts[0][0] == _ONE and len(ts[0][1]) == 1:
-        f = ts[0][1][0]
-        # e folds to itself: intern it, unless its key is too long to cache
-        if f._hash == e._hash and cached_key(e) is not None and cached_key(f) == e._key:
-            _FACTORS[e._hash] = e
-            return [(_ONE, (e,))]
+    if len(ts) == 1 and ts[0][0] == _ONE and len(ts[0][1]) == 1 and ts[0][1][0] is e:
+        _FACTORS[e._hash] = e  # e folds to itself
     return ts
 
 
@@ -321,7 +316,7 @@ def _product(left: list, right: list) -> list:
             c, fs = side[0]
             coeff = c if coeff is _ONE else _mul(coeff, c)
         else:
-            ((_, fs),) = _factor(build(_round(side)))
+            fs = (build(_round(side)),)
         factors += fs
     factors = _merge_factors(factors)
     s = _bare_sum(coeff, factors)
@@ -344,7 +339,7 @@ def _merge_factors(factors: list) -> tuple[Expr, ...]:
     out = []
     for base, n in merged.items():
         if n != 0:
-            out += _factor(base if n == 1 else Binary("pow", base, Int(n)))[0][1]
+            out.append(base if n == 1 else Binary("pow", base, Int(n)))
     out.sort(key=canonical_key)  # the keys differ, so factors are never compared
     return tuple(out)
 

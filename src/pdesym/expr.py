@@ -1,14 +1,23 @@
 """Expression trees for 1-D time-dependent PDEs, plus an infix parser.
 
-Nodes are immutable, so trees can be shared freely; the parser gives every
-shorthand derivative leaf one shared node (:data:`DERIV_LEAVES`). Nodes are
-slotted: each carries a structural hash, computed when it is built from
-its children's hashes, and caches its flat :func:`canonical_key` once that
-is asked for. Equality is structural, and neither ``==`` nor ``hash``
-recurses, however deep the tree. The unknown field u(x, t) is the
-dedicated leaf ``FIELD``, partial derivatives are explicit ``Deriv`` nodes,
-and ``Placeholder`` marks a masked coefficient slot (rendered as the token
-``[?]``).
+Nodes are slotted and immutable: each carries a structural hash, computed
+when it is built from its children's hashes, and caches its flat
+:func:`canonical_key` once that is asked for. Equality is structural, and
+neither ``==`` nor ``hash`` recurses, however deep the tree. The unknown
+field u(x, t) is the dedicated leaf ``FIELD``, partial derivatives are
+explicit ``Deriv`` nodes, and ``Placeholder`` marks a masked coefficient
+slot (rendered as the token ``[?]``).
+
+Equal nodes are shared (hash-consing): building a node equal to one that
+is still alive returns that object, so every parse, decode and rewrite of
+a structure holds one node per distinct subtree, and its key is cached
+once. ``==`` stays structural, so no result depends on identity: an
+equal node is only usually the same object. ``Const(-0.0)`` and
+``Const(0.0)`` compare equal yet print apart, so they stay two nodes, and
+a NaN constant is never shared. A node whose hash a different live node
+holds is not shared, and a race between threads can only lose some
+sharing. An unpickled tree is rebuilt through the constructors, so it
+joins the sharing of the process that loads it.
 
 Grammar accepted by :func:`parse_infix` (whitespace-insensitive)::
 
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 
 from .errors import ParseError, UnknownSymbol, UnsupportedNode
@@ -58,7 +68,9 @@ class Expr:
     """Base class for expression-tree nodes.
 
     A node is immutable once built: nothing assigns to its fields, only to
-    its key cache. ``hash`` returns the hash computed when the node was
+    its key cache. Each class builds its nodes in ``__new__`` and has no
+    ``__init__``, so a shared node returned again keeps its fields and its
+    cached key. ``hash`` returns the hash computed when the node was
     built; ``==`` checks identity, then the hashes, then the flat keys
     (computing, not caching, those not yet cached).
     """
@@ -104,34 +116,80 @@ _RANK_INT, _RANK_CONST = 8, 9
 _FN_RANK = {"sin": 0, "cos": 1, "neg": 2}
 _OP_RANK = {"pow": 0, "mul": 1, "add": 2, "sub": 3, "div": 4}
 
+# Sharing: a node's structural hash -> a weak reference to the live node
+# built with it. A constructor looks its hash up and returns the node found
+# there when it has the same class, fields and child objects; children are
+# shared already, so the check is shallow. A different live node on the
+# same hash keeps its entry, and the new node is not shared. Dead entries
+# are swept in one pass whenever the table has doubled since the last.
+_NODES: dict[int, weakref.ref] = {}
+_SWEEP_MIN = 1024  # entries
+_sweep_at = _SWEEP_MIN
+
+
+def _absent():  # the "referent" of a missing entry
+    return None
+
+
+def _enter(e: Expr, h: int, old) -> Expr:
+    """Finish the new node ``e`` with hash ``h`` and enter it in the table,
+    unless ``old``, the live node found there, holds the entry."""
+    global _sweep_at
+    e._hash, e._key = h, None
+    if old is None:
+        _NODES[h] = weakref.ref(e)
+        if len(_NODES) >= _sweep_at:
+            for k, ref in list(_NODES.items()):
+                if ref() is None:
+                    _NODES.pop(k, None)
+            _sweep_at = max(2 * len(_NODES), _SWEEP_MIN)
+    return e
+
 
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: float):
-        self.value = value = float(value)
-        self._hash = hash((_RANK_CONST, value))
-        self._key = None
+    def __new__(cls, value: float):
+        value = float(value)
+        h = hash((_RANK_CONST, value))
+        old = _NODES.get(h, _absent)()
+        # -0.0 == 0.0 but prints apart, so a zero shares only with its sign;
+        # a NaN equals nothing, so it is never shared
+        if type(old) is cls and old.value == value and (
+                value or math.copysign(1.0, value) == math.copysign(1.0, old.value)):
+            return old
+        e = object.__new__(cls)
+        e.value = value
+        return _enter(e, h, old)
 
 
 class Int(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        self.value = value = int(value)
-        self._hash = hash((_RANK_INT, value))
-        self._key = None
+    def __new__(cls, value: int):
+        value = int(value)
+        h = hash((_RANK_INT, value))
+        old = _NODES.get(h, _absent)()
+        if type(old) is cls and old.value == value:
+            return old
+        e = object.__new__(cls)
+        e.value = value
+        return _enter(e, h, old)
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if name in _RESERVED_IDENTS:
             raise ValueError(f"reserved identifier {name!r} cannot be a variable")
-        self.name = name
-        self._hash = hash((_RANK_VAR, name))
-        self._key = None
+        h = hash((_RANK_VAR, name))
+        old = _NODES.get(h, _absent)()
+        if type(old) is cls and old.name == name:
+            return old
+        e = object.__new__(cls)
+        e.name = name
+        return _enter(e, h, old)
 
 
 class Field(Expr):
@@ -139,9 +197,9 @@ class Field(Expr):
 
     __slots__ = ()
 
-    def __init__(self):
-        self._hash = _RANK_FIELD
-        self._key = None
+    def __new__(cls):
+        old = _NODES.get(_RANK_FIELD, _absent)()
+        return old if type(old) is cls else _enter(object.__new__(cls), _RANK_FIELD, old)
 
 
 class Placeholder(Expr):
@@ -149,44 +207,56 @@ class Placeholder(Expr):
 
     __slots__ = ()
 
-    def __init__(self):
-        self._hash = _RANK_PLACEHOLDER
-        self._key = None
+    def __new__(cls):
+        old = _NODES.get(_RANK_PLACEHOLDER, _absent)()
+        return old if type(old) is cls else _enter(object.__new__(cls), _RANK_PLACEHOLDER, old)
 
 
 class Unary(Expr):
     __slots__ = ("fn", "child")
 
-    def __init__(self, fn: str, child: Expr):
+    def __new__(cls, fn: str, child: Expr):
         if fn not in _FN_RANK:
             raise ValueError(f"unknown unary function {fn!r}")
-        self.fn, self.child = fn, child
-        self._hash = hash((_RANK_UNARY, fn, child._hash))
-        self._key = None
+        h = hash((_RANK_UNARY, fn, child._hash))
+        old = _NODES.get(h, _absent)()
+        if type(old) is cls and old.child is child and old.fn == fn:
+            return old
+        e = object.__new__(cls)
+        e.fn, e.child = fn, child
+        return _enter(e, h, old)
 
 
 class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left: Expr, right: Expr):
+    def __new__(cls, op: str, left: Expr, right: Expr):
         if op not in _OP_RANK:
             raise ValueError(f"unknown binary operator {op!r}")
-        self.op, self.left, self.right = op, left, right
-        self._hash = hash((_RANK_BINARY, op, left._hash, right._hash))
-        self._key = None
+        h = hash((_RANK_BINARY, op, left._hash, right._hash))
+        old = _NODES.get(h, _absent)()
+        if type(old) is cls and old.left is left and old.right is right and old.op == op:
+            return old
+        e = object.__new__(cls)
+        e.op, e.left, e.right = op, left, right
+        return _enter(e, h, old)
 
 
 class Deriv(Expr):
     __slots__ = ("child", "var", "order")
 
-    def __init__(self, child: Expr, var: str, order: int):
+    def __new__(cls, child: Expr, var: str, order: int):
         if var not in DERIV_VARS:
             raise ValueError(f"derivative variable must be one of {DERIV_VARS}")
         if order < 1:
             raise ValueError("derivative order must be >= 1")
-        self.child, self.var, self.order = child, var, order
-        self._hash = hash((_RANK_DERIV, var, order, child._hash))
-        self._key = None
+        h = hash((_RANK_DERIV, var, order, child._hash))
+        old = _NODES.get(h, _absent)()
+        if type(old) is cls and old.child is child and old.var == var and old.order == order:
+            return old
+        e = object.__new__(cls)
+        e.child, e.var, e.order = child, var, order
+        return _enter(e, h, old)
 
 
 @dataclass(frozen=True)
@@ -199,7 +269,7 @@ class Equation:
 FIELD = Field()
 #: the placeholder node that the token decoders and ``perturb`` share
 PLACEHOLDER = Placeholder()
-#: shorthand leaf spelling -> its node, shared by every tree that has it
+#: shorthand leaf spelling -> its shared node
 DERIV_LEAVES = {name: Deriv(FIELD, var, n) for name, (var, n) in DERIV_SHORTHAND.items()}
 
 
@@ -288,32 +358,18 @@ def canonical_key(e: Expr) -> tuple:
     return key
 
 
-def cached_key(e: Expr) -> tuple | None:
-    """:func:`canonical_key` if it is short enough to cache, else None,
-    found in time bounded by :data:`KEY_CACHE_MAX` whatever the tree."""
-    if e._key is None:
-        key = _flat_key(e, KEY_CACHE_MAX)
-        e._key = _LONG if key is None else key
-    return e._key or None
-
-
-def _flat_key(e: Expr, limit: float = math.inf) -> tuple | None:
+def _flat_key(e: Expr) -> tuple:
     """The key of ``e``, from its cache if it has one; nothing is cached.
-    A pre-order loop over an explicit stack, copying in cached keys. None
-    once the key is known to be longer than ``limit``."""
+    A pre-order loop over an explicit stack, copying in cached keys."""
     out = []
     todo = [e]
     pop, push, extend = todo.pop, todo.append, out.extend
     while todo:
-        if len(out) > limit:
-            return None
         e = pop()
         key = e._key
         if key:
             extend(key)
             continue
-        if key is _LONG and limit < math.inf:
-            return None
         t = type(e)
         if t is Binary:
             extend((_RANK_BINARY, _OP_RANK[e.op]))
@@ -337,7 +393,7 @@ def _flat_key(e: Expr, limit: float = math.inf) -> tuple | None:
             out.append(_RANK_PLACEHOLDER)
         else:
             raise TypeError(f"cannot key {t.__name__}")
-    return tuple(out) if len(out) <= limit else None
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

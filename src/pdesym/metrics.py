@@ -28,12 +28,11 @@ evaluates the truth once on it and accepts rows in draw order; the learned
 residual is then evaluated once on the accepted rows, on the truth's own
 field grids when the first block is accepted whole. Every operation is
 elementwise, and each row's acceptance test and error are reduced over
-its own slice, so batching moves no bit: :func:`residual_on_surrogate` is
-the one-row case.
+its own slice, so batching moves no bit: scoring one surrogate at a time
+gives the same floats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, perm, sqrt
 from typing import NamedTuple
@@ -176,54 +175,6 @@ def _sample_grid(n_x: int, n_t: int) -> _SampleGrid:
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return grid
-
-
-@dataclass(frozen=True)
-class PolySurrogate:
-    """Separable polynomial stand-in for the field with exact derivatives."""
-
-    c: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.c) != 8:
-            raise ValueError("surrogate needs exactly 8 coefficients")
-        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
-
-    @classmethod
-    def random(cls, rng) -> "PolySurrogate":
-        return cls(tuple(rng.uniform(-1.0, 1.0, 8)))
-
-    def value(self, x, t, dx_order: int = 0, dt_order: int = 0):
-        """d^dx_order/dx d^dt_order/dt P at (x, t): the one-row case of the
-        field grids :func:`symbolic_error` computes for a block."""
-        return (_polyval(self.c[:3], t, dt_order, _monomials(t, 2, dt_order))
-                * _polyval(self.c[3:], x, dx_order, _monomials(x, 4, dx_order)))
-
-
-def residual_on_surrogate(eq, surrogate: PolySurrogate, xs: np.ndarray,
-                          ts: np.ndarray) -> np.ndarray:
-    """Evaluate the residual with u := P on a (len(ts), len(xs)) grid.
-
-    This is the one-row case of the walk that :func:`symbolic_error` makes
-    on a block of surrogates at once. The residual is not expanded. One
-    walk over the tree gives each node a jet: the grids of its normalized
-    Taylor coefficients d^i/dx^i d^j/dt^j f / (i! j!) for the multi-indices
-    (i, j) that the derivative nodes above it need. The field's entries are
-    :meth:`PolySurrogate.value`'s products of a t- and an x-polynomial,
-    sums add entrywise, products use the Leibniz rule, quotients its
-    recurrence, and ``sin``, ``cos`` and integer powers the chain rule
-    (Faa di Bruno) around their order-0 value.
-
-    The reference, kept in ``tests/helpers.py``, substitutes P's polynomial
-    tree for the field, expands every derivative node symbolically and
-    evaluates the result. This raises :class:`UnsupportedNode` wherever the
-    reference does. It matches the reference bit for bit when every
-    derivative node applies to the field itself, since the field's grids
-    and every order-0 value use the reference's arithmetic, and to rounding
-    otherwise. Derivatives of other nodes are supported up to total
-    order :data:`MAX_JET_ORDER`.
-    """
-    return _residual(eq, _FieldGrids(np.array([surrogate.c]), _grid(xs, ts)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +541,6 @@ def time_series_error(refined: Equation, u0: np.ndarray,
         int(truth_traj.times.size),
     )
     return rel_l2(truth_traj.values, sim.values)
-
-
-def normalize(field: SpaceTimeField):
-    """Zero-mean/unit-std rescaling by scalar statistics over all entries."""
-    mean = float(np.mean(field.values))
-    std = float(np.std(field.values))
-    # a constant field can leave a rounding-level residual std
-    if std <= 1e-13 * max(1.0, abs(mean)):
-        raise DegenerateReference("constant field cannot be normalized")
-    out = SpaceTimeField(field.grid, field.times.copy(), (field.values - mean) / std)
-    return out, mean, std
-
-
-def denormalize(field: SpaceTimeField, mean: float, std: float) -> SpaceTimeField:
-    return SpaceTimeField(field.grid, field.times.copy(), field.values * std + mean)
 
 
 # ---------------------------------------------------------------------------

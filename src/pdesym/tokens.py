@@ -397,6 +397,4 @@ def _deriv(cur: _Cursor, child: Expr) -> Expr:
     cur.expect(")")
     if var not in ("x", "t"):
         raise DecodeError(f"derivative variable must be x or t, found {var!r}")
-    if child is FIELD and (var, order) in SHORTHAND_BY_DERIV:  # the parser's shared leaf
-        return DERIV_LEAVES[SHORTHAND_BY_DERIV[var, order]]
     return Deriv(child, var, order)

@@ -1,8 +1,9 @@
 """Shared test utilities: seeded random expression trees and independent
 numerical oracles.
 
-The symbolic-expansion reference for ``metrics.residual_on_surrogate``
-lives here: :func:`substitute_field` puts a surrogate's polynomial tree
+The symbolic-expansion reference for the package's Taylor jets, which
+:func:`residual_on_surrogate` runs on one surrogate, lives here:
+:func:`substitute_field` puts a surrogate's polynomial tree
 (:func:`surrogate_expr`) in place of the field and expands every
 derivative node with :func:`differentiate`, and :func:`evaluate` computes
 the result on a grid. The package scores residuals with Taylor jets only;
@@ -14,6 +15,7 @@ surrogate at a time."""
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from pdesym.expr import (
     int_to_float,
     walk,
 )
-from pdesym.metrics import PolySurrogate, _FieldGrids, _grid, _residual, rel_l2
+from pdesym.metrics import _FieldGrids, _grid, _monomials, _polyval, _residual, rel_l2
 
 _MANUAL_DERIVS = [("t", 1), ("x", 1), ("x", 2), ("x", 3)]
 
@@ -257,8 +259,48 @@ def evaluate(e: Expr, env):
         return _fold_shared(e, enter, leave)
 
 
+# ---------------------------------------------------------------------------
+# one polynomial surrogate
+
+@dataclass(frozen=True)
+class PolySurrogate:
+    """Separable polynomial stand-in for the field with exact derivatives:
+    one row of the block ``metrics.symbolic_error`` draws."""
+
+    c: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.c) != 8:
+            raise ValueError("surrogate needs exactly 8 coefficients")
+        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
+
+    @classmethod
+    def random(cls, rng) -> "PolySurrogate":
+        return cls(tuple(rng.uniform(-1.0, 1.0, 8)))
+
+    def value(self, x, t, dx_order: int = 0, dt_order: int = 0):
+        """d^dx_order/dx d^dt_order/dt P at (x, t): the one-row case of the
+        field grids ``metrics.symbolic_error`` computes for a block."""
+        return (_polyval(self.c[:3], t, dt_order, _monomials(t, 2, dt_order))
+                * _polyval(self.c[3:], x, dx_order, _monomials(x, 4, dx_order)))
+
+
+def residual_on_surrogate(eq, surrogate: PolySurrogate, xs: np.ndarray,
+                          ts: np.ndarray) -> np.ndarray:
+    """The residual with u := P on a (len(ts), len(xs)) grid: the one-row
+    case of the Taylor-jet walk (``metrics._residual``) that
+    ``metrics.symbolic_error`` makes on a block of surrogates at once.
+
+    It raises :class:`UnsupportedNode` wherever the symbolic expansion
+    (:func:`substitute_field`, then :func:`evaluate`) does. It matches that
+    expansion bit for bit when every derivative node applies to the field
+    itself, and to rounding otherwise.
+    """
+    return _residual(eq, _FieldGrids(np.array([surrogate.c]), _grid(xs, ts)))[0]
+
+
 def surrogate_expr(p) -> Expr:
-    """The ``metrics.PolySurrogate`` ``p`` as a tree over ``x`` and ``t``."""
+    """The :class:`PolySurrogate` ``p`` as a tree over ``x`` and ``t``."""
     t, x = Var("t"), Var("x")
     tpart = _poly_expr(p.c[:3], t)
     xpart = _poly_expr(p.c[3:], x)

@@ -23,11 +23,11 @@ from pdesym.expr import (
     parse_infix,
     to_infix,
 )
-from pdesym.metrics import PolySurrogate
 from pdesym.perturb import PerturbConfig, swap_branches
 from pdesym.tokens import from_tokens, to_canonical_tokens, to_manual_tokens
 
 from helpers import (
+    PolySurrogate,
     evaluate,
     random_deriv_tree,
     random_general_tree,

@@ -431,9 +431,8 @@ def test_shared_subtrees_are_expanded_and_evaluated_once(monkeypatch):
     larger. Substitution and evaluation fold each shared node once (k = 6
     took 25 s as a tree walk) and give the tree walk's values bit for bit."""
     from pdesym import expr
-    from pdesym.metrics import PolySurrogate
 
-    p = surrogate_expr(PolySurrogate((0.3, -0.7, 0.45, 0.8, -0.2, 0.6, -0.35, 0.15)))
+    p = surrogate_expr(helpers.PolySurrogate((0.3, -0.7, 0.45, 0.8, -0.2, 0.6, -0.35, 0.15)))
     env = {"x": np.linspace(-1.0, 1.0, 64), "t": 0.25}
     start = time.perf_counter()
     big = evaluate(substitute_field(_nested_flux_derivative(6), p), env)

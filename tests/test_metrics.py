@@ -19,27 +19,25 @@ from pdesym.expr import (
 )
 from pdesym import metrics
 from pdesym.metrics import (
-    PolySurrogate,
     law_from_equation,
-    normalize,
-    denormalize,
     r2_score,
     rel_l2,
-    residual_on_surrogate,
     symbolic_error,
     time_series_error,
     valid_fraction,
 )
 from pdesym.perturb import PerturbConfig, inject_noise_term, mask_coefficients, swap_branches
-from pdesym.solver import FLUXES, SpaceTimeField, solve
+from pdesym.solver import FLUXES, solve
 from pdesym.tokens import Dialect, TokenSeq, to_canonical_tokens
 
 from helpers import (
+    PolySurrogate,
     differentiate,
     evaluate,
     random_deriv_tree,
     random_general_tree,
     random_manual_tree,
+    residual_on_surrogate,
     substitute_field,
     surrogate_expr,
     symbolic_error_per_surrogate,
@@ -620,22 +618,3 @@ def test_law_extraction_normalizes_time_coefficient():
     law = law_from_equation(parse_infix("2.0*u_t + 1.0*(u^2)_x = 0.02*u_xx"))
     assert law.q1 == pytest.approx(0.5)
     assert law.q2 == pytest.approx(0.01)
-
-
-# ---------------------------------------------------------------------------
-# normalization
-
-def test_normalize_round_trip_and_moments():
-    spec, u0, traj = _truth_setup(seed=5)
-    normalized, mean, std = normalize(traj)
-    assert abs(float(np.mean(normalized.values))) <= 1e-12
-    assert abs(float(np.std(normalized.values)) - 1.0) <= 1e-12
-    back = denormalize(normalized, mean, std)
-    assert np.allclose(back.values, traj.values, atol=1e-12)
-
-
-def test_normalize_rejects_constant_fields():
-    grid = grid_for(FAMILIES["burgers"])
-    field = SpaceTimeField(grid, np.array([0.0, 1.0]), np.full((2, 128), 3.3))
-    with pytest.raises(DegenerateReference):
-        normalize(field)

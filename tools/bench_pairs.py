@@ -12,7 +12,9 @@ directory's ``perfbench/out/``. For every workload and seed, and every
 end-to-end metric that ``BENCHMARK.json`` names, the file records each
 side's runs, median and quartiles, the ratio of the medians, the pairs the
 change won, and whether the medians differ by more than the distance
-between the base's quartiles. Run from the repository root.
+between the base's quartiles (the interquartile range, IQR). At the end
+it prints the same comparison to stderr, one line per workload, seed and
+metric. Run from the repository root.
 """
 from __future__ import annotations
 
@@ -56,6 +58,17 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
         "change_wins": sum(sign * (y - x) > 0 for x, y in zip(base, change)),
         "beyond_base_iqr": abs(c["median"] - b["median"]) > b["q3"] - b["q1"],
     }
+
+
+def summary_line(result: dict, name: str) -> str:
+    m = result["metrics"][name]
+    b, c = m["base"], m["change"]
+    ratio = "n/a" if m["ratio"] is None else f"{m['ratio']:.3f}x"
+    return (f"{result['workload']} seed {result['seed']} {name} ({m['unit']}, "
+            f"{m['better']} is better): base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}], "
+            f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], ratio {ratio}, "
+            f"change won {m['change_wins']}/{result['pairs']} pairs, "
+            f"{'beyond' if m['beyond_base_iqr'] else 'within'} the base IQR")
 
 
 def main(argv=None) -> int:
@@ -102,6 +115,9 @@ def main(argv=None) -> int:
                 "results": results,
             }
             args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    for result in results:
+        for name in result["metrics"]:
+            print(summary_line(result, name), file=sys.stderr)
     return 0
 
 
