@@ -14,7 +14,9 @@ a structure holds one node per distinct subtree, and its key is cached
 once. ``==`` stays structural, so no result depends on identity: an
 equal node is only usually the same object. ``Const(-0.0)`` and
 ``Const(0.0)`` compare equal yet print apart, so they stay two nodes, and
-a NaN constant is never shared. A node whose hash a different live node
+a NaN constant is never shared; a ``Var`` name must be a str and a
+``Deriv`` order an int, so no shared field differs in type from the one
+asked for. A node whose hash a different live node
 holds is not shared, and a race between threads can only lose some
 sharing. An unpickled tree is rebuilt through the constructors, so it
 joins the sharing of the process that loads it.
@@ -104,7 +106,7 @@ class Expr:
         walk(self, enter, lambda e, tail, *_: out.append(tail), "")
         return "".join(out)
 
-    def __reduce__(self):  # rebuilt, so the hash is this process's
+    def __reduce__(self):  # rebuilt: the hash and the shared node are this process's
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
@@ -134,16 +136,25 @@ def _absent():  # the "referent" of a missing entry
 def _enter(e: Expr, h: int, old) -> Expr:
     """Finish the new node ``e`` with hash ``h`` and enter it in the table,
     unless ``old``, the live node found there, holds the entry."""
-    global _sweep_at
     e._hash, e._key = h, None
     if old is None:
         _NODES[h] = weakref.ref(e)
         if len(_NODES) >= _sweep_at:
-            for k, ref in list(_NODES.items()):
-                if ref() is None:
-                    _NODES.pop(k, None)
-            _sweep_at = max(2 * len(_NODES), _SWEEP_MIN)
+            _sweep()
     return e
+
+
+def _sweep() -> None:
+    """Drop the table's dead entries. It walks a copy: ``dict.copy`` runs
+    no Python code, so no other thread changes the table while it is made,
+    whereas a walk over the table itself can be interrupted, by a weakref
+    callback that a collection runs, say. Popping an entry that another
+    thread has just refilled only loses that sharing."""
+    global _sweep_at
+    for h, ref in _NODES.copy().items():
+        if ref() is None:
+            _NODES.pop(h, None)
+    _sweep_at = max(2 * len(_NODES), _SWEEP_MIN)
 
 
 class Const(Expr):
@@ -181,6 +192,8 @@ class Var(Expr):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
+        if type(name) is not str:  # Var(1) and Var(1.0) would share a node
+            raise ValueError(f"variable name must be a str, got {name!r}")
         if name in _RESERVED_IDENTS:
             raise ValueError(f"reserved identifier {name!r} cannot be a variable")
         h = hash((_RANK_VAR, name))
@@ -248,8 +261,8 @@ class Deriv(Expr):
     def __new__(cls, child: Expr, var: str, order: int):
         if var not in DERIV_VARS:
             raise ValueError(f"derivative variable must be one of {DERIV_VARS}")
-        if order < 1:
-            raise ValueError("derivative order must be >= 1")
+        if type(order) is not int or order < 1:  # 2.0 would share with 2
+            raise ValueError(f"derivative order must be an int >= 1, got {order!r}")
         h = hash((_RANK_DERIV, var, order, child._hash))
         old = _NODES.get(h, _absent)()
         if type(old) is cls and old.child is child and old.var == var and old.order == order:

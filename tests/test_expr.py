@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import pickle
 import re
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -329,13 +331,17 @@ def test_var_rejects_reserved_names():
         Var("u")
     with pytest.raises(ValueError):
         Var("u_xx")
+    for name in (1, 1.0, b"x"):
+        with pytest.raises(ValueError, match="must be a str"):
+            Var(name)
 
 
 def test_deriv_invariants():
     with pytest.raises(ValueError):
         Deriv(FIELD, "y", 1)
-    with pytest.raises(ValueError):
-        Deriv(FIELD, "x", 0)
+    for order in (0, 2.0, 1.5, True):
+        with pytest.raises(ValueError, match="order must be an int"):
+            Deriv(FIELD, "x", order)
 
 
 def test_equation_is_value_like():
@@ -361,11 +367,119 @@ def test_equal_trees_built_apart_are_equal_and_hash_equal():
     assert hash(parse_infix(src).residual) == hash(equation_for(FAMILIES["burgers"], 0.5, 0.05).residual)
 
 
+def test_equal_constructions_are_one_node():
+    """Building a node equal to a live one returns that object, for every
+    node class, so two parses of one string are one tree."""
+    k, sin_u = Var("k"), Unary("sin", FIELD)
+    pairs = [
+        (Const(1.5), Const(1.5)), (Int(3), Int(3)), (k, Var("k")),
+        (Field(), FIELD), (Placeholder(), Placeholder()),
+        (sin_u, Unary("sin", Field())), (Binary("mul", k, sin_u), Binary("mul", Var("k"), sin_u)),
+        (Deriv(sin_u, "x", 2), Deriv(Unary("sin", FIELD), "x", 2)),
+    ]
+    for a, b in pairs:
+        assert a is b
+    src = "u_t + 0.5*(u^2)_x - 0.05*u_xx + sin(x)*u_x"
+    assert parse_infix(src).residual is parse_infix(src).residual
+    assert parse_infix("(u^2)_x").residual.child is parse_infix("u^2").residual
+
+
+def test_a_shared_node_keeps_its_cached_key():
+    e = parse_infix("k*(u^2)_x").residual
+    key = canonical_key(e)
+    assert parse_infix("k*(u^2)_x").residual._key is key
+
+
+def test_signed_zeros_and_nans_are_not_shared():
+    """``Const(-0.0) == Const(0.0)``, yet they print apart, so a zero is
+    never shared with the other sign's (they share one hash, so the one
+    built first holds the table entry); a NaN equals nothing and is never
+    shared."""
+    neg, pos = Const(-0.0), Const(0.0)
+    assert neg is not pos and neg == pos
+    assert Const(-0.0) is neg or Const(0.0) is pos
+    assert (to_infix(Const(-0.0)), to_infix(Const(0.0))) == ("-0.0", "0.0")
+    assert repr(Binary("add", neg, pos)) == (
+        "Binary(op='add', left=Const(value=-0.0), right=Const(value=0.0))"
+    )
+    nan = Const(float("nan"))
+    assert Const(float("nan")) is not nan and Const(nan.value) is not nan
+
+
+def test_colliding_hashes_keep_their_values():
+    """``hash(-1) == hash(-2)``, so these nodes collide in the table: the
+    one built first holds the entry, the other is not shared, and each
+    keeps its own value."""
+    for cls, a, b in ((Int, -1, -2), (Const, -1.0, -2.0)):
+        x, y = cls(a), cls(b)
+        assert hash(x) == hash(y) and x != y and x is not y
+        assert (x.value, y.value) == (a, b)
+        assert cls(a) is x or cls(b) is y
+        assert (cls(a).value, cls(b).value) == (a, b)
+
+
+def test_unreferenced_trees_leave_the_table():
+    from pdesym import expr
+
+    e = parse_infix("sin(never_seen_before)*u_xxx").residual
+    h = hash(e)
+    assert expr._NODES[h]() is e
+    del e
+    gc.collect()
+    assert expr._NODES[h]() is None
+    expr._sweep()
+    assert h not in expr._NODES
+
+
+def test_threads_building_and_sweeping_at_once_get_the_trees_they_asked_for():
+    """Threads share the table, so a race may lose some sharing, but every
+    tree still prints as the text it was parsed from. More threads than
+    cores build distinct trees and drop them, while one sweeps the table
+    in a loop, under a short switch interval."""
+    from pdesym import expr
+
+    def build(seed, errors):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(300):
+                a, b = (float(v) for v in rng.integers(1, 60, 2) / 8)
+                src = f"u_t + {a!r}*(u^2)_x - {b!r}*u_xx + sin({a!r}*x)*u_x"
+                if to_infix(parse_infix(src).residual) != src:
+                    errors.append(src)
+        except Exception as exc:  # raised in a thread, it would not fail the test
+            errors.append(repr(exc))
+
+    def sweep(stop, errors):
+        try:
+            while not stop.is_set():
+                expr._sweep()
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    errors, stop = [], threading.Event()
+    builders = [threading.Thread(target=build, args=(seed, errors)) for seed in range(6)]
+    sweeper = threading.Thread(target=sweep, args=(stop, errors))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sweeper.start()
+        for t in builders:
+            t.start()
+        for t in builders:
+            t.join(timeout=60)
+    finally:
+        stop.set()
+        sweeper.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in [*builders, sweeper])
+    assert errors == []
+
+
 def test_pickled_trees_rehash_where_they_are_loaded():
     """A node's hash is made from string hashes, which change with the hash
     seed, so a pickle carries no hash: unpickled in a process with another
     ``PYTHONHASHSEED``, a tree hashes, compares and tokenizes as the same
-    tree parsed there."""
+    tree parsed there, and is that process's shared node."""
     src = "u_t + 0.5*(u^2)_x - 0.05*u_xx + sin(x)*u_x"
     eq = parse_infix(src)
     code = (
@@ -375,6 +489,7 @@ def test_pickled_trees_rehash_where_they_are_loaded():
         "eq = pickle.loads(sys.stdin.buffer.read())\n"
         f"again = parse_infix({src!r})\n"
         "print(json.dumps([hash(eq.residual), hash(again.residual), eq == again,\n"
+        "                  eq.residual is again.residual,\n"
         "                  to_canonical_tokens(eq).text, to_canonical_tokens(again).text]))\n"
     )
     src_dir = os.path.dirname(os.path.dirname(pdesym.__file__))
@@ -383,9 +498,10 @@ def test_pickled_trees_rehash_where_they_are_loaded():
     env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
     out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(eq),
                          capture_output=True, env=env, timeout=60, check=True).stdout
-    loaded_hash, parsed_hash, equal, loaded_text, parsed_text = json.loads(out)
+    loaded_hash, parsed_hash, equal, same, loaded_text, parsed_text = json.loads(out)
     assert loaded_hash == parsed_hash != hash(eq.residual)
-    assert equal
+    assert equal and same
+    assert pickle.loads(pickle.dumps(eq)).residual is eq.residual
     assert loaded_text == parsed_text == to_canonical_tokens(eq).text
 
 

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdesym import solver
 from pdesym.datagen import FAMILIES, grid_for, law_for, sample_ic
@@ -491,6 +493,70 @@ def test_solve_caps_the_substeps_of_each_output_interval(flux_kind, monkeypatch)
         assert solo[2][0] == ok[i] and solo[1][0].tobytes() == values[i].tobytes()
     with pytest.raises(NonFiniteState, match="more than 32 substeps"):
         solve(ConservationLaw(flux_kind, q1[1], 0.0), u0[0], grid, 0.5, 9)
+
+
+@st.composite
+def _batches(draw, shared):
+    """A random batch: its flux, grid, rows and start states (one state for
+    every row when ``shared``), and the kernel settings it runs under."""
+    flux_kind = draw(st.sampled_from(sorted(solver.FLUXES)))
+    nx = draw(st.integers(8, 64))
+    m = draw(st.integers(1, 11))
+    speed = st.floats(0.05, 1.5)
+    q1 = draw(st.lists(st.one_of(st.just(0.0), speed, speed.map(lambda v: -v)),
+                       min_size=m, max_size=m))
+    q2 = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.1)), min_size=m, max_size=m))
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=1 if shared else m,
+                          max_size=1 if shared else m))
+    amplitude = draw(st.floats(0.2, 2.0))
+    settings_ = {
+        "_MIN_BLOCK_ROWS": draw(st.sampled_from([1, solver._MIN_BLOCK_ROWS])),
+        "cores": draw(st.integers(1, 3)),
+        "MAX_SUBSTEPS": draw(st.sampled_from([2, 5, 16, solver.MAX_SUBSTEPS])),
+        "MAX_SOLVE_SUBSTEPS": draw(st.sampled_from([2, 5, 16, solver.MAX_SOLVE_SUBSTEPS])),
+    }
+    horizon = draw(st.sampled_from([0.0, 2.0**-6]) | st.floats(1e-3, 0.1))
+    grid = _grid(nx)
+    starts = amplitude * np.stack([_smooth_ic(grid, seed) for seed in seeds])
+    return flux_kind, grid, np.array(q1), np.array(q2), starts, settings_, horizon
+
+
+@pytest.mark.parametrize("frames", [None, 2, 5], ids=["advance", "solve-2", "solve-5"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-start", "own-starts"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_row_advances_as_it_would_alone(frames, shared, data):
+    """The kernel's central promise on random batches: whatever batch,
+    march or block a row lands in (tau marches with their side exits, a
+    thread split forced down to one-row blocks, compaction as rows retire,
+    per-frame substep caps low enough to fail some rows), its states and
+    its ``ok`` flag are those of the row advanced alone, bit for bit, in
+    one ``advance_ensemble`` interval or over ``frames`` frames of
+    ``solve_ensemble``."""
+    batch = data.draw(_batches(shared))
+    flux_kind, grid, q1, q2, starts, settings_, horizon = batch
+    m = q1.size
+
+    def run(rows):
+        if frames is None:  # a shared start is passed as one state
+            u = starts[0] if shared else starts[rows]
+            return advance_ensemble(flux_kind, q1[rows], q2[rows], u, horizon, grid)
+        u = np.broadcast_to(starts, (m, grid.nx))[rows]
+        _, values, ok = solve_ensemble(flux_kind, q1[rows], q2[rows], u, grid,
+                                       horizon or 2.0**-6, frames)
+        return values, ok
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in settings_.items():
+            if name == "cores":
+                mp.setattr(solver, "_cores", lambda k=value: k)
+            else:
+                mp.setattr(solver, name, value)
+        together, ok = run(np.arange(m))
+        for i in range(m):
+            alone, alone_ok = run(np.arange(i, i + 1))
+            assert alone_ok[0] == ok[i]
+            assert alone[0].tobytes() == together[i].tobytes()
 
 
 @pytest.mark.parametrize("nt_out", [2, 32])
