@@ -352,9 +352,19 @@ def test_equation_is_value_like():
 
 
 def test_node_equality_keeps_float_semantics():
-    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+    """``Const(-0.0) == Const(0.0)``, yet they print apart, so a zero is
+    never shared with the other sign's (they share one hash, so the one
+    built first holds the table entry); a NaN equals nothing and is never
+    shared."""
+    neg, pos = Const(-0.0), Const(0.0)
+    assert neg == pos and hash(neg) == hash(pos) and neg is not pos
+    assert Const(-0.0) is neg or Const(0.0) is pos
+    assert (to_infix(Const(-0.0)), to_infix(Const(0.0))) == ("-0.0", "0.0")
+    assert repr(Binary("add", neg, pos)) == (
+        "Binary(op='add', left=Const(value=-0.0), right=Const(value=0.0))"
+    )
     a, b = Const(float("nan")), Const(float("nan"))
-    assert a != b and a == a
+    assert a != b and a == a and Const(a.value) is not a
     assert Int(1) != Const(1.0) and Field() != Placeholder()
     assert Var("x") != Var("y") and Deriv(FIELD, "x", 1) != Deriv(FIELD, "t", 1)
 
@@ -388,22 +398,6 @@ def test_a_shared_node_keeps_its_cached_key():
     e = parse_infix("k*(u^2)_x").residual
     key = canonical_key(e)
     assert parse_infix("k*(u^2)_x").residual._key is key
-
-
-def test_signed_zeros_and_nans_are_not_shared():
-    """``Const(-0.0) == Const(0.0)``, yet they print apart, so a zero is
-    never shared with the other sign's (they share one hash, so the one
-    built first holds the table entry); a NaN equals nothing and is never
-    shared."""
-    neg, pos = Const(-0.0), Const(0.0)
-    assert neg is not pos and neg == pos
-    assert Const(-0.0) is neg or Const(0.0) is pos
-    assert (to_infix(Const(-0.0)), to_infix(Const(0.0))) == ("-0.0", "0.0")
-    assert repr(Binary("add", neg, pos)) == (
-        "Binary(op='add', left=Const(value=-0.0), right=Const(value=0.0))"
-    )
-    nan = Const(float("nan"))
-    assert Const(float("nan")) is not nan and Const(nan.value) is not nan
 
 
 def test_colliding_hashes_keep_their_values():
