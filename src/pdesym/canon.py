@@ -6,7 +6,7 @@ mathematically equivalent inputs serialize to identical token sequences:
 1. rewrite ``a - b`` as ``a + (-1)*b`` and ``-a`` as ``(-1)*a``;
 2. flatten the sum into its terms, each a coefficient times a list of
    non-constant factors, folding constant subexpressions into the
-   coefficient;
+   coefficient; a constant times a sum distributes over the sum's terms;
 3. merge identical factors of a term into integer powers and sort them by
    a total key;
 4. collect like terms once over the flattened sum: coefficients of terms
@@ -14,12 +14,17 @@ mathematically equivalent inputs serialize to identical token sequences:
    integer times a power of two; a quotient's is a fraction), exact zeros
    are dropped and each sum is rounded once;
 5. order terms by their factors' keys, the constant term last;
-6. re-binarize left to right.
+6. re-binarize: the sum nests to the left and each product to the right,
+   coefficient first (``c*(f1*(f2*f3))``), as the parser groups a ``*``
+   chain.
 
 :func:`terms` returns the result of steps 1-5 as ``(coefficient,
 factors)`` pairs and :func:`build` performs step 6, so ``canonicalize(e)``
 is ``build(terms(e))``. A multi-term operand of a product stays one opaque
-factor: products do not distribute over sums.
+factor: products do not distribute over sums, except that a constant does.
+``2*(u + x)`` becomes ``2*u + 2*x`` and ``-(u - x)`` becomes ``(-1)*u +
+x``, each coefficient multiplied exactly and rounded once, so no term is a
+constant times a lone sum. ``2*(u + x)*u_x`` keeps ``u + x`` as a factor.
 
 Derivatives of the field are normalized as well: same-variable nests merge
 (``(u_x)_x`` becomes ``u_xx``), derivatives distribute over sums, and
@@ -82,17 +87,17 @@ def terms(e: Expr) -> list[tuple[float, tuple[Expr, ...]]]:
 
 
 def build(terms) -> Expr:
-    """Binarize ``(coefficient, factors)`` pairs left to right, in the order
-    given, as a sum of products; a coefficient of 1 is left out of a term
-    that has factors. No terms give ``Const(0.0)``."""
+    """Binarize ``(coefficient, factors)`` pairs, in the order given, as a
+    sum of products: the sum nests to the left and each product to the
+    right, coefficient first (``c*(f1*(f2*f3))``), as :func:`parse_infix`
+    groups a ``*`` chain. A coefficient of 1 is left out of a term that has
+    factors. No terms give ``Const(0.0)``."""
     node = None
     for coeff, factors in terms:
-        if factors and coeff == 1.0:
-            term, rest = factors[0], factors[1:]
-        else:
-            term, rest = Const(coeff), factors
-        for f in rest:
-            term = Binary("mul", term, f)
+        items = factors if factors and coeff == 1.0 else (Const(coeff), *factors)
+        term = items[-1]
+        for f in reversed(items[:-1]):
+            term = Binary("mul", f, term)
         node = term if node is None else Binary("add", node, term)
     return Const(0.0) if node is None else node
 
@@ -266,49 +271,33 @@ def _quotient(left: list, denom: list) -> list:
 
 def _collect(ts: list) -> list:
     """Sum like terms exactly, drop zeros and sort, constants last."""
-    while len(ts) >= 2:
-        groups: dict[tuple, list] = {}
-        for coeff, factors in ts:
-            group = groups.get(factors)
-            if group is None:
-                groups[factors] = [coeff, factors]
-            else:
-                group[0] = _add(group[0], coeff)
-        for coeff, factors in groups.values():
-            s = _bare_sum(coeff, factors)
-            if s is not None:  # like opaque sums whose coefficients add up to 1 dissolve
-                break
+    if len(ts) < 2:
+        return ts
+    groups: dict[tuple, list] = {}
+    for coeff, factors in ts:
+        group = groups.get(factors)
+        if group is None:
+            groups[factors] = [coeff, factors]
         else:
-            kept = [tuple(g) for g in groups.values() if g[0][0] != 0]
-            kept.sort(key=lambda t: (not t[1], [canonical_key(f) for f in t[1]]))
-            return kept
-        del groups[factors]
-        ts = [tuple(g) for g in groups.values()] + _terms(s)
-    return ts
-
-
-def _bare_sum(coeff, factors: tuple[Expr, ...]) -> Expr | None:
-    """The sum a term stands for when it is 1 times a single sum factor.
-
-    The coefficient counts as 1 when it rounds to 1.0, the test
-    :func:`build` uses to leave it out, so no canonical tree holds a bare
-    sum as a term.
-    """
-    if len(factors) == 1 and isinstance(factors[0], Binary) and factors[0].op == "add":
-        m, e = coeff
-        if (0 < m < 2 << -e if e <= 0 else 0 < m * (1 << e) < 2) and _float(coeff) == 1.0:
-            return factors[0]
-    return None
+            group[0] = _add(group[0], coeff)
+    kept = [tuple(g) for g in groups.values() if g[0][0] != 0]
+    kept.sort(key=lambda t: (not t[1], [canonical_key(f) for f in t[1]]))
+    return kept
 
 
 def _product(left: list, right: list) -> list:
     """Terms of the product of two collected operands.
 
-    A multi-term operand stays one opaque factor; a product that comes out
-    as 1 times a single sum factor dissolves back into that sum's terms.
+    A constant distributes over the terms of the other operand, each
+    coefficient multiplied exactly. Any other multi-term operand stays one
+    opaque factor, and a product whose factors merge to a single sum
+    dissolves into that sum's terms.
     """
     if not left or not right:
         return []
+    for const, side in ((left, right), (right, left)):
+        if len(const) == 1 and not const[0][1]:
+            return [(_mul(const[0][0], c), fs) for c, fs in side]
     coeff = _ONE
     factors = []
     for side in (left, right):
@@ -319,9 +308,8 @@ def _product(left: list, right: list) -> list:
             fs = (build(_round(side)),)
         factors += fs
     factors = _merge_factors(factors)
-    s = _bare_sum(coeff, factors)
-    if s is not None:
-        return _terms(s)
+    if len(factors) == 1 and type(factors[0]) is Binary and factors[0].op == "add":
+        return [(_mul(coeff, c), fs) for c, fs in _terms(factors[0])]
     return [(coeff, factors)]
 
 

@@ -2,10 +2,11 @@
 
 Subcommands: parse, canon, tokens, perturb, solve, gen, refine, eval,
 study. Every command is deterministic given its flags, input files and
-seed; JSON goes to stdout unless ``--output`` is given. Exit codes:
-1 usage error; 3 numeric failure (a ``NumericError``); 2 data error (any
-other ``PdesymError``, a ``ValueError``, or an ``OSError`` such as an
-input path that is a directory). Each writes one JSON line to stderr.
+seed; JSON (or, from ``study --format csv``, CSV) goes to stdout unless
+``--output`` is given. Exit codes: 1 usage error; 3 numeric failure (a
+``NumericError``); 2 data error (any other ``PdesymError``, a
+``ValueError``, or an ``OSError`` such as an input path that is a
+directory). Each writes one JSON line to stderr.
 """
 from __future__ import annotations
 
@@ -64,8 +65,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(args, payload) -> None:
-    if args.format == "csv":
+def _emit(args, payload, fmt: str = "json") -> None:
+    if fmt == "csv":
         text = _to_csv(payload)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
@@ -76,21 +77,12 @@ def _emit(args, payload) -> None:
         sys.stdout.write(text)
 
 
-def _to_csv(payload) -> str:
-    rows = payload if isinstance(payload, list) else [payload]
-    flat = []
-    for row in rows:
-        flat.append(
-            {
-                k: (" ".join(v) if isinstance(v, list) and all(isinstance(x, str) for x in v) else v)
-                for k, v in row.items()
-                if not isinstance(v, (dict,))
-            }
-        )
+def _to_csv(rows: list) -> str:
+    """Flat rows (dicts with the same keys) as CSV with a header line."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(flat[0].keys()))
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
-    writer.writerows(flat)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -284,7 +276,7 @@ def _cmd_study(args) -> None:
         seed=args.seed,
         filter_config=cfg,
     )
-    _emit(args, _finite([dataclasses.asdict(row) for row in rows]))
+    _emit(args, _finite([dataclasses.asdict(row) for row in rows]), args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +288,6 @@ def build_parser() -> _Parser:
 
     def common(p, seed=True):
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -374,6 +365,7 @@ def build_parser() -> _Parser:
     p.add_argument("--families", help="comma-separated subset of the table families")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--coeff-error", type=float, default=0.03)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     filter_flags(p)
     common(p)
     p.set_defaults(func=_cmd_study)

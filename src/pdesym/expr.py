@@ -62,6 +62,7 @@ DERIV_SHORTHAND = {
     "u_xxx": ("x", 3),
 }
 SHORTHAND_BY_DERIV = {v: k for k, v in DERIV_SHORTHAND.items()}
+_TOP_ORDER = {v: max(n for w, n in DERIV_SHORTHAND.values() if w == v) for v in DERIV_VARS}
 
 _RESERVED_IDENTS = {"u", "sin", "cos"} | set(DERIV_SHORTHAND)
 
@@ -588,7 +589,13 @@ def _spine_has_div(e: Expr) -> bool:
 
 
 def to_infix(e: Expr) -> str:
-    """Render a tree as an infix string that reparses to the same tree."""
+    """Render a tree as an infix string that reparses to the same tree.
+
+    A derivative whose order has no shorthand is written as a nest of the
+    shorthand groups, the largest innermost (``u_tt`` as ``(u_t)_t``,
+    ``u_xxxxx`` as ``(u_xxx)_xx``); it reparses as that nest, which
+    ``canonicalize`` merges back into one derivative.
+    """
     out = []
     emit = out.append
 
@@ -640,14 +647,16 @@ def to_infix(e: Expr) -> str:
             emit("(-" if close else "-")
             return (close, e.child, _OPEN[2])
         elif t is Deriv:
-            key = (e.var, e.order)
-            if key not in SHORTHAND_BY_DERIV:
-                raise UnsupportedNode(f"no infix form for derivative {key}")
+            # shorthand groups, the largest innermost: u_xxxxx is (u_xxx)_xx
+            top = _TOP_ORDER[e.var]
+            n, rest = divmod(e.order, top)
+            orders = [top] * n + ([rest] if rest else [])
+            close = "".join(f")_{e.var * k}" for k in orders[1:])
             if type(e.child) is Field:
-                emit(SHORTHAND_BY_DERIV[key])
+                emit("(" * (len(orders) - 1) + SHORTHAND_BY_DERIV[e.var, orders[0]] + close)
                 return (None,)  # a leaf token
-            emit("(")
-            return (f")_{e.var * e.order}", e.child, _OPEN[0])
+            emit("(" * len(orders))
+            return (f")_{e.var * orders[0]}{close}", e.child, _OPEN[0])
         elif t is Placeholder:
             raise UnsupportedNode("placeholder has no infix form")
         else:

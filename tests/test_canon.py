@@ -108,6 +108,9 @@ def test_constant_folding():
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         canon("x/0.0")
+    # (t - 0.455)*-0.906 distributes, so its second derivative is zero
+    with pytest.raises(DivisionByZero):
+        canon("(-u_t)_x/((t - 0.455)*-0.906)_xx")
     with pytest.raises(DivisionByZero):
         canon("0.0^-1")
     with pytest.raises(DivisionByZero):
@@ -131,6 +134,13 @@ def test_derivative_normalization():
     assert canon("(0.5)_x") == Const(0.0)
 
 
+def test_products_nest_to_the_right_as_the_parser_groups_them():
+    once = canon("u_t + 2*u^2*u_x*sin(u) - 0.1*x*u_xx - (u - x)")
+    text = to_infix(once)
+    assert text == "(-1.0)*u + u_t + 2.0*u_x*sin(u)*u^2 + (-0.1)*u_xx*x + x"
+    assert parse_infix(text).residual == once
+
+
 def test_mixed_partials_commute_but_do_not_tokenize():
     a = canon("((u_x)_t)_x")
     b = canon("((u_t)_x)_x")
@@ -142,6 +152,17 @@ def test_mixed_partials_commute_but_do_not_tokenize():
 def test_equivalent_examples():
     assert equivalent(parse_infix("x - 1 + 1 + y"), parse_infix("y + x"))
     assert not equivalent(parse_infix("u_t"), parse_infix("u_x"))
+    # a constant multiple of a sum, and a derivative of one, distribute
+    for a, b in (
+        ("u_t - (u - x)", "u_t - u + x"),
+        ("(t - (u - x))*u_x", "(t - u + x)*u_x"),
+        ("sin(u - (u_x - x))", "sin(u - u_x + x)"),
+        ("-(u + x)*u_x", "(-u - x)*u_x"),
+        ("(2*(u + x))_t", "2*u_t"),
+        ("2*(u + x)", "2*u + 2*x"),
+    ):
+        assert equivalent(parse_infix(a), parse_infix(b))
+        assert to_canonical_tokens(parse_infix(a)) == to_canonical_tokens(parse_infix(b))
 
 
 def test_non_finite_constants_are_typed_errors():
@@ -244,6 +265,18 @@ def test_reciprocal_nest_canonicalizes_in_linear_time():
     assert len(ts) == 2 and ts[1] == (1.0, (Var("y"),))
 
 
+def test_scaled_sum_nest_canonicalizes_in_linear_time():
+    """``2*(0.5*(...(u + x)...))``: each level scales the terms below it,
+    without building the sum again; so does the nest under ``_x``."""
+    e = Binary("add", FIELD, Var("x"))
+    for i in range(4000):
+        e = Binary("mul", Const(2.0 if i % 2 else 0.5), e)
+    start = time.perf_counter()
+    assert canonicalize(e) == Binary("add", FIELD, Var("x"))
+    assert canonicalize(Deriv(e, "x", 1)) == Binary("add", Deriv(FIELD, "x", 1), Const(1.0))
+    assert time.perf_counter() - start < 0.5
+
+
 def _quotient_by_rewalk(left, denom):
     """The quotient through a walk of the built inverse ``denom^-1``."""
     if not denom:
@@ -290,15 +323,80 @@ def test_canonical_key_is_total_order_on_distinct_nodes():
     assert canonical_key(Var("x")) < canonical_key(Const(0.0))
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=150, deadline=None)
-def test_idempotence(seed):
-    tree = random_general_tree(np.random.default_rng(seed))
+def _seeded_trees(seed: int, count: int = 10_000):
+    """``count`` trees from each ``helpers`` generator."""
+    for make in (random_manual_tree, random_general_tree, random_deriv_tree):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            yield make(rng)
+
+
+def test_idempotence():
+    checked = 0
+    for tree in _seeded_trees(23):
+        try:
+            once = canonicalize(tree)
+        except DivisionByZero:
+            continue
+        checked += 1
+        assert canonicalize(once) == once
+    assert checked > 29_000
+
+
+def test_every_canonical_form_prints_and_reads_back():
+    """Every tree and every canonical form prints; the print of a tree
+    reads back equivalent to it, and the print of a canonical form
+    canonicalizes back to that form."""
+    checked = 0
+    for tree in _seeded_trees(29):
+        text = to_infix(tree)
+        try:
+            once = canonicalize(tree)
+        except DivisionByZero:
+            continue
+        assert equivalent(parse_infix(text), tree)
+        assert canonicalize(parse_infix(to_infix(once)).residual) == once
+        checked += 1
+    assert checked > 29_000
+
+
+def _distributed(a, b, c, var):
+    return Binary("add", Binary("mul", c, a), Binary("mul", c, b))
+
+
+# each rewrite the module docstring promises: (name, one side, the other)
+_REWRITES = (
+    ("c*(a + b) = c*a + c*b",
+     lambda a, b, c, var: Binary("mul", c, Binary("add", a, b)), _distributed),
+    ("-(a + b) = -a - b",
+     lambda a, b, c, var: Unary("neg", Binary("add", a, b)),
+     lambda a, b, c, var: Binary("sub", Unary("neg", a), b)),
+    ("(a + b)_x = a_x + b_x",
+     lambda a, b, c, var: Deriv(Binary("add", a, b), var, 1),
+     lambda a, b, c, var: Binary("add", Deriv(a, var, 1), Deriv(b, var, 1))),
+    ("a - b = a + (-1)*b",
+     lambda a, b, c, var: Binary("sub", a, b),
+     lambda a, b, c, var: Binary("add", a, Binary("mul", Const(-1.0), b))),
+)
+
+
+def _tokens_or_error(tree):
     try:
-        once = canonicalize(tree)
-    except DivisionByZero:
-        return
-    assert canonicalize(once) == once
+        return to_canonical_tokens(tree).tokens
+    except PdesymError as exc:
+        return type(exc)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_REWRITES))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_promised_rewrites_give_identical_tokens(seed, rewrite):
+    rng = np.random.default_rng(seed)
+    make = (random_manual_tree, random_general_tree, random_deriv_tree)[seed % 3]
+    a, b = make(rng, 3), make(rng, 3)
+    c = Const(float(np.round(rng.uniform(-2.0, 2.0), 3)))
+    var = "xt"[rng.integers(2)]
+    _, one, other = rewrite
+    assert _tokens_or_error(one(a, b, c, var)) == _tokens_or_error(other(a, b, c, var))
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
@@ -382,9 +480,10 @@ def test_terms_returns_a_fresh_list_each_call():
     assert terms(e) == expected
 
 
-# Pinned against the canonicalizer before node keys were cached; a change
-# to it is a change of canonical output, to be recorded in CHANGES.md.
-_CANONICAL_OUTPUTS_SHA256 = "50a8097da11095fde86a5d622cb8c863a55769400169f81e478f05fedb62afa7"
+# Pinned since a constant distributes over a sum, products nest to the
+# right and every derivative prints; a change to it is a change of
+# canonical output, to be recorded in CHANGES.md.
+_CANONICAL_OUTPUTS_SHA256 = "78c713c77a88145895cb5cc308f3f9688a992908e21b44033434e14665a3cdff"
 
 
 def _canonical_outputs_digest() -> str:

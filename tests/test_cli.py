@@ -361,6 +361,29 @@ def test_seed_is_a_usage_error_where_nothing_reads_it(capsys, argv):
     }
 
 
+@pytest.mark.parametrize("argv", [
+    ("parse", "--expr", "u_t + u*u_x"),
+    ("canon", "--expr", "u_t + u*u_x"),
+    ("refine", "--equation", "eq.json", "--observations", "traj.grid"),
+])
+def test_format_is_a_usage_error_outside_study(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "_UsageError", "message": "unrecognized arguments: --format csv",
+    }
+
+
+def test_canon_prints_derivative_orders_without_a_shorthand(capsys):
+    code, out, _ = run_cli(capsys, "canon", "--expr", "u_t + (u_t)_t")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["canonical_infix"] == "u_t + (u_t)_t"
+    code, again, _ = run_cli(capsys, "canon", "--expr", payload["canonical_infix"])
+    assert code == 0
+    assert json.loads(again)["tokens"] == payload["tokens"]
+
+
 def test_eval_with_learned_tokens(tmp_path, capsys):
     data = tmp_path / "data"
     run_cli(

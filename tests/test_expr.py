@@ -196,6 +196,23 @@ def test_to_infix_round_trip_random_trees():
     assert count > 150
 
 
+def test_to_infix_writes_other_orders_as_nests_of_shorthand_groups():
+    """A derivative order without a shorthand prints as a nest of the
+    groups the parser reads, the largest innermost; the nest reparses and
+    canonicalizes back to one derivative."""
+    u2 = Binary("pow", FIELD, Int(2))
+    for tree, text in (
+        (Deriv(FIELD, "t", 2), "(u_t)_t"),
+        (Deriv(FIELD, "x", 5), "(u_xxx)_xx"),
+        (Deriv(FIELD, "x", 7), "((u_xxx)_xxx)_x"),
+        (Deriv(u2, "x", 5), "((u^2)_xxx)_xx"),
+        (Deriv(Deriv(u2, "x", 3), "x", 2), "((u^2)_xxx)_xx"),
+        (Deriv(Deriv(FIELD, "t", 2), "x", 1), "((u_t)_t)_x"),
+    ):
+        assert to_infix(tree) == text
+        assert canonicalize(parse_infix(text).residual) == canonicalize(tree)
+
+
 def _fd_partial(func, x, t, var, h=1e-6):
     if var == "x":
         return (func(x + h, t) - func(x - h, t)) / (2 * h)
