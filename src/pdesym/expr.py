@@ -647,16 +647,19 @@ def to_infix(e: Expr) -> str:
             emit("(-" if close else "-")
             return (close, e.child, _OPEN[2])
         elif t is Deriv:
-            # shorthand groups, the largest innermost: u_xxxxx is (u_xxx)_xx
-            top = _TOP_ORDER[e.var]
-            n, rest = divmod(e.order, top)
-            orders = [top] * n + ([rest] if rest else [])
-            close = "".join(f")_{e.var * k}" for k in orders[1:])
+            key = (e.var, e.order)
+            if key not in SHORTHAND_BY_DERIV:
+                # a nest of shorthand groups, the largest innermost:
+                # u_xxxxx prints as (u_xxx)_xx
+                top = _TOP_ORDER[e.var]
+                outer = e.order % top or top
+                emit("(")
+                return (f")_{e.var * outer}", Deriv(e.child, e.var, e.order - outer), _OPEN[0])
             if type(e.child) is Field:
-                emit("(" * (len(orders) - 1) + SHORTHAND_BY_DERIV[e.var, orders[0]] + close)
+                emit(SHORTHAND_BY_DERIV[key])
                 return (None,)  # a leaf token
-            emit("(" * len(orders))
-            return (f")_{e.var * orders[0]}{close}", e.child, _OPEN[0])
+            emit("(")
+            return (f")_{e.var * e.order}", e.child, _OPEN[0])
         elif t is Placeholder:
             raise UnsupportedNode("placeholder has no infix form")
         else:

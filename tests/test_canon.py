@@ -360,14 +360,11 @@ def test_every_canonical_form_prints_and_reads_back():
     assert checked > 29_000
 
 
-def _distributed(a, b, c, var):
-    return Binary("add", Binary("mul", c, a), Binary("mul", c, b))
-
-
 # each rewrite the module docstring promises: (name, one side, the other)
 _REWRITES = (
     ("c*(a + b) = c*a + c*b",
-     lambda a, b, c, var: Binary("mul", c, Binary("add", a, b)), _distributed),
+     lambda a, b, c, var: Binary("mul", c, Binary("add", a, b)),
+     lambda a, b, c, var: Binary("add", Binary("mul", c, a), Binary("mul", c, b))),
     ("-(a + b) = -a - b",
      lambda a, b, c, var: Unary("neg", Binary("add", a, b)),
      lambda a, b, c, var: Binary("sub", Unary("neg", a), b)),
