@@ -648,9 +648,7 @@ def to_infix(e: Expr) -> str:
             return (close, e.child, _OPEN[2])
         elif t is Deriv:
             key = (e.var, e.order)
-            if key not in SHORTHAND_BY_DERIV:
-                # a nest of shorthand groups, the largest innermost:
-                # u_xxxxx prints as (u_xxx)_xx
+            if key not in SHORTHAND_BY_DERIV:  # print the outermost group of a nest
                 top = _TOP_ORDER[e.var]
                 outer = e.order % top or top
                 emit("(")
