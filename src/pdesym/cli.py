@@ -17,7 +17,6 @@ import io
 import json
 import re
 import sys
-import time
 
 import numpy as np
 
@@ -217,16 +216,13 @@ def _cmd_refine(args) -> None:
         alpha0 = datagen.coeff_vector(record["q1"], record["q2"])
     obs = smc.ObservationSeq.from_field(field, n_frames=cfg.steps + 1)
     law = datagen.law_from_record(record)
-    start = time.perf_counter()
     result = smc.refine(alpha0, obs, law, cfg)
-    elapsed = time.perf_counter() - start
     _emit(
         args,
         {
             "refined_coefficients": [float(v) for v in result.alpha],
             "initial_coefficients": [float(v) for v in alpha0],
             "ess_per_step": [float(v) for v in result.ess],
-            "elapsed": elapsed,
         },
     )
 

@@ -12,6 +12,14 @@ Two dialects are supported:
   ``∂ ( u(x,t) , x )`` or ``∂ ( u(x,t) , ( x , 3 ) )`` for order >= 2.
   Brackets and commas appear only inside derivative groups.
 
+Each dialect is one table that both directions read: its operator tokens,
+its named leaves, whether an exponent must be an integer, and how a
+constant is written. The manual dialect reads the ASCII aliases ``*`` and
+``/`` but writes only the glyphs, and its leaves include the shorthand
+derivatives, so it writes a derivative as one of them. One prefix
+serializer writes either dialect and one prefix decoder reads either back;
+a node that a dialect has no token for raises :class:`UnsupportedNode`.
+
 Float tokens emitted by the canonical serializer carry exactly three
 significant digits whenever that representation is lossless; otherwise the
 shortest exact spelling is used so decoding always round-trips.
@@ -29,7 +37,6 @@ from .expr import (
     DERIV_LEAVES,
     FIELD,
     PLACEHOLDER,
-    SHORTHAND_BY_DERIV,
     Binary,
     Const,
     Deriv,
@@ -44,25 +51,12 @@ from .expr import (
 )
 
 ADD_TOKEN = "+"
-SUB_TOKEN = "-"
 MUL_TOKEN = "×"
 DIV_TOKEN = "÷"
 POW_TOKEN = "pow"
 PARTIAL_TOKEN = "∂"
 FIELD_TOKEN = "u(x,t)"
 PLACEHOLDER_TOKEN = "[?]"
-
-_OP_TOKENS = {"add": ADD_TOKEN, "sub": SUB_TOKEN, "mul": MUL_TOKEN, "div": DIV_TOKEN, "pow": POW_TOKEN}
-# Decoding accepts ASCII aliases for the glyph operators.
-_MANUAL_OPS = {
-    "+": "add",
-    "-": "sub",
-    MUL_TOKEN: "mul",
-    "*": "mul",
-    DIV_TOKEN: "div",
-    "/": "div",
-    POW_TOKEN: "pow",
-}
 
 _NUM_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 _VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)*$")
@@ -131,6 +125,97 @@ def _canonical_number_token(value: float, coefficient: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
+# dialect tables
+
+class _Spelling(dict):
+    """The serializer's inverse of a dialect table; what it lacks has no token."""
+
+    def __missing__(self, key):
+        raise UnsupportedNode(f"no token for {getattr(key, '__name__', key)}")
+
+
+def _table(operators: dict, leaves: dict, int_exponent: bool, number) -> tuple:
+    """One dialect, read by the decoder and the serializer alike:
+    ``(operators, leaves, int_exponent, enter)``.
+
+    ``operators`` maps each operator token to its ``(tag, arity)``, and the
+    first token of a tag is the one written; ``leaves`` maps the named leaf
+    tokens to their nodes; ``int_exponent`` says whether an exponent must be
+    an integer; ``number`` writes a constant. ``enter`` is the :func:`walk`
+    callback that writes a tree in prefix order onto the list passed as the
+    walk's context. A dialect whose leaves hold derivatives writes each
+    derivative as its shorthand leaf; any other writes a ``∂ ( … )`` group,
+    whose closing tokens follow the child as a second child of their own.
+    """
+    spelling = _Spelling({tag: tok for tok, (tag, _) in reversed(operators.items())})
+    spelling.update((type(node), tok) for tok, node in leaves.items() if type(node) is not Deriv)
+    shorthand = {(n.var, n.order): tok for tok, n in leaves.items() if type(n) is Deriv}
+    field = spelling[Field]
+
+    def enter(e, out):
+        t = type(e)
+        if t is Binary:
+            if int_exponent and e.op == "pow" and type(e.right) is not Int:
+                raise UnsupportedNode("non-integer exponents are not tokenized")
+            out.append(spelling[e.op])
+            return None
+        if t is Field:
+            out.append(field)
+        elif t is Deriv:
+            if not shorthand:
+                if type(e.child) is Deriv:
+                    raise UnsupportedNode("nested (mixed-partial) derivatives are not tokenized")
+                if type(e.child) is Binary and e.child.op == "mul":
+                    raise UnsupportedNode("derivative of a product is not tokenized")
+                out += (PARTIAL_TOKEN, "(")
+                order = (e.var,) if e.order == 1 else ("(", e.var, ",", str(e.order), ")")
+                return (None, e.child, out, (",", *order, ")"), out)
+            key = (e.var, e.order)
+            if type(e.child) is not Field or key not in shorthand:
+                raise UnsupportedNode("manual dialect has shorthand tokens only for field "
+                                      "derivatives up to u_xxx and u_t")
+            out.append(shorthand[key])  # a leaf token: the child is not walked
+        elif t is Const:
+            out.append(number(e.value))
+        elif t is tuple:  # the tokens that close a derivative group
+            out += e
+        elif t is Var:
+            out.append(e.name)
+        elif t is Unary:
+            out.append(spelling[e.fn])
+            return None
+        elif t is Int:
+            out.append(str(e.value))
+        else:
+            out.append(spelling[t])
+        return (None,)
+
+    return operators, leaves, int_exponent, enter
+
+
+def _repr_token(value: float) -> str:
+    if not math.isfinite(value):
+        raise UnsupportedNode(f"non-finite constant {value!r} has no token")
+    return repr(value)
+
+
+_MANUAL = _table(
+    {ADD_TOKEN: ("add", 2), "-": ("sub", 2), MUL_TOKEN: ("mul", 2), "*": ("mul", 2),
+     DIV_TOKEN: ("div", 2), "/": ("div", 2), POW_TOKEN: ("pow", 2),
+     "sin": ("sin", 1), "cos": ("cos", 1), "neg": ("neg", 1)},
+    {"u": FIELD, PLACEHOLDER_TOKEN: PLACEHOLDER, **DERIV_LEAVES},
+    int_exponent=False, number=_repr_token,
+)
+# Canonical terms hold no ``sub``, ``div`` or ``neg``, so they have no token.
+_CANONICAL = _table(
+    {ADD_TOKEN: ("add", 2), MUL_TOKEN: ("mul", 2), POW_TOKEN: ("pow", 2),
+     "sin": ("sin", 1), "cos": ("cos", 1), PARTIAL_TOKEN: (PARTIAL_TOKEN, 1)},
+    {FIELD_TOKEN: FIELD, PLACEHOLDER_TOKEN: PLACEHOLDER},
+    int_exponent=True, number=lambda v: _canonical_number_token(v, coefficient=False),
+)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 def _residual_of(e) -> Expr:
@@ -140,37 +225,7 @@ def _residual_of(e) -> Expr:
 def to_manual_tokens(e) -> TokenSeq:
     """Prefix serialization of the tree exactly as stored (no reordering)."""
     out: list[str] = []
-    emit = out.append
-
-    def enter(e, _):
-        t = type(e)
-        if t is Binary or t is Unary:
-            emit(_OP_TOKENS[e.op] if t is Binary else e.fn)
-            return None
-        if t is Deriv:
-            if type(e.child) is not Field or (e.var, e.order) not in SHORTHAND_BY_DERIV:
-                raise UnsupportedNode(
-                    "manual dialect has shorthand tokens only for field derivatives "
-                    "up to u_xxx and u_t"
-                )
-            emit(SHORTHAND_BY_DERIV[(e.var, e.order)])
-        elif t is Field:
-            emit("u")
-        elif t is Var:
-            emit(e.name)
-        elif t is Const:
-            if not math.isfinite(e.value):
-                raise UnsupportedNode(f"non-finite constant {e.value!r} has no token")
-            emit(repr(e.value))
-        elif t is Int:
-            emit(str(e.value))
-        elif t is Placeholder:
-            emit(PLACEHOLDER_TOKEN)
-        else:
-            raise UnsupportedNode(f"cannot serialize {t.__name__}")
-        return (None,)  # a leaf token: a shorthand derivative's child is not walked
-
-    walk(_residual_of(e), enter)
+    walk(_residual_of(e), _MANUAL[3], ctx=out)
     return TokenSeq(Dialect.MANUAL, tuple(out))
 
 
@@ -184,54 +239,14 @@ def canonical_tokens_of_terms(ts) -> TokenSeq:
     coefficients; no terms serialize as zero."""
     ts = ts or [(0.0, ())]
     out: list[str] = [ADD_TOKEN] if len(ts) >= 2 else []
-    emit, extend = out.append, out.extend
-
-    def enter(e, _):
-        t = type(e)
-        if t is Field:
-            emit(FIELD_TOKEN)
-        elif t is tuple:  # the tokens that close a derivative group
-            extend(e)
-        elif t is Deriv:
-            if type(e.child) is Deriv:
-                raise UnsupportedNode("nested (mixed-partial) derivatives are not tokenized")
-            if type(e.child) is Binary and e.child.op == "mul":
-                raise UnsupportedNode("derivative of a product is not tokenized")
-            order = [e.var] if e.order == 1 else ["(", e.var, ",", str(e.order), ")"]
-            extend((PARTIAL_TOKEN, "("))
-            # the closing tokens follow the child as a second child of their own
-            return (None, e.child, None, (",", *order, ")"), None)
-        elif t is Unary:
-            if e.fn == "neg":
-                raise UnsupportedNode("negation does not survive canonicalization")
-            emit(e.fn)
-        elif t is Binary:
-            if e.op == "pow":
-                if type(e.right) is not Int:
-                    raise UnsupportedNode("non-integer exponents are not tokenized")
-            elif e.op not in ("add", "mul"):
-                raise UnsupportedNode(f"{e.op} does not survive canonicalization")
-            emit(_OP_TOKENS[e.op])
-        elif t is Var:
-            emit(e.name)
-        elif t is Const:
-            emit(_canonical_number_token(e.value, coefficient=False))
-        elif t is Int:
-            emit(str(e.value))
-        elif t is Placeholder:
-            emit(PLACEHOLDER_TOKEN)
-        else:
-            raise UnsupportedNode(f"cannot serialize {t.__name__}")
-
+    emit, enter = out.append, _CANONICAL[3]
     for coeff, factors in ts:
         emit(MUL_TOKEN)
         head, rest = term_head(coeff, factors)
-        if isinstance(head, Placeholder):
-            emit(PLACEHOLDER_TOKEN)
-        else:
-            emit(_canonical_number_token(head, coefficient=True))
+        emit(PLACEHOLDER_TOKEN if isinstance(head, Placeholder)
+             else _canonical_number_token(head, coefficient=True))
         for f in rest:
-            walk(f, enter)
+            walk(f, enter, ctx=out)
     return TokenSeq(Dialect.CANONICAL, tuple(out))
 
 
@@ -271,26 +286,11 @@ def from_tokens(ts: TokenSeq) -> Equation:
     return Equation(expr)
 
 
-# per dialect: the (tag, arity) of each operator token, the named leaves,
-# and whether an exponent must be an integer
-_MANUAL = (
-    {**{tok: (op, 2) for tok, op in _MANUAL_OPS.items()},
-     "sin": ("sin", 1), "cos": ("cos", 1), "neg": ("neg", 1)},
-    {"u": FIELD, PLACEHOLDER_TOKEN: PLACEHOLDER, **DERIV_LEAVES},
-    False,
-)
-_CANONICAL = (
-    {ADD_TOKEN: ("add", 2), MUL_TOKEN: ("mul", 2), POW_TOKEN: ("pow", 2),
-     "sin": ("sin", 1), "cos": ("cos", 1), PARTIAL_TOKEN: (PARTIAL_TOKEN, 1)},
-    {FIELD_TOKEN: FIELD, PLACEHOLDER_TOKEN: PLACEHOLDER},
-    True,
-)
-
-
-def _prefix(cur: _Cursor, dialect: tuple) -> Expr:
-    """One prefix expression from ``cur``, built on a stack of open
-    operator frames ``[tag, arity, *operands]`` rather than by recursion."""
-    operators, leaves, int_exponent = dialect
+def _prefix(cur: _Cursor, table: tuple) -> Expr:
+    """One prefix expression from ``cur`` in the dialect of ``table``, built
+    on a stack of open operator frames ``[tag, arity, *operands]`` rather
+    than by recursion."""
+    operators, leaves, int_exponent = table[:3]
     frames = []
     while True:
         tok = cur.next()

@@ -294,7 +294,7 @@ def test_criterion_9_byte_identical_reruns(tmp_path, capsys):
         if (tmp_path / "d1" / name).read_bytes() != (tmp_path / "d2" / name).read_bytes():
             gen_ok = False
 
-    # refine: identical artifacts apart from the wall-clock field
+    # refine: identical artifacts
     index = json.loads((tmp_path / "d1" / "manifest.json").read_text())
     entry = index["entries"][0]
     refine_payloads = []
@@ -306,7 +306,6 @@ def test_criterion_9_byte_identical_reruns(tmp_path, capsys):
             "--output", str(tmp_path / sub),
         )
         payload = json.loads((tmp_path / sub).read_text())
-        del payload["elapsed"]
         refine_payloads.append(json.dumps(payload, sort_keys=True))
     refine_ok = refine_payloads[0] == refine_payloads[1]
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import time
 from fractions import Fraction
 
@@ -149,6 +150,14 @@ def test_mixed_partials_commute_but_do_not_tokenize():
         to_canonical_tokens(a)
 
 
+# sum factors all of whose terms but one, or all, underflow to zero
+_UNDERFLOWING_SUMS = (
+    "(1e-200*(1e-200*x) + 2*y)*u_x",
+    "(1e-200*(1e-200*x) + 1e-200*(1e-200*y))*u_x",
+    "(1e-200*(1e-200*x) + 0.1)*(u/7 + x)",
+)
+
+
 def test_equivalent_examples():
     assert equivalent(parse_infix("x - 1 + 1 + y"), parse_infix("y + x"))
     assert not equivalent(parse_infix("u_t"), parse_infix("u_x"))
@@ -160,6 +169,10 @@ def test_equivalent_examples():
         ("-(u + x)*u_x", "(-u - x)*u_x"),
         ("(2*(u + x))_t", "2*u_t"),
         ("2*(u + x)", "2*u + 2*x"),
+        # the terms of a sum factor that underflow to zero drop out of it
+        (_UNDERFLOWING_SUMS[0], "2*y*u_x"),
+        (_UNDERFLOWING_SUMS[1], "0"),
+        (_UNDERFLOWING_SUMS[2], "0.1*(u/7 + x)"),
     ):
         assert equivalent(parse_infix(a), parse_infix(b))
         assert to_canonical_tokens(parse_infix(a)) == to_canonical_tokens(parse_infix(b))
@@ -333,7 +346,8 @@ def _seeded_trees(seed: int, count: int = 10_000):
 
 def test_idempotence():
     checked = 0
-    for tree in _seeded_trees(23):
+    underflowing = [parse_infix(src).residual for src in _UNDERFLOWING_SUMS]
+    for tree in itertools.chain(_seeded_trees(23), underflowing):
         try:
             once = canonicalize(tree)
         except DivisionByZero:

@@ -303,7 +303,6 @@ def test_refine_rerun_is_byte_identical(tmp_path, capsys):
         )
         assert code == 0
         payload = json.loads(path.read_text())
-        del payload["elapsed"]
         outputs.append(json.dumps(payload, sort_keys=True))
     assert outputs[0] == outputs[1]
 

@@ -78,6 +78,27 @@ def test_manual_rejects_unsupported_derivatives():
         to_manual_tokens(Deriv(Deriv(FIELD, "x", 1), "t", 1))
 
 
+@pytest.mark.parametrize(
+    "serialize, tree, message",
+    [
+        (to_manual_tokens, parse_infix("(u^2)_x"),
+         "manual dialect has shorthand tokens only for field derivatives up to u_xxx and u_t"),
+        (to_manual_tokens, Const(float("inf")), "non-finite constant inf has no token"),
+        (to_canonical_tokens, parse_infix("(u_t)_x"),
+         "nested (mixed-partial) derivatives are not tokenized"),
+        (to_canonical_tokens, parse_infix("(u*u_x)_x"), "derivative of a product is not tokenized"),
+        (to_canonical_tokens, from_tokens(TokenSeq(Dialect.MANUAL, ("pow", "u", "0.5"))),
+         "non-integer exponents are not tokenized"),
+    ],
+    ids=["manual-composite-derivative", "manual-non-finite", "canonical-mixed-partial",
+         "canonical-derivative-of-product", "canonical-non-integer-exponent"],
+)
+def test_serializer_failures_name_their_cause(serialize, tree, message):
+    with pytest.raises(UnsupportedNode) as info:
+        serialize(tree)
+    assert str(info.value) == message
+
+
 def test_manual_round_trip_random_trees():
     rng = np.random.default_rng(42)
     for _ in range(300):

@@ -16,9 +16,10 @@ in a child process that imports its own ``src``, ``tests/helpers.py`` and
   manual tokens, round-trip verdict and check result
   (``perfbench/corpus.py`` ``process`` and ``check``).
 
-An output that raises a ``PdesymError`` is that error's class name. For
-each output kind the tool prints how many outputs changed, how verdicts
-moved, and the first ``N`` changed examples (3 by default).
+An output that raises a ``PdesymError`` is that error as ``Type: message``,
+so a changed message counts as a changed output. For each output kind the
+tool prints how many outputs changed, how verdicts moved, and the first
+``N`` changed examples (3 by default).
 """
 from __future__ import annotations
 
@@ -55,11 +56,14 @@ def dump(checkout: Path) -> dict:
     from pdesym.perturb import PerturbConfig, swap_branches
     from pdesym.tokens import from_tokens, to_canonical_tokens, to_manual_tokens
 
+    def failure(exc):
+        return f"{type(exc).__name__}: {exc}"
+
     def text(output):
         try:
             return str(output())
         except PdesymError as exc:
-            return type(exc).__name__
+            return failure(exc)
 
     values = {kind: [] for kind, _ in DIGEST_KINDS + CORPUS_KINDS}
     labels = {"digest": [], "corpus": []}
@@ -89,7 +93,7 @@ def dump(checkout: Path) -> dict:
                 try:
                     out = process(m)
                 except PdesymError as exc:
-                    outs = (type(exc).__name__,) * 4
+                    outs = (failure(exc),) * 4
                 else:
                     outs = (out.canonical.text, out.manual and out.manual.text,
                             out.round_trip, check(m, out))
