@@ -289,16 +289,12 @@ def _product(left: list, right: list) -> list:
     """Terms of the product of two collected operands.
 
     A constant distributes over the terms of the other operand, each
-    coefficient multiplied exactly. An operand whose terms round to one
-    term or none, the rest underflowing to zero, is that term or zero, its
-    coefficient exact again. Any other multi-term operand stays one opaque
-    factor, and a product whose factors merge to a single sum dissolves
-    into that sum's terms.
+    coefficient multiplied exactly. Any other multi-term operand stays one
+    opaque factor, rounded once, and a product whose factors merge to a
+    single sum dissolves into that sum's terms. An operand whose terms
+    round to one term or none, the rest underflowing to zero, is instead
+    that term, its coefficient kept exact, or zero.
     """
-    if len(left) > 1:
-        left = _settled(left)
-    if len(right) > 1:
-        right = _settled(right)
     if not left or not right:
         return []
     for const, side in ((left, right), (right, left)):
@@ -310,20 +306,17 @@ def _product(left: list, right: list) -> list:
         if len(side) == 1:
             c, fs = side[0]
             coeff = c if coeff is _ONE else _mul(coeff, c)
-        else:
-            fs = (build(_round(side)),)
-        factors += fs
+            factors += fs
+            continue
+        rounded = _round(side)
+        if len(rounded) < 2:  # settled: it may now be a constant, or zero
+            kept = [t for t in side if _float(t[0]) != 0.0]
+            return _product(kept, right) if side is left else _product(left, kept)
+        factors.append(build(rounded))
     factors = _merge_factors(factors)
     if len(factors) == 1 and type(factors[0]) is Binary and factors[0].op == "add":
         return [(_mul(coeff, c), fs) for c, fs in _terms(factors[0])]
     return [(coeff, factors)]
-
-
-def _settled(ts: list) -> list:
-    """Collected terms ``ts``, or, when they round to one term or none (the
-    rest underflowing to zero), what is left, its coefficient exact."""
-    kept = _round(ts)
-    return ts if len(kept) > 1 else [(_constant(c)[0][0], fs) for c, fs in kept]
 
 
 def _merge_factors(factors: list) -> tuple[Expr, ...]:

@@ -30,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .canon import build, term_head, terms
 from .errors import DecodeError, UnsupportedNode
@@ -131,21 +132,28 @@ class _Spelling(dict):
     """The serializer's inverse of a dialect table; what it lacks has no token."""
 
     def __missing__(self, key):
-        raise UnsupportedNode(f"no token for {getattr(key, '__name__', key)}")
+        raise UnsupportedNode(f"cannot serialize {getattr(key, '__name__', key)}")
 
 
-def _table(operators: dict, leaves: dict, int_exponent: bool, number) -> tuple:
-    """One dialect, read by the decoder and the serializer alike:
-    ``(operators, leaves, int_exponent, enter)``.
+class _Dialect(NamedTuple):
+    operators: dict
+    leaves: dict
+    int_exponent: bool
+    enter: Callable
+
+
+def _table(operators: dict, leaves: dict, int_exponent: bool, number) -> _Dialect:
+    """One dialect, read by the decoder and the serializer alike.
 
     ``operators`` maps each operator token to its ``(tag, arity)``, and the
     first token of a tag is the one written; ``leaves`` maps the named leaf
     tokens to their nodes; ``int_exponent`` says whether an exponent must be
     an integer; ``number`` writes a constant. ``enter`` is the :func:`walk`
     callback that writes a tree in prefix order onto the list passed as the
-    walk's context. A dialect whose leaves hold derivatives writes each
-    derivative as its shorthand leaf; any other writes a ``∂ ( … )`` group,
-    whose closing tokens follow the child as a second child of their own.
+    walk's context. The derivative style follows from the leaves: a dialect
+    whose leaves hold derivatives writes each derivative as its shorthand
+    leaf; any other writes a ``∂ ( … )`` group, whose closing tokens follow
+    the child as a second child of their own.
     """
     spelling = _Spelling({tag: tok for tok, (tag, _) in reversed(operators.items())})
     spelling.update((type(node), tok) for tok, node in leaves.items() if type(node) is not Deriv)
@@ -177,7 +185,7 @@ def _table(operators: dict, leaves: dict, int_exponent: bool, number) -> tuple:
             out.append(shorthand[key])  # a leaf token: the child is not walked
         elif t is Const:
             out.append(number(e.value))
-        elif t is tuple:  # the tokens that close a derivative group
+        elif t is tuple and not shorthand:  # the tokens that close a ∂ group
             out += e
         elif t is Var:
             out.append(e.name)
@@ -190,7 +198,7 @@ def _table(operators: dict, leaves: dict, int_exponent: bool, number) -> tuple:
             out.append(spelling[t])
         return (None,)
 
-    return operators, leaves, int_exponent, enter
+    return _Dialect(operators, leaves, int_exponent, enter)
 
 
 def _repr_token(value: float) -> str:
@@ -225,7 +233,7 @@ def _residual_of(e) -> Expr:
 def to_manual_tokens(e) -> TokenSeq:
     """Prefix serialization of the tree exactly as stored (no reordering)."""
     out: list[str] = []
-    walk(_residual_of(e), _MANUAL[3], ctx=out)
+    walk(_residual_of(e), _MANUAL.enter, ctx=out)
     return TokenSeq(Dialect.MANUAL, tuple(out))
 
 
@@ -239,7 +247,7 @@ def canonical_tokens_of_terms(ts) -> TokenSeq:
     coefficients; no terms serialize as zero."""
     ts = ts or [(0.0, ())]
     out: list[str] = [ADD_TOKEN] if len(ts) >= 2 else []
-    emit, enter = out.append, _CANONICAL[3]
+    emit, enter = out.append, _CANONICAL.enter
     for coeff, factors in ts:
         emit(MUL_TOKEN)
         head, rest = term_head(coeff, factors)
@@ -286,11 +294,11 @@ def from_tokens(ts: TokenSeq) -> Equation:
     return Equation(expr)
 
 
-def _prefix(cur: _Cursor, table: tuple) -> Expr:
+def _prefix(cur: _Cursor, table: _Dialect) -> Expr:
     """One prefix expression from ``cur`` in the dialect of ``table``, built
     on a stack of open operator frames ``[tag, arity, *operands]`` rather
     than by recursion."""
-    operators, leaves, int_exponent = table[:3]
+    operators, leaves, int_exponent = table.operators, table.leaves, table.int_exponent
     frames = []
     while True:
         tok = cur.next()

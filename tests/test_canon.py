@@ -155,6 +155,8 @@ _UNDERFLOWING_SUMS = (
     "(1e-200*(1e-200*x) + 2*y)*u_x",
     "(1e-200*(1e-200*x) + 1e-200*(1e-200*y))*u_x",
     "(1e-200*(1e-200*x) + 0.1)*(u/7 + x)",
+    "(1e-200*(1e-200*x) + y/49)*(49*u_x)",
+    "(1e-200*(1e-200*x) + 2)*(u + x)*(1e-200*(1e-200*x) + y)",
 )
 
 
@@ -173,6 +175,14 @@ def test_equivalent_examples():
         (_UNDERFLOWING_SUMS[0], "2*y*u_x"),
         (_UNDERFLOWING_SUMS[1], "0"),
         (_UNDERFLOWING_SUMS[2], "0.1*(u/7 + x)"),
+        # a surviving term keeps its exact coefficient
+        (_UNDERFLOWING_SUMS[3], "y*u_x"),
+        # a sum factor left with a constant distributes it
+        (_UNDERFLOWING_SUMS[4], "2*(u + x)*y"),
+        # a constant distributes exactly over a sum whose terms it rescales
+        ("1e200*(1e-200*(1e-200*x) + y)", "1e200*(1e-200*(1e-200*x)) + 1e200*y"),
+        ("1e-300*(1e300*(1e300*x) + y)", "1e-300*(1e300*(1e300*x)) + 1e-300*y"),
+        ("2*(0.5*(5e-324*x) + y)", "2*(0.5*(5e-324*x)) + 2*y"),
     ):
         assert equivalent(parse_infix(a), parse_infix(b))
         assert to_canonical_tokens(parse_infix(a)) == to_canonical_tokens(parse_infix(b))

@@ -89,9 +89,11 @@ def test_manual_rejects_unsupported_derivatives():
         (to_canonical_tokens, parse_infix("(u*u_x)_x"), "derivative of a product is not tokenized"),
         (to_canonical_tokens, from_tokens(TokenSeq(Dialect.MANUAL, ("pow", "u", "0.5"))),
          "non-integer exponents are not tokenized"),
+        (to_manual_tokens, ("sin", "u"), "cannot serialize tuple"),
     ],
     ids=["manual-composite-derivative", "manual-non-finite", "canonical-mixed-partial",
-         "canonical-derivative-of-product", "canonical-non-integer-exponent"],
+         "canonical-derivative-of-product", "canonical-non-integer-exponent",
+         "manual-not-a-node"],
 )
 def test_serializer_failures_name_their_cause(serialize, tree, message):
     with pytest.raises(UnsupportedNode) as info:
