@@ -147,11 +147,16 @@ def _rounded(e: Expr) -> list:
     hit = _RECENT.get(id(e))
     if hit is not None:
         return hit[1]
-    ts = _round(_collect(_terms(e)))
+    ts = _fold(e)
     _RECENT[id(e)] = (e, ts)
     if len(_RECENT) > _RECENT_ROOTS:
         del _RECENT[next(iter(_RECENT))]
     return ts
+
+
+def _fold(e: Expr) -> list:
+    """The rounded terms of ``e``, folded without the root memo."""
+    return _round(_collect(_terms(e)))
 
 
 def _round(ts) -> list:
@@ -355,8 +360,8 @@ def _canon_pow(b: Expr, exp: Expr) -> Expr:
             raise UnsupportedNode("constant power has no real value")
         return Const(value)
     if isinstance(exp, Int) and isinstance(b, Binary) and b.op == "pow" and isinstance(b.right, Int):
-        exp = build(terms(Int(b.right.value * exp.value)))
-        return _canon_pow(build(terms(b.left)), exp)
+        exp = build(_fold(Int(b.right.value * exp.value)))
+        return _canon_pow(build(_fold(b.left)), exp)
     return Binary("pow", b, exp)
 
 

@@ -68,7 +68,7 @@ def _emit(args, payload, fmt: str = "json") -> None:
     if fmt == "csv":
         text = _to_csv(payload)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        text = datagen.json_text(payload)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -99,6 +99,15 @@ def _tokens_payload(seq: TokenSeq) -> dict:
     return {"dialect": seq.dialect.value, "tokens": list(seq.tokens), "text": seq.text}
 
 
+_SERIALIZERS = {Dialect.MANUAL: to_manual_tokens, Dialect.CANONICAL: to_canonical_tokens}
+
+
+def _config(config, args):
+    """The dataclass ``config`` of the flags that ``build_parser`` declares
+    from its fields, ``--seed`` included."""
+    return config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config)})
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -124,23 +133,19 @@ def _cmd_canon(args) -> None:
 
 
 def _cmd_tokens(args) -> None:
-    eq = _parse_input(args.eq)
-    if args.dialect == Dialect.MANUAL.value:
-        seq = to_manual_tokens(eq)
-    else:
-        seq = to_canonical_tokens(eq)
+    seq = _SERIALIZERS[Dialect(args.dialect)](_parse_input(args.eq))
     _emit(args, _tokens_payload(seq))
 
 
 def _cmd_perturb(args) -> None:
     eq = _parse_input(args.eq)
-    cfg = perturb.PerturbConfig(
-        swap_prob=args.swap_prob, noise_prob=args.noise_prob, seed=args.seed
-    )
-    injection = perturb.inject_noise_term(eq, cfg)
-    out_eq = perturb.swap_branches(injection.equation, cfg)
-    dialect = Dialect(args.dialect)
-    serialize = to_manual_tokens if dialect == Dialect.MANUAL else to_canonical_tokens
+    cfg = _config(perturb.PerturbConfig, args)
+    # each perturbation draws from its own stream, so whether one fires
+    # does not decide whether the other does
+    noise_seed, swap_seed = (int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(2))
+    injection = perturb.inject_noise_term(eq, dataclasses.replace(cfg, seed=noise_seed))
+    out_eq = perturb.swap_branches(injection.equation, dataclasses.replace(cfg, seed=swap_seed))
+    serialize = _SERIALIZERS[Dialect(args.dialect)]
     payload = {
         "input_tokens": list(serialize(eq).tokens),
         "output_tokens": list(serialize(out_eq).tokens),
@@ -195,21 +200,10 @@ def _cmd_gen(args) -> None:
     )
 
 
-def _filter_config(args, **extra) -> smc.FilterConfig:
-    """The ``FilterConfig`` of the filter flags ``refine`` and ``study`` share."""
-    return smc.FilterConfig(
-        particles=args.particles,
-        steps=args.steps,
-        process_var=args.process_var,
-        obs_scale=args.obs_scale,
-        **extra,
-    )
-
-
 def _cmd_refine(args) -> None:
     record = datagen.load_equation_record(args.equation)
     field = solver.read_grid_file(args.observations)
-    cfg = _filter_config(args, seed=args.seed)
+    cfg = _config(smc.FilterConfig, args)
     if args.alpha0:
         alpha0 = np.array([float(v) for v in args.alpha0.split(",")])
     else:
@@ -263,7 +257,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_study(args) -> None:
-    cfg = _filter_config(args)
+    cfg = _config(smc.FilterConfig, args)
     families = args.families.split(",") if args.families else list(study.STUDY_FAMILIES)
     rows = study.run_study(
         families=families,
@@ -287,12 +281,14 @@ def build_parser() -> _Parser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
-    def filter_flags(p):
-        cfg = smc.FilterConfig
-        p.add_argument("--particles", type=int, default=cfg.particles)
-        p.add_argument("--steps", type=int, default=cfg.steps)
-        p.add_argument("--process-var", type=float, default=cfg.process_var)
-        p.add_argument("--obs-scale", type=float, default=cfg.obs_scale)
+    def config_flags(p, config):
+        """A flag of each field of ``config`` but ``seed``, read by :func:`_config`."""
+        for f in dataclasses.fields(config):
+            if f.name != "seed":
+                p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                               default=f.default)
+
+    dialects = [d.value for d in Dialect]
 
     p = sub.add_parser("parse", help="parse an equation and echo both dialects")
     p.add_argument("--expr", required=True)
@@ -306,15 +302,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tokens", help="serialize an equation in a chosen dialect")
     p.add_argument("--eq", required=True)
-    p.add_argument("--dialect", choices=("manual", "canonical"), default="canonical")
+    p.add_argument("--dialect", choices=dialects, default=Dialect.CANONICAL.value)
     common(p, seed=False)
     p.set_defaults(func=_cmd_tokens)
 
     p = sub.add_parser("perturb", help="noise injection followed by branch swapping")
     p.add_argument("--eq", required=True)
-    p.add_argument("--swap-prob", type=float, default=perturb.PerturbConfig.swap_prob)
-    p.add_argument("--noise-prob", type=float, default=perturb.PerturbConfig.noise_prob)
-    p.add_argument("--dialect", choices=("manual", "canonical"), default="manual")
+    config_flags(p, perturb.PerturbConfig)
+    p.add_argument("--dialect", choices=dialects, default=Dialect.MANUAL.value)
     common(p)
     p.set_defaults(func=_cmd_perturb)
 
@@ -343,7 +338,7 @@ def build_parser() -> _Parser:
     p.add_argument("--equation", required=True, help="eq_*.json file")
     p.add_argument("--observations", required=True, help="traj_*.grid file")
     p.add_argument("--alpha0", help="comma-separated initial coefficients")
-    filter_flags(p)
+    config_flags(p, smc.FilterConfig)
     common(p)
     p.set_defaults(func=_cmd_refine)
 
@@ -351,7 +346,7 @@ def build_parser() -> _Parser:
     p.add_argument("--truth", required=True, help="eq_*.json file")
     p.add_argument("--learned", help="eq_*.json file")
     p.add_argument("--learned-tokens", help="space-separated token sequence")
-    p.add_argument("--dialect", choices=("manual", "canonical"), default="canonical")
+    p.add_argument("--dialect", choices=dialects, default=Dialect.CANONICAL.value)
     p.add_argument("--trajectory", help="traj_*.grid reference trajectory")
     p.add_argument("--prediction", help="predicted trajectory for rel_l2/R^2")
     common(p)
@@ -362,7 +357,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--coeff-error", type=float, default=0.03)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    filter_flags(p)
+    config_flags(p, smc.FilterConfig)
     common(p)
     p.set_defaults(func=_cmd_study)
 

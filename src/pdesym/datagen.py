@@ -80,9 +80,24 @@ class DatasetManifest:
             raise ValueError("counts must be >= 1")
         if self.split not in _SPLIT_CODES:
             raise ValueError(f"split must be one of {sorted(_SPLIT_CODES)}")
-        for name in self.families:
-            if name not in FAMILIES:
-                raise ValueError(f"unknown family {name!r}")
+        check_families(self.families)
+
+
+def check_families(names) -> None:
+    """Raise ``ValueError`` for a name in ``names`` that is not in
+    :data:`FAMILIES` or that comes twice, since one entry would overwrite
+    the other's output."""
+    for i, name in enumerate(names):
+        if name not in FAMILIES:
+            raise ValueError(f"unknown family {name!r}; known families: {', '.join(FAMILIES)}")
+        if name in names[:i]:
+            raise ValueError(f"family {name!r} is named twice")
+
+
+def json_text(obj) -> str:
+    """``obj`` as the JSON text of every file and report pdesym writes:
+    indented, keys sorted, non-ASCII kept, one trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def grid_for(spec: FamilySpec) -> Grid1D:
@@ -190,11 +205,7 @@ def generate(manifest: DatasetManifest, outdir) -> dict:
             record = equation_record(entry_id, spec, q1, q2)
             eq_path = outdir / f"eq_{entry_id}.json"
             traj_path = outdir / f"traj_{entry_id}.grid"
-            eq_path.write_text(
-                json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False)
-                + "\n",
-                encoding="utf-8",
-            )
+            eq_path.write_text(json_text(record), encoding="utf-8")
             write_grid_file(SpaceTimeField(grid, times, traj), traj_path)
             entries.append(
                 {
@@ -214,10 +225,7 @@ def generate(manifest: DatasetManifest, outdir) -> dict:
         "ics_per_param": manifest.ics_per_param,
         "entries": entries,
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(index, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    (outdir / "manifest.json").write_text(json_text(index), encoding="utf-8")
     return index
 
 

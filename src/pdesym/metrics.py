@@ -451,16 +451,20 @@ def _chain(a: dict, fn: str, n: float, need: tuple, coeffs: list, powers: list) 
 # ---------------------------------------------------------------------------
 # equation metrics
 
-def symbolic_error(learned: Equation, truth: Equation, n_polys: int = 10,
-                   n_x: int = 32, n_t: int = 32, seed: int = 0) -> float:
+#: surrogates per ``symbolic_error`` score, and the points of each
+#: surrogate's sample grid along x and t
+N_POLYS, N_X, N_T = 10, 32, 32
+
+
+def symbolic_error(learned: Equation, truth: Equation, seed: int = 0) -> float:
     """Mean relative L2 discrepancy of the two residuals over surrogates.
 
-    Surrogate coefficients are Unif(-1, 1). The k surrogates still needed
-    are drawn as one (k, 8) block, and one walk of the truth's residual
-    evaluates it on the block's (k, n_t, n_x) grids. Rows are accepted in
-    draw order: a draw whose truth residual has grid RMS below 1e-6 is
-    rejected, so the reference never degenerates, and the 100th rejection
-    in a row raises :class:`DegenerateReference`. One walk of the learned
+    Surrogate coefficients are Unif(-1, 1). The k of the ``N_POLYS``
+    surrogates still needed are drawn as one (k, 8) block, and one walk of
+    the truth's residual evaluates it on the block's (k, ``N_T``, ``N_X``)
+    grids. Rows are accepted in draw order: a draw whose truth residual has
+    grid RMS below 1e-6 is rejected, so the reference never degenerates,
+    and the 100th rejection in a row raises :class:`DegenerateReference`. One walk of the learned
     residual then evaluates it on the accepted rows, on the truth's own
     grids when the first block is accepted whole. Each row's RMS test and
     relative L2 error reduce over that row's slice alone, so the result,
@@ -474,14 +478,11 @@ def symbolic_error(learned: Equation, truth: Equation, n_polys: int = 10,
     built on first use and hold the bits each call would compute, so
     sharing them changes no result.
     """
-    for name, size in (("n_polys", n_polys), ("n_x", n_x), ("n_t", n_t)):
-        if size < 1:
-            raise ValueError(f"{name} must be at least 1, got {size}")
-    grid = _sample_grid(n_x, n_t)
+    grid = _sample_grid(N_X, N_T)
     rng = np.random.default_rng(seed)
     accepted, truth_vals, rejected = [], [], 0
-    while len(accepted) < n_polys and rejected < 100:
-        field = _FieldGrids(rng.uniform(-1.0, 1.0, (n_polys - len(accepted), 8)), grid)
+    while len(accepted) < N_POLYS and rejected < 100:
+        field = _FieldGrids(rng.uniform(-1.0, 1.0, (N_POLYS - len(accepted), 8)), grid)
         block = _residual(truth, field)
         # each row's (n_t, n_x) slice is contiguous, so its mean sums the
         # entries as the mean of that row alone does; an overflowing square
@@ -498,10 +499,10 @@ def symbolic_error(learned: Equation, truth: Equation, n_polys: int = 10,
                 if rejected == 100:
                     break
     if accepted:  # the learned residual is first needed at the first acceptance
-        if not len(accepted) == len(field.coeffs) == n_polys:
+        if not len(accepted) == len(field.coeffs) == N_POLYS:
             field = _FieldGrids(np.array(accepted), grid)
         learned_vals = _residual(learned, field)
-    if len(accepted) < n_polys:
+    if len(accepted) < N_POLYS:
         raise DegenerateReference("truth residual vanishes on every sampled surrogate")
     with np.errstate(all="ignore"):  # rel_l2 of each row; no accepted row has zero norm
         errors = [_norm((u - v).ravel()) / _norm(u.ravel())

@@ -15,6 +15,7 @@ import numpy as np
 
 from .datagen import (
     FAMILIES,
+    check_families,
     coeff_vector,
     equation_for,
     equation_from_vector,
@@ -79,9 +80,7 @@ def run_study(families=STUDY_FAMILIES, trials: int = 20, coeff_error: float = 0.
     """One row of mean errors per family, over ``trials`` trials each."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    for family in families:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; known families: {', '.join(FAMILIES)}")
+    check_families(families)
     cfg = filter_config if filter_config is not None else FilterConfig()
     rows = []
     for fam_idx, family in enumerate(families):

@@ -492,6 +492,18 @@ def test_canonical_tokens_then_equivalent_fold_the_tree_once(monkeypatch):
     assert folded[1] is decoded.residual
 
 
+def test_a_power_of_a_power_leaves_only_its_root_in_the_memo():
+    """``(b^2)^3`` folds its exponent product and its base without the
+    public entry point, so neither enters the memo of recent roots; an
+    exponent product beyond the float range is still an unsupported node."""
+    canon_module._RECENT.clear()
+    e = parse_infix("((u + x)^2)^3*u_x + u_t").residual
+    assert build(terms(e)) == parse_infix("u_t + u_x*(u + x)^6").residual
+    assert [root for root, _ in canon_module._RECENT.values()] == [e]
+    with pytest.raises(UnsupportedNode, match="too large for a float"):
+        canon_module._canon_pow(Binary("pow", FIELD, Int(10**200)), Int(10**200))
+
+
 def test_terms_returns_a_fresh_list_each_call():
     e = parse_infix("u_t + 0.5*(u^2)_x - 0.05*u_xx").residual
     first = terms(e)

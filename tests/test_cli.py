@@ -79,6 +79,40 @@ def test_perturb_without_noise_keeps_equivalence_class(capsys):
     assert payload["input_tokens"] == payload["output_tokens"]
 
 
+def test_perturb_draws_its_two_perturbations_independently(capsys):
+    """Over seeds 0-199 at both probabilities 0.5, every joint outcome of
+    "a term is injected" and "the root's operands are swapped" occurs."""
+    from pdesym.canon import equivalent
+    from pdesym.expr import parse_infix
+    from pdesym.tokens import Dialect, TokenSeq, from_tokens
+
+    outcomes = set()
+    for seed in range(200):
+        code, out, _ = run_cli(capsys, "perturb", "--eq", "u_t + u_x", "--seed", str(seed))
+        assert code == 0
+        payload = json.loads(out)
+        root = from_tokens(TokenSeq(Dialect.MANUAL, tuple(payload["output_tokens"]))).residual
+        injected = payload["injected_term"]
+        # the root's right operand before any swap
+        right = parse_infix(injected if injected is not None else "u_x").residual
+        outcomes.add((injected is not None, equivalent(root.left, right)))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_gen_rejects_a_family_named_twice(tmp_path, capsys):
+    """Both entries would write one file, the second over the first."""
+    out_dir = tmp_path / "data"
+    code, out, err = run_cli(
+        capsys, "gen", "--out", str(out_dir), "--families", "inviscid_burgers,inviscid_burgers",
+        "--params", "1", "--ics", "1", "--seed", "3",
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "family 'inviscid_burgers' is named twice"}
+    assert not out_dir.exists()
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "tokens", "--bad-flag", "x")
     assert code == 1
@@ -328,6 +362,7 @@ def test_study_csv_output(tmp_path, capsys):
     (("--families", "burgers", "--trials", "-2"), "trials must be at least 1"),
     (("--families", "nope"), "unknown family 'nope'; known families: burgers,"),
     (("--families", "icl_sine,nope", "--trials", "1"), "unknown family 'nope'"),
+    (("--families", "burgers,burgers", "--trials", "1"), "family 'burgers' is named twice"),
 ])
 def test_study_rejects_values_it_cannot_report(capsys, flags, message):
     code, out, err = run_cli(capsys, "study", *flags)
@@ -837,18 +872,18 @@ def test_a_key_error_is_a_bug_not_a_data_error(monkeypatch):
         main(["canon", "--expr", "u"])
 
 
-def test_flag_defaults_are_the_config_defaults(capsys, monkeypatch):
+def test_flag_defaults_are_the_config_defaults():
+    """The config each command builds from its flags, before ``perturb``
+    derives its two streams' seeds from ``--seed``."""
     from pdesym import cli, perturb, smc
 
     parser = cli.build_parser()
-    args = parser.parse_args(["refine", "--equation", "eq.json", "--observations", "t.grid"])
-    assert cli._filter_config(args, seed=args.seed) == smc.FilterConfig(seed=0)
-    assert cli._filter_config(parser.parse_args(["study"])) == smc.FilterConfig()
-    seen, inject = [], perturb.inject_noise_term
-    monkeypatch.setattr(perturb, "inject_noise_term",
-                        lambda eq, cfg: seen.append(cfg) or inject(eq, cfg))
-    code, _, _ = run_cli(capsys, "perturb", "--eq", "u_t + u*u_x")
-    assert code == 0 and seen == [perturb.PerturbConfig()]
+    for argv, config in (
+        (["refine", "--equation", "eq.json", "--observations", "t.grid"], smc.FilterConfig),
+        (["study"], smc.FilterConfig),
+        (["perturb", "--eq", "u"], perturb.PerturbConfig),
+    ):
+        assert cli._config(config, parser.parse_args(argv)) == config()
 
 
 @pytest.mark.parametrize("argv, config", [

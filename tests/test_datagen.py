@@ -199,3 +199,20 @@ def test_manifest_validation():
         DatasetManifest(split="validation")
     with pytest.raises(ValueError):
         DatasetManifest(families=["unknown"])
+
+
+@pytest.mark.parametrize("families,message", [
+    (["nope"], "unknown family 'nope'; known families: burgers, inviscid_burgers, "),
+    (["burgers", "burgers"], "family 'burgers' is named twice"),
+])
+def test_manifest_and_study_reject_the_same_family_lists(families, message):
+    """A repeated family would write over its own files, so the manifest
+    rejects it as the study does, with the study's messages."""
+    from pdesym.study import run_study
+
+    with pytest.raises(ValueError) as manifest_error:
+        DatasetManifest(families=families)
+    with pytest.raises(ValueError) as study_error:
+        run_study(families, trials=1)
+    assert str(manifest_error.value) == str(study_error.value)
+    assert str(manifest_error.value).startswith(message)
