@@ -464,13 +464,13 @@ def symbolic_error(learned: Equation, truth: Equation, seed: int = 0) -> float:
     the truth's residual evaluates it on the block's (k, ``N_T``, ``N_X``)
     grids. Rows are accepted in draw order: a draw whose truth residual has
     grid RMS below 1e-6 is rejected, so the reference never degenerates,
-    and the 100th rejection in a row raises :class:`DegenerateReference`. One walk of the learned
-    residual then evaluates it on the accepted rows, on the truth's own
-    grids when the first block is accepted whole. Each row's RMS test and
-    relative L2 error reduce over that row's slice alone, so the result,
-    and which error is raised, are those of drawing, testing and scoring
-    one surrogate at a time. A residual that overflows gives a NaN or inf
-    score, not a warning.
+    and the 100th rejection in a row raises :class:`DegenerateReference`.
+    One walk of the learned residual then evaluates it on the accepted
+    rows, on the truth's own grids when the first block is accepted whole.
+    Each row's RMS test and relative L2 error reduce over that row's slice
+    alone, so the result, and which error is raised, are those of drawing,
+    testing and scoring one surrogate at a time. A residual that overflows
+    gives a NaN or inf score, not a warning.
 
     What does not depend on the equations is shared by every call of one
     size: the axes, their meshgrid and the surrogate monomial tables of
