@@ -35,14 +35,21 @@ over products, or trigonometric rewriting is performed.
 Each root is folded once while it is among the last few asked for, so
 ``equivalent(from_tokens(to_canonical_tokens(p)), p)`` walks ``p`` once.
 A function, power or derivative node that is its own canonical form is
-entered in a weak table and folds to itself again without a walk. The
-expression module builds equal nodes as one shared object, so that node,
-met later in any tree, is found by identity.
+marked as such on the node (``Expr._canon``) and folds to itself again
+without a walk. The expression module builds equal nodes as one shared
+object, so that node, met later in any tree, carries its mark.
+
+The module keeps no table of its own, so threads may call it at once. The
+memo of recent roots is a ``functools.lru_cache``, which is thread-safe,
+keyed by the root's identity; a root that is ``==`` to a cached one but
+another object, say one holding ``Const(-0.0)`` where the other holds
+``Const(0.0)``, is folded for itself. Setting a node's mark, like caching
+its key, is an idempotent write.
 """
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from fractions import Fraction
 
 from .errors import DivisionByZero, UnsupportedNode
@@ -83,7 +90,7 @@ def terms(e: Expr) -> list[tuple[float, tuple[Expr, ...]]]:
     the constant term last. No terms means zero. A root is folded once
     while it is among the last few asked for.
     """
-    return list(_rounded(e))
+    return list(_rounded(id(e), e))
 
 
 def build(terms) -> Expr:
@@ -120,38 +127,25 @@ def equivalent(a, b) -> bool:
     Two canonical trees are equal exactly when their terms have equal
     coefficients and factors, so the trees are not built.
     """
-    sa, sb = (_rounded(e.residual if isinstance(e, Equation) else e) for e in (a, b))
-    return sa == sb
+    ra, rb = (e.residual if isinstance(e, Equation) else e for e in (a, b))
+    return _rounded(id(ra), ra) == _rounded(id(rb), rb)
 
 
 # Internally a term is (exact coefficient, factors). An exact coefficient
 # is a pair (m, e) standing for m * 2**e; m is an int while the value is
 # dyadic, as every float is, and a Fraction only below a quotient. Factors
 # are sorted by their keys, which nodes cache.
-#
-# A function, power or derivative node that folds to itself, 1 times itself
-# as its one factor, is interned here, and folds to itself again without a
-# walk. Equal nodes are one shared node (see ``expr``), so the table is
-# looked up by identity.
-_FACTORS = weakref.WeakValueDictionary()  # structural hash -> the node
 _ONE = (1, 0)
-# The rounded terms of the last few roots folded, by id(root): (root, terms),
-# oldest first. Holding the root keeps its id from being reused.
-_RECENT: dict[int, tuple] = {}
-_RECENT_ROOTS = 16
 
 
-def _rounded(e: Expr) -> list:
-    """The rounded terms of ``e``, folded once while ``e`` is among the last
-    few roots asked for."""
-    hit = _RECENT.get(id(e))
-    if hit is not None:
-        return hit[1]
-    ts = _fold(e)
-    _RECENT[id(e)] = (e, ts)
-    if len(_RECENT) > _RECENT_ROOTS:
-        del _RECENT[next(iter(_RECENT))]
-    return ts
+@functools.lru_cache(maxsize=16)
+def _rounded(_, e: Expr) -> list:
+    """The rounded terms of ``e``, called as ``_rounded(id(e), e)`` and
+    folded once while ``e`` is among the last few roots asked for. The id
+    keys the memo by identity, and the key holds ``e``, so the id is not
+    reused while it is cached. Every caller gets the one cached list, so
+    callers only read it."""
+    return _fold(e)
 
 
 def _fold(e: Expr) -> list:
@@ -210,7 +204,7 @@ def _terms(e: Expr) -> list:
 def _enter_terms(e: Expr, _):
     t = type(e)
     if t is Unary or t is Deriv or t is Binary and e.op == "pow":
-        if _FACTORS.get(e._hash) is e:  # an interned node folds to itself
+        if e._canon:  # a marked node folds to itself
             return (_factor(e),)
         if t is Binary:  # the exponent first: it is canonicalized first
             return (None, e.right, None, e.left, None)
@@ -250,7 +244,7 @@ def _leave_terms(e: Expr, _, a: list, b: list | None = None) -> list:
     else:
         return _quotient(_collect(a), _collect(b))
     if len(ts) == 1 and ts[0][0] == _ONE and len(ts[0][1]) == 1 and ts[0][1][0] is e:
-        _FACTORS[e._hash] = e  # e folds to itself
+        e._canon = True  # e folds to itself: 1 times e, its one factor
     return ts
 
 

@@ -5,8 +5,9 @@ study. Every command is deterministic given its flags, input files and
 seed; JSON (or, from ``study --format csv``, CSV) goes to stdout unless
 ``--output`` is given. Exit codes: 1 usage error; 3 numeric failure (a
 ``NumericError``); 2 data error (any other ``PdesymError``, a
-``ValueError``, or an ``OSError`` such as an input path that is a
-directory). Each writes one JSON line to stderr.
+``ValueError``, an ``OSError`` such as an input path that is a directory,
+or a ``MemoryError`` from a size that cannot be allocated). Each writes
+one JSON line to stderr.
 """
 from __future__ import annotations
 
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
         return _fail(1, exc)
     except NumericError as exc:
         return _fail(3, exc)
-    except (PdesymError, ValueError, OSError) as exc:
+    except (PdesymError, ValueError, OSError, MemoryError) as exc:
         return _fail(2, exc)
     return 0
 

@@ -21,6 +21,12 @@ holds is not shared, and a race between threads can only lose some
 sharing. An unpickled tree is rebuilt through the constructors, so it
 joins the sharing of the process that loads it.
 
+Threads may share trees. The module's one table, the sharing table
+``_NODES``, is swept over a copy, so no thread walks it while another
+changes it. The writes a node takes after it is built, its cached key and
+``canon``'s mark, are idempotent: two threads that race on one write the
+same value.
+
 Grammar accepted by :func:`parse_infix` (whitespace-insensitive)::
 
     equation := expr "=" expr | expr
@@ -71,14 +77,16 @@ class Expr:
     """Base class for expression-tree nodes.
 
     A node is immutable once built: nothing assigns to its fields, only to
-    its key cache. Each class builds its nodes in ``__new__`` and has no
-    ``__init__``, so a shared node returned again keeps its fields and its
-    cached key. ``hash`` returns the hash computed when the node was
-    built; ``==`` checks identity, then the hashes, then the flat keys
-    (computing, not caching, those not yet cached).
+    its key cache and to ``_canon``, the mark ``canon`` sets on a node that
+    is its own canonical form as one factor. Each class builds its nodes in
+    ``__new__`` and has no ``__init__``, so a shared node returned again
+    keeps its fields, its cached key and its mark. ``hash`` returns the
+    hash computed when the node was built; ``==`` checks identity, then the
+    hashes, then the flat keys (computing, not caching, those not yet
+    cached).
     """
 
-    __slots__ = ("_hash", "_key", "__weakref__")
+    __slots__ = ("_hash", "_key", "_canon", "__weakref__")
 
     def __eq__(self, other):
         if self is other:
@@ -137,7 +145,7 @@ def _absent():  # the "referent" of a missing entry
 def _enter(e: Expr, h: int, old) -> Expr:
     """Finish the new node ``e`` with hash ``h`` and enter it in the table,
     unless ``old``, the live node found there, holds the entry."""
-    e._hash, e._key = h, None
+    e._hash, e._key, e._canon = h, None, False
     if old is None:
         _NODES[h] = weakref.ref(e)
         if len(_NODES) >= _sweep_at:

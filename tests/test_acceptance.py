@@ -140,10 +140,12 @@ def test_criterion_4_conservation_and_convergence():
 
 def _likelihood_grid_search(obs, law, alpha0: float, n: int = 2001) -> float:
     """Brute-force coefficient estimate: exhaustive search of the data
-    misfit of chained forward simulations from the initial frame."""
+    misfit of chained forward simulations from the initial frame. The
+    first interval starts every row from the one shared frame, so its rows
+    march once; each row's bits are those of its own start."""
     qs = np.linspace(0.9 * alpha0, 1.1 * alpha0, n)
     q2 = np.zeros(n)
-    states = np.broadcast_to(obs.states[0], (n, obs.grid.nx)).copy()
+    states = obs.states[0]
     loss = np.zeros(n)
     for k in range(1, obs.times.size):
         states, ok = advance_ensemble(

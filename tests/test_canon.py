@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from pdesym.expr import (
     parse_infix,
     to_infix,
 )
+from pdesym.metrics import symbolic_error
 from pdesym.perturb import PerturbConfig, swap_branches
 from pdesym.tokens import from_tokens, to_canonical_tokens, to_manual_tokens
 
@@ -496,12 +499,30 @@ def test_a_power_of_a_power_leaves_only_its_root_in_the_memo():
     """``(b^2)^3`` folds its exponent product and its base without the
     public entry point, so neither enters the memo of recent roots; an
     exponent product beyond the float range is still an unsupported node."""
-    canon_module._RECENT.clear()
+    canon_module._rounded.cache_clear()
     e = parse_infix("((u + x)^2)^3*u_x + u_t").residual
     assert build(terms(e)) == parse_infix("u_t + u_x*(u + x)^6").residual
-    assert [root for root, _ in canon_module._RECENT.values()] == [e]
+    info = canon_module._rounded.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert terms(e) and canon_module._rounded.cache_info().hits == 1
     with pytest.raises(UnsupportedNode, match="too large for a float"):
         canon_module._canon_pow(Binary("pow", FIELD, Int(10**200)), Int(10**200))
+
+
+def test_the_memo_is_keyed_by_identity():
+    """A root ``==`` to a cached root but another object is folded for itself."""
+    canon_module._rounded.cache_clear()
+    zero, minus_zero = (Binary("add", FIELD, Const(v)) for v in (0.0, -0.0))
+    assert zero == minus_zero and zero is not minus_zero
+    assert terms(zero) == terms(minus_zero) == [(1.0, (FIELD,))]
+    assert canon_module._rounded.cache_info().misses == 2
+
+
+def test_a_node_that_folds_to_itself_is_marked():
+    own = Unary("sin", Binary("add", FIELD, Var("x")))
+    other = Unary("sin", Binary("add", Var("x"), FIELD))
+    assert canonicalize(Binary("add", own, other)) == Binary("mul", Const(2.0), own)
+    assert own._canon and not other._canon
 
 
 def test_terms_returns_a_fresh_list_each_call():
@@ -551,3 +572,61 @@ def _canonical_outputs_digest() -> str:
 
 def test_canonical_outputs_match_the_pinned_digest():
     assert _canonical_outputs_digest() == _CANONICAL_OUTPUTS_SHA256
+
+
+def _outputs(trees, order) -> dict:
+    """Each library call's output on ``trees``, visited in ``order``, as text
+    or the name of the library error raised, by tree index."""
+    out = {}
+    for i in order:
+        tree, other = trees[i], trees[i - 1]
+        texts = []
+        for output in (
+            lambda: to_infix(canonicalize(tree)),
+            lambda: to_manual_tokens(tree).text,
+            lambda: to_canonical_tokens(tree).text,
+            lambda: to_infix(from_tokens(to_canonical_tokens(tree)).residual),
+            lambda: equivalent(from_tokens(to_canonical_tokens(tree)), tree),
+            lambda: equivalent(canonicalize(other), tree),
+            lambda: i % 20 or symbolic_error(Equation(tree), Equation(other), seed=i),
+        ):
+            try:
+                texts.append(repr(output()))
+            except PdesymError as exc:
+                texts.append(type(exc).__name__)
+        out[i] = texts
+    return out
+
+
+def test_threads_sharing_the_library_get_single_thread_results():
+    """Four threads run the canonicalizer, both serializers, the decoder and
+    ``symbolic_error`` over the same generator trees, each from its own
+    start, while the interpreter switches threads every microsecond. Each
+    thread's outputs equal a single-thread pass: the memo of recent roots
+    and the nodes' cached keys and marks are shared safely."""
+    rng = np.random.default_rng(26)
+    trees = [make(rng) for _ in range(400)
+             for make in (random_general_tree, random_manual_tree)]
+    expected = _outputs(trees, range(len(trees)))
+    results, errors = {}, []
+
+    def run(k):
+        start = k * len(trees) // 4
+        try:
+            results[k] = _outputs(trees, [*range(start, len(trees)), *range(start)])
+        except Exception as exc:  # raised in a thread, it would not fail the test
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(results[k] == expected for k in range(4))

@@ -861,6 +861,38 @@ def test_numeric_errors_are_the_failures_of_valid_input():
     }
 
 
+def test_a_size_that_cannot_be_allocated_is_a_data_error(tmp_path, capsys, monkeypatch):
+    """``solve --nt``, ``solve --nx`` and ``refine --particles`` beyond
+    memory exit 2 with one JSON line. The library calls that would allocate
+    (``solve --nx`` samples its initial condition on the grid first) are
+    patched to raise, so nothing is allocated."""
+    from pdesym import datagen, smc, solver
+
+    data = tmp_path / "data"
+    assert run_cli(capsys, "gen", "--out", str(data), "--families", "inviscid_burgers",
+                   "--params", "1", "--ics", "1", "--seed", "5")[0] == 0
+    entry = json.loads((data / "manifest.json").read_text())["entries"][0]
+
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(solver, "solve", fail)
+    monkeypatch.setattr(smc, "refine", fail)
+    sample_ic = datagen.sample_ic
+    monkeypatch.setattr(datagen, "sample_ic",
+                        lambda spec, rng: fail() if spec.nx > 10**6 else sample_ic(spec, rng))
+    grid = str(tmp_path / "traj.grid")
+    for argv in (
+        ("solve", "--family", "burgers", "--nt", "1000000000000", "--output-grid", grid),
+        ("solve", "--family", "burgers", "--nx", "1000000000000", "--output-grid", grid),
+        ("refine", "--equation", str(data / entry["equation"]),
+         "--observations", str(data / entry["trajectory"]), "--particles", "1000000000000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "MemoryError", "message": "Unable to allocate 7.28 TiB"}
+
+
 def test_a_key_error_is_a_bug_not_a_data_error(monkeypatch):
     from pdesym import cli
 
