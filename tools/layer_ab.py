@@ -1,6 +1,6 @@
 """In-process A/B of each layer of the pipeline between two checkouts.
 
-    python3 tools/layer_ab.py BASE_DIR [HEAD_DIR] [--rounds 3] [--runs 5] \\
+    python3 tools/layer_ab.py BASE_DIR [HEAD_DIR] [--rounds 5] [--runs 5] \\
         [--members 1200] [--layers canonicalize,equivalent] [--out BENCH_<n>.json]
 
 ``BASE_DIR/src/pdesym`` is copied to a temporary directory as ``pdesym_a``,
@@ -17,9 +17,11 @@ time is the sum of its blocks' fastest runs, in thread CPU time; the
 layers whose batches the solver splits over worker threads (the 500-row
 intervals and ``refine``) use process CPU time, which counts those threads.
 ``b/a`` is the change; ``c/b``, HEAD against its own copy, is the A/A
-reading. ``--rounds`` repeats every layer, and the A/A band of a layer is
-the lowest to the highest ``c/b`` over the rounds. A layer is within its
-band when its median ``b/a`` lies inside it.
+reading. ``--rounds`` repeats every layer. Which of two copies is read as
+the base is arbitrary, so each A/A reading ``r`` counts as ``r`` and as
+``1/r``: the A/A band of a layer is the lowest to the highest of these over
+the rounds. A layer is within its band when its median ``b/a`` lies inside
+it.
 
 It prints one line per layer. With ``--out``, it also writes the layers
 under a ``layers`` key of that JSON file, keeping whatever else the file
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
 import importlib.util
 import json
 import os
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     p.add_argument("base", type=Path, help="checkout measured as a")
     p.add_argument("head", type=Path, nargs="?", default=ROOT,
                    help="checkout measured as b and, for the A/A, c (default: this one)")
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--runs", type=int, default=5, help="runs per block; the fastest counts")
     p.add_argument("--members", type=int, default=1200, help="corpus members per symbolic layer")
     p.add_argument("--layers", help="comma-separated layer names (default: all)")
@@ -222,7 +223,8 @@ def main(argv=None) -> int:
                 readings.append(measure(name, layer, args.runs, r))
             change = [m["b"] / m["a"] for m in readings]
             aa = [m["c"] / m["b"] for m in readings]
-            ratio, band = statistics.median(change), [min(aa), max(aa)]
+            both = aa + [1.0 / r for r in aa]
+            ratio, band = statistics.median(change), [min(both), max(both)]
             n = readings[0]["items"]
             out[name] = {
                 "items": n, "clock": "process" if name in PROCESS_CLOCK else "thread",
