@@ -1,26 +1,27 @@
 """In-process A/B of each layer of the pipeline between two checkouts.
 
-    python3 tools/layer_ab.py BASE_DIR [HEAD_DIR] [--rounds 5] [--runs 5] \\
-        [--members 1200] [--layers canonicalize,equivalent] [--out BENCH_<n>.json]
+    python3 tools/layer_ab.py BASE_DIR [HEAD_DIR] [--out BENCH_<n>.json]
 
 ``BASE_DIR/src/pdesym`` is copied to a temporary directory as ``pdesym_a``,
 and ``HEAD_DIR/src/pdesym`` (this checkout by default) as ``pdesym_b`` and
 again as ``pdesym_c``. The package's imports are relative, so each copy is
 a package of its own, with its own node table and caches, and each layer's
 seeded inputs are built once per package. ``perfbench/corpus.py`` of this
-checkout builds the symbolic inputs for every package.
+checkout builds the symbolic inputs for every package, from the corpus
+and the ``symbolic_error`` calls of one unit of ``perfbench/run.py``'s
+``viscous_pipeline`` at seed 1.
 
-A layer's inputs are split into blocks. Each block runs ``--runs`` times on
+A layer's inputs are split into blocks. Each block runs ``RUNS`` times on
 each of the three packages in turn, the package that goes first rotating,
 and a package's time for the block is its fastest run. A package's layer
 time is the sum of its blocks' fastest runs, in thread CPU time; the
 layers whose batches the solver splits over worker threads (the 500-row
 intervals and ``refine``) use process CPU time, which counts those threads.
 ``b/a`` is the change; ``c/b``, HEAD against its own copy, is the A/A
-reading. ``--rounds`` repeats every layer. Which of two copies is read as
-the base is arbitrary, so each A/A reading ``r`` counts as ``r`` and as
-``1/r``: the A/A band of a layer is the lowest to the highest of these over
-the rounds. A layer is within its band when its median ``b/a`` lies inside
+reading. Every layer is measured ``ROUNDS`` times. Which of two copies is
+read as the base is arbitrary, so each A/A reading ``r`` counts as ``r``
+and as ``1/r``: the A/A band of a layer is the lowest to the highest of
+these over the rounds. A layer is within its band when its median ``b/a`` lies inside
 it.
 
 It prints one line per layer. With ``--out``, it also writes the layers
@@ -46,11 +47,15 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("a", "b", "c")
+ROUNDS = 5  # readings of every layer
+RUNS = 5  # runs of a block per package; the fastest counts
+MEMBERS = 1200  # corpus members per symbolic layer
 
-# perfbench/run.py's viscous_pipeline at seed 1: its corpus and the
-# symbolic_error calls of one unit
-VISCOUS = ("burgers", "cl_cubic", "cl_sine")
-CORPUS_BLOCK, CORPUS_BLOCKS, SYMERR_CALLS = 1000, 6, 40
+# perfbench/run.py puts this checkout's src on the path and imports pdesym
+sys.path.insert(0, str(ROOT / "perfbench"))
+import run as perfbench  # noqa: E402
+
+WORKLOAD = perfbench.WORKLOADS["viscous_pipeline"]
 SEED = 1
 
 
@@ -95,21 +100,26 @@ def _kept(fn, items, errors) -> list:
     return out
 
 
-def symbolic_layers(pkg, members: int) -> dict:
+def symbolic_layers(pkg) -> dict:
     """name -> (function, inputs) for the layers of the symbolic corpus."""
     corpus = load_corpus(pkg)
     expr, tokens, canon, metrics = pkg.expr, pkg.tokens, pkg.canon, pkg.metrics
     unsupported = pkg.errors.UnsupportedNode
-    everything = corpus.build(VISCOUS, CORPUS_BLOCKS * CORPUS_BLOCK,
+    w, size = WORKLOAD, perfbench.BLOCK
+    # perfbench/run.py's setup, built with pkg's corpus
+    everything = corpus.build(w.corpus_families, w.corpus_blocks * size,
                               np.random.default_rng((SEED, 1)))
+    # must match run.run_unit's n_symerr per block and corpus.run's choice
+    # of the scored members
     calls = []
-    for i in range(CORPUS_BLOCKS):
-        block = everything[i * CORPUS_BLOCK:(i + 1) * CORPUS_BLOCK]
-        n = SYMERR_CALLS // CORPUS_BLOCKS + (i < SYMERR_CALLS % CORPUS_BLOCKS)
+    for i in range(w.corpus_blocks):
+        block = everything[i * size:(i + 1) * size]
+        n = w.symerr // w.corpus_blocks + (i < w.symerr % w.corpus_blocks)
         scored = [m for m in block if m.kind != "mask"]
+        stride = max(1, len(scored) // max(1, n))
         calls += [(corpus.variant(m), m.template, j)
-                  for j, m in enumerate(scored[::max(1, len(scored) // n)][:n])]
-    chosen = everything[:members]
+                  for j, m in enumerate(scored[::stride][:n])]
+    chosen = everything[:MEMBERS]
     eqs = [corpus.variant(m) for m in chosen]
     printable = _kept(lambda e: expr.to_infix(e.residual), eqs, unsupported)
     parsed = [expr.parse_infix(expr.to_infix(e.residual) + " = 0") for e in printable]
@@ -172,7 +182,7 @@ BLOCKS = {"symbolic_error": 10, "solve": 1, "viscous_interval": 1, "inviscid_int
 PROCESS_CLOCK = {"viscous_interval", "inviscid_interval", "refine"}
 
 
-def measure(name: str, layer: dict, runs: int, round_: int) -> dict:
+def measure(name: str, layer: dict, round_: int) -> dict:
     """Each side's layer time in seconds: the sum over blocks of the block's
     fastest run, the sides taking turns."""
     clock = time.process_time if name in PROCESS_CLOCK else time.thread_time
@@ -181,7 +191,7 @@ def measure(name: str, layer: dict, runs: int, round_: int) -> dict:
     total = dict.fromkeys(SIDES, 0.0)
     for start in range(0, n, size):
         best = dict.fromkeys(SIDES, float("inf"))
-        for k in range(runs):
+        for k in range(RUNS):
             shift = (k + round_) % len(SIDES)
             for side in SIDES[shift:] + SIDES[:shift]:
                 fn, items = layer[side]
@@ -200,10 +210,6 @@ def main(argv=None) -> int:
     p.add_argument("base", type=Path, help="checkout measured as a")
     p.add_argument("head", type=Path, nargs="?", default=ROOT,
                    help="checkout measured as b and, for the A/A, c (default: this one)")
-    p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--runs", type=int, default=5, help="runs per block; the fastest counts")
-    p.add_argument("--members", type=int, default=1200, help="corpus members per symbolic layer")
-    p.add_argument("--layers", help="comma-separated layer names (default: all)")
     p.add_argument("--out", type=Path, help="JSON file to write the layers into")
     args = p.parse_args(argv)
 
@@ -211,16 +217,15 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         pkgs = {side: load(src, Path(tmp), f"pdesym_{side}")
                 for side, src in zip(SIDES, (args.base, args.head, args.head))}
-        layers = {side: {**symbolic_layers(pkg, args.members), **solver_layers(pkg)}
+        layers = {side: {**symbolic_layers(pkg), **solver_layers(pkg)}
                   for side, pkg in pkgs.items()}
-        names = args.layers.split(",") if args.layers else list(layers["a"])
         out = {}
-        for name in names:
+        for name in layers["a"]:
             layer = {side: layers[side][name] for side in SIDES}
             readings = []
-            for r in range(args.rounds):
+            for r in range(ROUNDS):
                 gc.collect()
-                readings.append(measure(name, layer, args.runs, r))
+                readings.append(measure(name, layer, r))
             change = [m["b"] / m["a"] for m in readings]
             aa = [m["c"] / m["b"] for m in readings]
             both = aa + [1.0 / r for r in aa]
@@ -242,7 +247,7 @@ def main(argv=None) -> int:
     if args.out:
         bench = json.loads(args.out.read_text()) if args.out.exists() else {}
         bench["layers"] = {
-            "rounds": args.rounds, "runs": args.runs, "members": args.members,
+            "rounds": ROUNDS, "runs": RUNS, "members": MEMBERS,
             "nproc": os.cpu_count(), "python": sys.version.split()[0], "results": out,
         }
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
