@@ -145,11 +145,6 @@ def _rounded(_, e: Expr) -> list:
     keys the memo by identity, and the key holds ``e``, so the id is not
     reused while it is cached. Every caller gets the one cached list, so
     callers only read it."""
-    return _fold(e)
-
-
-def _fold(e: Expr) -> list:
-    """The rounded terms of ``e``, folded without the root memo."""
     return _round(_collect(_terms(e)))
 
 
@@ -185,12 +180,13 @@ def _factor(f: Expr) -> list:
 
 
 def _constant(value) -> list:
-    if value == 0:
-        return []
-    if type(value) is int:
-        return [((value, 0), ())]
+    return [(_exact(value), ())] if value else []
+
+
+def _exact(value):
+    """The exact coefficient of an int or a float."""
     m, d = value.as_integer_ratio()
-    return [((m, 1 - d.bit_length()), ())]
+    return (m, 1 - d.bit_length())
 
 
 _MINUS_ONE = _constant(-1)
@@ -249,12 +245,29 @@ def _leave_terms(e: Expr, _, a: list, b: list | None = None) -> list:
 
 
 def _power(base: list, exponent: list) -> list:
-    """Terms of a power of two collected operands."""
-    result = _canon_pow(build(_round(base)), build(_round(exponent)))
-    # the power is one factor unless it folded to another form
-    if isinstance(result, Binary) and result.op == "pow":
-        return _factor(result)
-    return _terms(result)
+    """Terms of a power of two collected operands, decided on their rounded
+    terms; the base becomes a tree only as the base of a power factor."""
+    rounded, exp = _round(base), build(_round(exponent))
+    if type(exp) is Const and exp.value.is_integer():
+        exp = Int(int(exp.value))
+    if type(exp) is Int and exp.value in (0, 1):
+        return [(_exact(c), fs) for c, fs in rounded] if exp.value else _constant(1)
+    if isinstance(exp, (Const, Int)) and (not rounded or len(rounded) == 1 and not rounded[0][1]):
+        b = rounded[0][0] if rounded else 0.0
+        if b == 0.0 and exp.value < 0:
+            raise DivisionByZero("zero raised to a negative power")
+        try:
+            value = b**exp.value
+        except OverflowError:
+            raise UnsupportedNode("constant power is too large for a float") from None
+        if isinstance(value, complex):
+            raise UnsupportedNode("constant power has no real value")
+        return _constant(value)
+    b = build(rounded)  # a lone factor is itself, so only a new base is built
+    if type(exp) is Int and type(b) is Binary and b.op == "pow" and type(b.right) is Int:
+        # (f^m)^n is f^(m*n), folded from f's terms without the root memo
+        return _power(_collect(_terms(b.left)), _constant(b.right.value * exp.value))
+    return _factor(Binary("pow", b, exp))
 
 
 def _quotient(left: list, denom: list) -> list:
@@ -265,7 +278,7 @@ def _quotient(left: list, denom: list) -> list:
     if len(denom) == 1 and not denom[0][1]:
         m, e = denom[0][0]
         return _product(left, [((1 / Fraction(m), -e), ())])
-    return _product(left, _collect(_power(denom, _MINUS_ONE)))
+    return _product(left, _power(denom, _MINUS_ONE))
 
 
 def _collect(ts: list) -> list:
@@ -335,28 +348,6 @@ def _merge_factors(factors: list) -> tuple[Expr, ...]:
             out.append(base if n == 1 else Binary("pow", base, Int(n)))
     out.sort(key=canonical_key)  # the keys differ, so factors are never compared
     return tuple(out)
-
-
-def _canon_pow(b: Expr, exp: Expr) -> Expr:
-    """``b`` to the power ``exp``, both canonical."""
-    if isinstance(exp, Const) and exp.value.is_integer() and abs(exp.value) < 2**31:
-        exp = Int(int(exp.value))
-    if isinstance(exp, Int) and exp.value in (0, 1):
-        return b if exp.value == 1 else Const(1.0)
-    if isinstance(b, Const) and isinstance(exp, (Int, Const)):
-        if b.value == 0.0 and exp.value < 0:
-            raise DivisionByZero("zero raised to a negative power")
-        try:
-            value = b.value**exp.value
-        except OverflowError:
-            raise UnsupportedNode("constant power is too large for a float") from None
-        if isinstance(value, complex):
-            raise UnsupportedNode("constant power has no real value")
-        return Const(value)
-    if isinstance(exp, Int) and isinstance(b, Binary) and b.op == "pow" and isinstance(b.right, Int):
-        exp = build(_fold(Int(b.right.value * exp.value)))
-        return _canon_pow(build(_fold(b.left)), exp)
-    return Binary("pow", b, exp)
 
 
 def _deriv_terms(e: Deriv, child: list) -> list:

@@ -22,17 +22,10 @@ import sys
 import numpy as np
 
 from . import datagen, metrics, perturb, smc, solver, study
-from .canon import build, terms
+from .canon import canonicalize
 from .errors import MalformedFile, NonFiniteState, NumericError, PdesymError, UnsupportedNode
 from .expr import parse_infix, to_infix
-from .tokens import (
-    Dialect,
-    TokenSeq,
-    canonical_tokens_of_terms,
-    from_tokens,
-    to_canonical_tokens,
-    to_manual_tokens,
-)
+from .tokens import Dialect, TokenSeq, from_tokens, to_canonical_tokens, to_manual_tokens
 
 
 class _UsageError(Exception):
@@ -127,9 +120,9 @@ def _cmd_parse(args) -> None:
 
 
 def _cmd_canon(args) -> None:
-    ts = terms(_parse_input(args.expr).residual)
-    payload = _tokens_payload(canonical_tokens_of_terms(ts))
-    payload["canonical_infix"] = to_infix(build(ts))
+    eq = _parse_input(args.expr)
+    payload = _tokens_payload(to_canonical_tokens(eq))
+    payload["canonical_infix"] = to_infix(canonicalize(eq.residual))
     _emit(args, payload)
 
 
@@ -373,12 +366,8 @@ def _fail(code: int, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        return _fail(1, exc)
-    try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except _UsageError as exc:
         return _fail(1, exc)

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canon import terms
+from .canon import build, terms
 from .errors import (
     DecodeError,
     DegenerateReference,
@@ -62,7 +62,7 @@ from .expr import (
     walk,
 )
 from .solver import FLUXES, ConservationLaw, SpaceTimeField, solve
-from .tokens import TokenSeq, canonical_tokens_of_terms, from_tokens
+from .tokens import TokenSeq, from_tokens, to_canonical_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +569,7 @@ def law_from_equation(eq: Equation) -> ConservationLaw:
             match = _flux_term(factors)
             if match is None:
                 try:
-                    shown = canonical_tokens_of_terms([(coeff, factors)]).text
+                    shown = to_canonical_tokens(build([(coeff, factors)])).text
                 except UnsupportedNode:
                     shown = "a term with no token form"
                 raise NotSolvable(f"unrecognized term in residual: {shown}")

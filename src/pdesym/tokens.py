@@ -238,14 +238,9 @@ def to_manual_tokens(e) -> TokenSeq:
 
 
 def to_canonical_tokens(e) -> TokenSeq:
-    """Canonicalize, then serialize with explicit per-term coefficients."""
-    return canonical_tokens_of_terms(terms(_residual_of(e)))
-
-
-def canonical_tokens_of_terms(ts) -> TokenSeq:
-    """Serialize :func:`canon.terms` output with explicit per-term
-    coefficients; no terms serialize as zero."""
-    ts = ts or [(0.0, ())]
+    """Canonicalize, then serialize with explicit per-term coefficients;
+    no terms serialize as zero."""
+    ts = terms(_residual_of(e)) or [(0.0, ())]
     out: list[str] = [ADD_TOKEN] if len(ts) >= 2 else []
     emit, enter = out.append, _CANONICAL.enter
     for coeff, factors in ts:

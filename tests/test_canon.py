@@ -28,7 +28,7 @@ from pdesym.expr import (
 )
 from pdesym.metrics import symbolic_error
 from pdesym.perturb import PerturbConfig, swap_branches
-from pdesym.tokens import from_tokens, to_canonical_tokens, to_manual_tokens
+from pdesym.tokens import Dialect, TokenSeq, from_tokens, to_canonical_tokens, to_manual_tokens
 
 from helpers import (
     PolySurrogate,
@@ -107,6 +107,7 @@ def test_constant_folding():
     assert canon("x^1") == Var("x")
     assert canon("cos(0.0)") == Const(1.0)
     assert canon("6.0/3.0") == Const(2.0)
+    assert canon("(x^-1)^-1") == Var("x")
 
 
 def test_division_by_zero():
@@ -126,6 +127,12 @@ def test_factor_power_merging():
     assert canon("u^2*u") == Binary("pow", FIELD, Int(3))
     assert canon("x/x") == Const(1.0)
     assert canon("(u^2)^3") == Binary("pow", FIELD, Int(6))
+    assert canon("(u + x)^1*u_x") == canon("u_x*(u + x)")
+    # a float exponent that is an integer becomes an Int, at any size
+    assert canon("(u^65536)^65536") == Binary("pow", FIELD, Int(2**32))
+    # a constant base stays the base of one power factor
+    manual = from_tokens(TokenSeq(Dialect.MANUAL, ("pow", "2.0", "u")))
+    assert canonicalize(manual.residual) == Binary("pow", Const(2.0), FIELD)
 
 
 def test_derivative_normalization():
@@ -186,6 +193,8 @@ def test_equivalent_examples():
         ("1e200*(1e-200*(1e-200*x) + y)", "1e200*(1e-200*(1e-200*x)) + 1e200*y"),
         ("1e-300*(1e300*(1e300*x) + y)", "1e-300*(1e300*(1e300*x)) + 1e-300*y"),
         ("2*(0.5*(5e-324*x) + y)", "2*(0.5*(5e-324*x)) + 2*y"),
+        # integral exponents merge at any size
+        ("u^3000000000", "u^1500000000*u^1500000000"),
     ):
         assert equivalent(parse_infix(a), parse_infix(b))
         assert to_canonical_tokens(parse_infix(a)) == to_canonical_tokens(parse_infix(b))
@@ -498,7 +507,7 @@ def test_canonical_tokens_then_equivalent_fold_the_tree_once(monkeypatch):
 def test_a_power_of_a_power_leaves_only_its_root_in_the_memo():
     """``(b^2)^3`` folds its exponent product and its base without the
     public entry point, so neither enters the memo of recent roots; an
-    exponent product beyond the float range is still an unsupported node."""
+    exponent product beyond the float range is an unsupported node."""
     canon_module._rounded.cache_clear()
     e = parse_infix("((u + x)^2)^3*u_x + u_t").residual
     assert build(terms(e)) == parse_infix("u_t + u_x*(u + x)^6").residual
@@ -506,7 +515,7 @@ def test_a_power_of_a_power_leaves_only_its_root_in_the_memo():
     assert (info.misses, info.currsize) == (1, 1)
     assert terms(e) and canon_module._rounded.cache_info().hits == 1
     with pytest.raises(UnsupportedNode, match="too large for a float"):
-        canon_module._canon_pow(Binary("pow", FIELD, Int(10**200)), Int(10**200))
+        terms(parse_infix(f"(u^{10**300})^1000000000").residual)
 
 
 def test_the_memo_is_keyed_by_identity():

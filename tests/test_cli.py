@@ -26,6 +26,13 @@ def test_canon_outputs_identical_tokens_for_equivalent_inputs(capsys):
     assert json.loads(out_a)["tokens"] == json.loads(out_b)["tokens"]
 
 
+def test_canon_tokenizes_an_integer_exponent_at_any_size(capsys):
+    code, out, _ = run_cli(capsys, "canon", "--expr", "u^3000000000")
+    assert code == 0
+    assert json.loads(out)["text"] == "× 1 pow u(x,t) 3000000000"
+    assert json.loads(out)["canonical_infix"] == "u^3000000000"
+
+
 def test_tokens_canonical_kdv_pattern(capsys):
     code, out, _ = run_cli(
         capsys, "tokens", "--dialect", "canonical",

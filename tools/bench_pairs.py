@@ -2,17 +2,19 @@
 a BENCH json file.
 
     python3 tools/bench_pairs.py --base <commit> --change <commit> \\
-        --seeds 1,9001 --pairs 10 --workdir /tmp/ab --out BENCH_<n>.json
+        --workdir /tmp/ab --out BENCH_<n>.json
 
 Each commit is exported with ``git archive`` into its own directory under
-``--workdir``, so only committed files are measured. A pair runs
-``perfbench/run.py --trace 0`` once in each directory, the side that goes
-first alternating from pair to pair, and reads each run's result from that
-directory's ``perfbench/out/``. For every workload and seed, and every
-end-to-end metric that ``BENCHMARK.json`` names, the file records each
-side's runs, median and quartiles, the ratio of the medians, the pairs the
-change won, and whether the medians differ by more than the distance
-between the base's quartiles (the interquartile range, IQR). At the end
+``--workdir``, so only committed files are measured. Every workload runs
+``PAIRS`` pairs at each of ``SEEDS``. A pair runs ``perfbench/run.py
+--trace 0`` for ``BENCHMARK.json``'s ``run_seconds`` once in each
+directory, the side that goes first alternating from pair to pair, and
+reads each run's result from that directory's ``perfbench/out/``. For
+every workload and seed, and every end-to-end metric that
+``BENCHMARK.json`` names, the file records each side's runs, median and
+quartiles, the ratio of the medians, the pairs the change won, and whether
+the medians differ by more than the distance between the base's quartiles
+(the interquartile range, IQR). At the end
 it prints the same comparison to stderr, one line per workload, seed and
 metric. Run from the repository root.
 """
@@ -27,6 +29,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 9001)
+PAIRS = 10
 
 
 def export(commit: str, dest: Path) -> None:
@@ -75,9 +79,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="commit the change is measured against")
     p.add_argument("--change", required=True)
-    p.add_argument("--seeds", default="1", help="comma-separated benchmark seeds")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--workdir", type=Path, required=True, help="a directory that does not exist")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
@@ -89,18 +90,19 @@ def main(argv=None) -> int:
     for side, commit in commits.items():
         export(commit, args.workdir / side)
     results, env = [], None
-    for seed in (int(s) for s in args.seeds.split(",")):
+    seconds = spec["run_seconds"]
+    for seed in SEEDS:
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
-                    result = run(args.workdir / side, workload, seed, args.seconds)
+                    result = run(args.workdir / side, workload, seed, seconds)
                     env = env or result["env"]
                     runs[side].append(result["result"])
                     print(f"{workload} seed {seed} pair {k} {side}: "
                           f"correct={result['result']['correct']}", file=sys.stderr)
             results.append({
-                "workload": workload, "seed": seed, "pairs": args.pairs,
+                "workload": workload, "seed": seed, "pairs": PAIRS,
                 "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
                 "metrics": {m["name"]: compare(m, *([r["metrics"][m["name"]]["value"] for r in runs[side]]
                                                     for side in ("base", "change")))
@@ -108,7 +110,7 @@ def main(argv=None) -> int:
             })
             bench = {  # written after every workload, so a stopped run keeps what it has
                 "commits": commits,
-                "seconds": args.seconds,
+                "seconds": seconds,
                 "env": {"nproc": env["nproc"], "cpu": env["cpu"], "python": env["python"],
                         "numpy": env["numpy"],
                         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},

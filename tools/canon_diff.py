@@ -1,6 +1,6 @@
 """Compare the canonical outputs of two checkouts.
 
-    python tools/canon_diff.py BASE_DIR [HEAD_DIR] [--examples N]
+    python tools/canon_diff.py BASE_DIR [HEAD_DIR]
 
 ``HEAD_DIR`` defaults to this checkout. Each checkout computes its outputs
 in a child process that imports its own ``src``, ``tests/helpers.py`` and
@@ -19,7 +19,7 @@ in a child process that imports its own ``src``, ``tests/helpers.py`` and
 An output that raises a ``PdesymError`` is that error as ``Type: message``,
 so a changed message counts as a changed output. For each output kind the
 tool prints how many outputs changed, how verdicts moved, and the first
-``N`` changed examples (3 by default).
+``EXAMPLES`` changed examples.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_SEEDS = (1, 9001)
+EXAMPLES = 3  # changed examples printed per output kind
 # (output kind, whether its values are verdicts whose moves are tallied)
 DIGEST_KINDS = (("canonical tokens", False), ("canonical infix", False),
                 ("manual tokens", False), ("equivalent to swapped", True),
@@ -111,7 +112,7 @@ def outputs_of(checkout: Path) -> dict:
     return json.loads(done.stdout)
 
 
-def report(base: dict, head: dict, examples: int) -> None:
+def report(base: dict, head: dict) -> None:
     for kinds, labels in ((DIGEST_KINDS, "digest"), (CORPUS_KINDS, "corpus")):
         for kind, verdicts in kinds:
             pairs = list(zip(base["values"][kind], head["values"][kind]))
@@ -121,7 +122,7 @@ def report(base: dict, head: dict, examples: int) -> None:
                 moves = Counter(pairs[i] for i in changed)
                 for (a, b), n in sorted(moves.items()):
                     print(f"    {a} -> {b}: {n}")
-            for i in changed[:examples]:
+            for i in changed[:EXAMPLES]:
                 print(f"  {head['labels'][labels][i]}\n    base: {pairs[i][0]}\n"
                       f"    head: {pairs[i][1]}")
 
@@ -131,10 +132,8 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path, help="checkout to compare against")
     parser.add_argument("head", type=Path, nargs="?", default=ROOT,
                         help="checkout to compare (default: this one)")
-    parser.add_argument("--examples", type=int, default=3,
-                        help="changed examples printed per output kind")
     args = parser.parse_args(argv)
-    report(outputs_of(args.base.resolve()), outputs_of(args.head.resolve()), args.examples)
+    report(outputs_of(args.base.resolve()), outputs_of(args.head.resolve()))
     return 0
 
 
