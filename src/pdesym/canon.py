@@ -332,9 +332,8 @@ def _product(left: list, right: list) -> list:
 
 
 def _merge_factors(factors: list) -> tuple[Expr, ...]:
-    """Merge repeated bases into integer powers and sort by key."""
-    if len(factors) < 2:  # a canonical power's exponent is neither 0 nor 1
-        return tuple(factors)
+    """Merge repeated bases into integer powers and sort by key; the caller
+    passes at least two factors."""
     merged: dict[Expr, int] = {}
     for f in factors:
         if type(f) is Binary and f.op == "pow" and type(f.right) is Int:

@@ -3,7 +3,8 @@
 Subcommands: parse, canon, tokens, perturb, solve, gen, refine, eval,
 study. Every command is deterministic given its flags, input files and
 seed; JSON (or, from ``study --format csv``, CSV) goes to stdout unless
-``--output`` is given. Exit codes: 1 usage error; 3 numeric failure (a
+``--output`` is given. Exit codes: 1 usage error (a bad flag, or a setting
+that ``FilterConfig`` or ``PerturbConfig`` rejects); 3 numeric failure (a
 ``NumericError``); 2 data error (any other ``PdesymError``, a
 ``ValueError``, an ``OSError`` such as an input path that is a directory,
 or a ``MemoryError`` from a size that cannot be allocated). Each writes
@@ -98,8 +99,12 @@ _SERIALIZERS = {Dialect.MANUAL: to_manual_tokens, Dialect.CANONICAL: to_canonica
 
 def _config(config, args):
     """The dataclass ``config`` of the flags that ``build_parser`` declares
-    from its fields, ``--seed`` included."""
-    return config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config)})
+    from its fields, ``--seed`` included. A value the class rejects is a
+    usage error."""
+    try:
+        return config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config)})
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -217,14 +217,7 @@ def generate(manifest: DatasetManifest, outdir) -> dict:
                     "trajectory": traj_path.name,
                 }
             )
-    index = {
-        "seed": manifest.seed,
-        "split": manifest.split,
-        "families": list(manifest.families),
-        "params_per_family": manifest.params_per_family,
-        "ics_per_param": manifest.ics_per_param,
-        "entries": entries,
-    }
+    index = {**asdict(manifest), "entries": entries}
     (outdir / "manifest.json").write_text(json_text(index), encoding="utf-8")
     return index
 

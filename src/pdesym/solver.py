@@ -37,10 +37,9 @@ with a clipped Heun step from the march's state that reuses the march's
 first slope. The kernel splits many march rows into contiguous blocks, one
 thread per core, and runs each block in padded buffers allocated once per
 call and cut to a leading slice when rows retire. A row that fails (a NaN
-or zero step, or more than ``MAX_SUBSTEPS`` substeps in an
-:func:`advance_ensemble` interval or ``MAX_SOLVE_SUBSTEPS`` in a
-:func:`solve_ensemble` output interval) holds its last state in its
-remaining frames. Every row's arithmetic is the same whatever batch, march
+or zero step, or more than ``MAX_SUBSTEPS`` substeps in one output
+interval of either entry point) holds its last state in its remaining
+frames. Every row's arithmetic is the same whatever batch, march
 or block it lands in, so batching, sharing and splitting change no bit of
 the result.
 
@@ -189,20 +188,16 @@ class SpaceTimeField:
 # than one inline block, two of 128 rows 1.4x faster.
 _MIN_BLOCK_ROWS = 128
 
-# Most substeps a row may take in one advance_ensemble interval. A filter
-# interval is one output interval of a trajectory: the most any took in 480
-# solves of the six families, half of them at amplitude 2 and 1.3 q1, was 51.
-# A particle that needs more (|q1| near 1e12, say) fails as a NaN step does,
-# instead of running for ~1e13 substeps.
-MAX_SUBSTEPS = 2**14
-
-# Most substeps a row may take in one solve_ensemble output interval. Its
-# caller chooses the grid, the horizon and the frames, so one frame may span
-# many filter intervals: an icl_sine solve over 60 time units in one frame
-# takes 19,201. A law or grid whose steps are tiny (q1 = 1e300, dx = 1e-300)
-# fails here instead of never returning: a one-row burgers solve at
-# q1 = 1e300 reaches the cap in about 4 s on one core of a Xeon VM.
-MAX_SOLVE_SUBSTEPS = 2**15
+# Most substeps a row may take in one output interval, a filter interval of
+# advance_ensemble or a frame of solve_ensemble. A filter interval took at
+# most 51 in 480 solves of the six families, half of them at amplitude 2 and
+# 1.3 q1, but a solve's caller chooses the grid, the horizon and the frames:
+# an icl_sine solve over 60 time units in one frame takes 19,201. A row whose
+# steps are tiny (q1 = 1e300, dx = 1e-300, or a particle at |q1| near 1e12)
+# fails here as a NaN step does, instead of never returning: a one-row
+# burgers solve at q1 = 1e300 reaches the cap in about 4 s on one core of a
+# Xeon VM.
+MAX_SUBSTEPS = 2**15
 
 
 def _fill_ghosts(a: np.ndarray) -> None:
@@ -277,8 +272,7 @@ def _heun(flux: Flux, fc, sc, ws: tuple, h, dx: float) -> None:
 
 def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
                   budget: np.ndarray, rows: np.ndarray, start: np.ndarray,
-                  frames: np.ndarray, alive: np.ndarray, dx: float, side,
-                  limit: float) -> None:
+                  frames: np.ndarray, alive: np.ndarray, dx: float, side) -> None:
     """Advance the march rows ``start[rows]`` through their frames under
     flux, wave-speed and viscosity coefficients ``fc``, ``sc`` and ``q2``,
     writing frame k of row i into ``frames[rows[i], k]``, and clear
@@ -291,8 +285,9 @@ def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
     begins. Each substep is a Heun step of the advection term alone, between
     two half steps of exact diffusion on the rows with ``q2 > 0`` (Strang
     splitting), so only the advective limit bounds the step. A row whose
-    step turns NaN or zero, or that still has budget after ``limit``
-    substeps in one frame, fails: its remaining frames hold its last state.
+    step turns NaN or zero, or that still has budget after
+    ``MAX_SUBSTEPS`` substeps in one frame (read at each call), fails: its
+    remaining frames hold its last state.
 
     ``side = (srows, sown, srem)`` lists the other members of the marches,
     which have one frame: row ``srows[i]`` starts on march ``rows[sown[i]]``
@@ -324,7 +319,7 @@ def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
         while True:
             flux.speed(sc, u, w)
             dt = _stable_dt(w, dx)
-            if not (dt.min() > 0.0 and rem.all()) or n - oldest >= limit:
+            if not (dt.min() > 0.0 and rem.all()) or n - oldest >= MAX_SUBSTEPS:
                 # write the frames whose budget is spent and refill it; then
                 # a NaN or zero step, or too many substeps, fails a march
                 # and freezes its remaining frames and members
@@ -337,7 +332,7 @@ def _advance_rows(flux: Flux, fc: np.ndarray, sc: np.ndarray, q2: np.ndarray,
                     rem[i] = budget[i, frame[i]]
                     i = i[(rem[i] == 0.0) & (frame[i] < last)]
                 pending = rem > 0.0
-                failed = (~(dt > 0.0) | (n - began >= limit)) & pending
+                failed = (~(dt > 0.0) | (n - began >= MAX_SUBSTEPS)) & pending
                 if failed.any():
                     lost = failed[sown]
                     i, j = np.nonzero(failed[:, None] & (np.arange(last) >= frame[:, None]))
@@ -394,17 +389,21 @@ def _cores() -> int:
 
 
 def _advance(flux: Flux, q1: np.ndarray, q2: np.ndarray, u_start: np.ndarray,
-             dts: np.ndarray, dx: float, frames: np.ndarray, alive: np.ndarray,
-             limit: float) -> None:
+             dts: np.ndarray, dx: float, frames: np.ndarray) -> np.ndarray:
     """Advance every row from ``u_start`` (one state shared by every row,
     or one state per row) over the intervals ``dts``, writing frame k into
-    ``frames[:, k]``, and clear ``alive`` where a row fails or still has
-    budget after ``limit`` substeps in one interval: the planner behind
-    :func:`advance_ensemble` and :func:`solve_ensemble`. It builds the tau
-    columns, freezes the rows that cannot move, forms the shared-start
-    marches (one shared state and one interval only) and splits the march
-    rows across cores, then runs :func:`_advance_rows` once per block."""
+    ``frames[:, k]``: the planner behind :func:`advance_ensemble` and
+    :func:`solve_ensemble`. It builds the tau columns, freezes the rows that
+    cannot move, forms the shared-start marches (one shared state and one
+    interval only) and splits the march rows across cores, then runs
+    :func:`_advance_rows` once per block.
+
+    Returns the mask of rows that finished: none if an interval is
+    negative, else every row but those that failed or whose last frame is
+    not finite.
+    """
     m = q1.size
+    alive = np.full(m, (dts >= 0.0).all())
     start = np.broadcast_to(u_start, (m, frames.shape[2]))
     tau = ~(q2 > 0.0)
     with np.errstate(all="ignore"):
@@ -434,7 +433,7 @@ def _advance(flux: Flux, q1: np.ndarray, q2: np.ndarray, u_start: np.ndarray,
         rows = leads[a:b]
         jobs.append((flux, fc[rows], sc[rows], q2[rows], budget[rows], rows, start,
                      frames, alive, dx,
-                     (srows[mine], sown[mine] - a, budget[srows[mine], 0]), limit))
+                     (srows[mine], sown[mine] - a, budget[srows[mine], 0])))
     if k > 1:
         # imported here: one-row solves and CLI start-up never need it
         from concurrent.futures import ThreadPoolExecutor
@@ -443,6 +442,7 @@ def _advance(flux: Flux, q1: np.ndarray, q2: np.ndarray, u_start: np.ndarray,
             list(pool.map(lambda job: _advance_rows(*job), jobs))
     elif n:
         _advance_rows(*jobs[0])
+    return alive & np.isfinite(frames[:, -1]).all(axis=1)
 
 
 def advance_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray,
@@ -481,18 +481,17 @@ def advance_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray,
     speed stops being finite before its budget is spent gets a NaN or zero
     step, and one that needs more than ``MAX_SUBSTEPS`` substeps (|q1| near
     1e12 on a sine law, say) does not finish; either is frozen at its last
-    state and reported as failed. A member of a march fails exactly when it
-    would alone.
+    state and reported as failed; the cap is the one that bounds each
+    output interval of :func:`solve_ensemble`. A member of a march fails
+    exactly when it would alone.
 
     Returns ``(states, ok)`` with ``states`` of shape (M, nx) and ``ok`` a
     boolean mask of rows that completed with finite values.
     """
     frames = np.empty((q1.size, 1, grid.nx))
-    alive = np.full(q1.size, dt_total >= 0.0)
-    _advance(_flux(flux_kind), q1, q2, np.asarray(u_start, dtype=float),
-             np.array([dt_total]), grid.dx, frames, alive, MAX_SUBSTEPS)
-    states = frames[:, 0]
-    return states, alive & np.isfinite(states).all(axis=1)
+    ok = _advance(_flux(flux_kind), q1, q2, np.asarray(u_start, dtype=float),
+                  np.array([dt_total]), grid.dx, frames)
+    return frames[:, 0], ok
 
 
 def cfl_dt(law: ConservationLaw, u: np.ndarray, grid: Grid1D) -> float:
@@ -545,11 +544,10 @@ def solve_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray, u0: np.ndarra
 
     Returns ``(times, values, ok)`` with ``values`` of shape (M, nt_out, nx)
     and ``ok`` a boolean mask of the rows that stayed finite and finished.
-    A row that needs more than ``MAX_SOLVE_SUBSTEPS`` substeps in one output
-    interval fails, as :func:`advance_ensemble`'s rows do past
-    ``MAX_SUBSTEPS``; the larger cap leaves room for frames that span many
-    filter intervals. A failed row's frames from its failure on hold the
-    state it failed at. A horizon so small that the output times are not
+    A row that needs more than ``MAX_SUBSTEPS`` substeps in one output
+    interval fails, as it would in an :func:`advance_ensemble` call over
+    that interval. A failed row's frames from its failure on hold the state
+    it failed at. A horizon so small that the output times are not
     strictly increasing raises ``ValueError``.
     """
     flux = _flux(flux_kind)
@@ -569,9 +567,7 @@ def solve_ensemble(flux_kind: str, q1: np.ndarray, q2: np.ndarray, u0: np.ndarra
         raise ValueError("times must be strictly increasing")
     values = np.empty((q1.size, nt_out, grid.nx))
     values[:, 0] = u0
-    ok = np.ones(q1.size, dtype=bool)
-    _advance(flux, q1, q2, u0, dts, grid.dx, values[:, 1:], ok, MAX_SOLVE_SUBSTEPS)
-    return times, values, ok & np.isfinite(values[:, -1]).all(axis=1)
+    return times, values, _advance(flux, q1, q2, u0, dts, grid.dx, values[:, 1:])
 
 
 def solve(law: ConservationLaw, u0: np.ndarray, grid: Grid1D, t_final: float,
@@ -580,19 +576,15 @@ def solve(law: ConservationLaw, u0: np.ndarray, grid: Grid1D, t_final: float,
     one-row case of :func:`solve_ensemble`.
 
     ``values[0]`` is the initial state; internal steps are clipped so every
-    output timestamp is hit exactly.
+    output timestamp is hit exactly. A ``u0`` of any shape but ``(nx,)``
+    raises ``ValueError``.
     """
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (grid.nx,):
-        raise ValueError("u0 must have shape (nx,)")
-    times, values, ok = solve_ensemble(
-        law.flux_kind, np.array([law.q1]), np.array([law.q2]), u0[None], grid,
-        t_final, nt_out,
-    )
+    times, values, ok = solve_ensemble(law.flux_kind, [law.q1], [law.q2], [u0], grid,
+                                       t_final, nt_out)
     if not ok[0]:
         raise NonFiniteState(
             "integration failed: the state or its step stopped being finite, or an "
-            f"output interval needed more than {MAX_SOLVE_SUBSTEPS} substeps"
+            f"output interval needed more than {MAX_SUBSTEPS} substeps"
         )
     return SpaceTimeField(grid, times, values[0])
 

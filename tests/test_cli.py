@@ -634,7 +634,7 @@ def _assert_substep_cap_error(proc):
 
 def test_eval_of_a_learned_law_with_tiny_steps_stops_at_the_substep_cap(tmp_path, capsys):
     """A learned q1 of 1e300 makes every step of the re-simulation about
-    1e-302 long: it stops at ``MAX_SOLVE_SUBSTEPS``, in a few seconds,
+    1e-302 long: it stops at ``MAX_SUBSTEPS``, in a few seconds,
     instead of never returning."""
     data = tmp_path / "data"
     run_cli(capsys, "gen", "--out", str(data), "--families", "burgers",
@@ -776,12 +776,23 @@ def test_refine_of_an_all_zero_trajectory_is_a_numeric_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--process-var=nan", "--obs-scale=inf"])
-def test_non_finite_filter_settings_are_data_errors(tmp_path, capsys, flag):
+def test_non_finite_filter_settings_are_usage_errors(tmp_path, capsys, flag):
     code, out, err = _refine_burgers(tmp_path, capsys, flag)
-    assert (code, out) == (2, "")
+    assert (code, out) == (1, "")
     payload = json.loads(err)
-    assert payload["error"] == "ValueError"
+    assert payload["error"] == "_UsageError"
     assert payload["message"].endswith("must be positive and finite")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("study", "--families", "burgers", "--particles", "1"), "particles must be >= 2"),
+    (("study", "--families", "burgers", "--steps", "0"), "steps must be >= 1"),
+    (("perturb", "--eq", "u_t + u*u_x", "--swap-prob", "2"), "swap_prob must lie in [0, 1]"),
+])
+def test_settings_a_config_class_rejects_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "_UsageError", "message": message}
 
 
 @pytest.mark.parametrize("t_final", ["nan", "inf"])

@@ -163,6 +163,8 @@ def test_unknown_symbols():
         parse_infix("u_yy + u_t")
     with pytest.raises(UnknownSymbol):
         parse_infix("y(x)")
+    with pytest.raises(UnknownSymbol, match="'u' is the field, not a function"):
+        parse_infix("u(x)")
 
 
 def test_trailing_input_rejected():
@@ -388,6 +390,7 @@ def test_node_equality_keeps_float_semantics():
     a, b = Const(float("nan")), Const(float("nan"))
     assert a != b and a == a and Const(a.value) is not a
     assert Int(1) != Const(1.0) and Field() != Placeholder()
+    assert (Const(1.0) == 1.0) is False  # a node equals only a node
     assert Var("x") != Var("y") and Deriv(FIELD, "x", 1) != Deriv(FIELD, "t", 1)
 
 

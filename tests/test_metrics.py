@@ -611,6 +611,9 @@ def test_law_extraction_requires_time_derivative():
         law_from_equation(parse_infix("u_t = 0.5*u_xx"))
     with pytest.raises(NotSolvable, match="negative viscosity"):
         law_from_equation(parse_infix("u_t + u*u_x + 0.1*u_xx"))
+    root = Binary("pow", FIELD, Const(0.5))  # no canonical tokens to show it by
+    with pytest.raises(NotSolvable, match="a term with no token form"):
+        law_from_equation(Equation(Binary("add", Deriv(FIELD, "t", 1), root)))
 
 
 def test_law_extraction_normalizes_time_coefficient():

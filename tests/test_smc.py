@@ -405,3 +405,5 @@ def test_observation_seq_validation():
         ObservationSeq(np.array([0.0]), np.zeros((1, 128)), grid)
     with pytest.raises(ValueError):
         ObservationSeq(np.array([0.0, 0.0]), np.zeros((2, 128)), grid)
+    with pytest.raises(ValueError, match="shape"):
+        ObservationSeq(np.array([0.0, 1.0]), np.zeros((2, 64)), grid)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 
@@ -366,10 +367,11 @@ def test_unknown_flux_kind_is_a_value_error_everywhere():
         (np.inf, 4, np.zeros(128), ValueError),
         (0.5, 1, np.zeros(128), ValueError),
         (0.5, 4, np.zeros(127), ValueError),
+        (0.5, 4, np.zeros((1, 128)), ValueError),
         (0.5, 4, np.full(128, np.nan), NonFiniteState),
     ],
     ids=["negative-horizon", "zero-horizon", "nan-horizon", "inf-horizon", "one-frame",
-         "wrong-shape", "non-finite-u0"],
+         "wrong-shape", "wrong-rank", "non-finite-u0"],
 )
 def test_solve_ensemble_rejects_what_solve_rejects(t_final, nt_out, u0, error):
     law = ConservationLaw("sine", 1.0, 0.05)
@@ -452,8 +454,8 @@ def test_substep_cap_fails_march_members_as_alone(flux_kind, monkeypatch):
     """With the step limit capped at 2^-10 and the cap at 32 substeps, a
     budget of 2^-5 takes exactly the cap and finishes, alone and as a march
     member; a budget an ulp-sized step larger fails, at the march's state
-    after 32 substeps as alone. ``solve_ensemble`` has its own cap,
-    ``MAX_SOLVE_SUBSTEPS``, which this does not lower."""
+    after 32 substeps as alone. ``solve_ensemble`` over the same interval
+    runs under the same cap and gives each row the same flag and bits."""
     stable = solver._stable_dt
     monkeypatch.setattr(solver, "_stable_dt", lambda w, dx: np.minimum(stable(w, dx), 2.0**-10))
     monkeypatch.setattr(solver, "MAX_SUBSTEPS", 32)
@@ -469,19 +471,21 @@ def test_substep_cap_fails_march_members_as_alone(flux_kind, monkeypatch):
         assert solo_ok[0] == ok[i]
         assert states[i].tobytes() == solo[0].tobytes()
     assert states[2].tobytes() == states[3].tobytes()  # frozen with their march
-    ok = solve_ensemble(flux_kind, q1, q2, np.tile(u0, (q1.size, 1)), grid, 0.25, 2)[2]
-    assert ok.all()
+    _, values, solve_ok = solve_ensemble(flux_kind, q1, q2, np.tile(u0, (q1.size, 1)), grid,
+                                         2.0**-4, 2)
+    assert solve_ok.tolist() == ok.tolist()
+    assert values[:, 1].tobytes() == states.tobytes()
 
 
 @pytest.mark.parametrize("flux_kind", sorted(solver.FLUXES))
 def test_solve_caps_the_substeps_of_each_output_interval(flux_kind, monkeypatch):
-    """With the step limit capped at 2^-10 and ``MAX_SOLVE_SUBSTEPS`` at 32,
+    """With the step limit capped at 2^-10 and ``MAX_SUBSTEPS`` at 32,
     eight frames of tau budget 2^-5 take 256 substeps in all, 32 in each,
     and finish; a budget an ulp-sized step larger fails in its first frame
     and holds the state it failed at, as it would alone."""
     stable = solver._stable_dt
     monkeypatch.setattr(solver, "_stable_dt", lambda w, dx: np.minimum(stable(w, dx), 2.0**-10))
-    monkeypatch.setattr(solver, "MAX_SOLVE_SUBSTEPS", 32)
+    monkeypatch.setattr(solver, "MAX_SUBSTEPS", 32)
     grid = _grid()
     u0 = np.tile(_smooth_ic(grid, seed=7), (3, 1))
     q1 = np.array([0.5, np.nextafter(0.5, 1.0), -0.5])
@@ -513,7 +517,6 @@ def _batches(draw, shared):
         "_MIN_BLOCK_ROWS": draw(st.sampled_from([1, solver._MIN_BLOCK_ROWS])),
         "cores": draw(st.integers(1, 3)),
         "MAX_SUBSTEPS": draw(st.sampled_from([2, 5, 16, solver.MAX_SUBSTEPS])),
-        "MAX_SOLVE_SUBSTEPS": draw(st.sampled_from([2, 5, 16, solver.MAX_SOLVE_SUBSTEPS])),
     }
     horizon = draw(st.sampled_from([0.0, 2.0**-6]) | st.floats(1e-3, 0.1))
     grid = _grid(nx)
@@ -563,13 +566,18 @@ def test_every_row_advances_as_it_would_alone(frames, shared, data):
 def test_long_frames_are_not_capped(nt_out):
     """An icl_sine solve over 60 time units needs about 19,000 substeps, all
     in one frame when ``nt_out`` is 2, and finishes whatever the frames:
-    ``MAX_SOLVE_SUBSTEPS`` leaves room for it."""
+    ``MAX_SUBSTEPS`` leaves room for it."""
     spec = FAMILIES["icl_sine"]
     grid = grid_for(spec)
     u0 = sample_ic(spec, np.random.default_rng(0))
     field = solve(law_for(spec, spec.q1, spec.q2), u0, grid, 60.0, nt_out)
     assert field.values.shape == (nt_out, grid.nx)
     assert np.isfinite(field.values).all()
+
+
+def test_cores_fall_back_to_the_cpu_count_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert solver._cores() == (os.cpu_count() or 1)
 
 
 def test_shared_inviscid_interval_work_does_not_grow_with_the_batch(monkeypatch):

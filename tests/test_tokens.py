@@ -69,6 +69,8 @@ def test_manual_viscous_burgers_tree():
 
 def test_manual_single_leaf():
     assert list(to_manual_tokens(Const(2.6)).tokens) == ["2.6"]
+    two = from_tokens(TokenSeq(Dialect.MANUAL, ("2",))).residual  # an integer decodes as Int
+    assert two == Int(2) and to_infix(two) == "2"
 
 
 def test_manual_rejects_unsupported_derivatives():
@@ -89,11 +91,13 @@ def test_manual_rejects_unsupported_derivatives():
         (to_canonical_tokens, parse_infix("(u*u_x)_x"), "derivative of a product is not tokenized"),
         (to_canonical_tokens, from_tokens(TokenSeq(Dialect.MANUAL, ("pow", "u", "0.5"))),
          "non-integer exponents are not tokenized"),
+        (to_infix, from_tokens(TokenSeq(Dialect.MANUAL, ("pow", "u", "0.5"))).residual,
+         "non-integer exponent has no infix form"),
         (to_manual_tokens, ("sin", "u"), "cannot serialize tuple"),
     ],
     ids=["manual-composite-derivative", "manual-non-finite", "canonical-mixed-partial",
          "canonical-derivative-of-product", "canonical-non-integer-exponent",
-         "manual-not-a-node"],
+         "infix-non-integer-exponent", "manual-not-a-node"],
 )
 def test_serializer_failures_name_their_cause(serialize, tree, message):
     with pytest.raises(UnsupportedNode) as info:
@@ -333,6 +337,7 @@ def test_format_sig3_known_values():
     assert format_sig3(0.9996) == "1.00"
     assert format_sig3(-0.01) == "-0.0100"
     assert format_sig3(0.0) == "0"
+    assert (format_sig3(np.inf), format_sig3(-np.inf)) == ("inf", "-inf")
 
 
 def test_canonical_float_tokens_are_three_significant_digits():

@@ -13,6 +13,10 @@ the commands echo are the same relative paths on both sides:
   truth and the family's next record as the learned equation;
 * ``parse``, ``canon``, ``tokens`` in both dialects and ``perturb`` (seed 7)
   in both dialects on each README example;
+* ``solve`` of ``burgers`` and of ``icl_sine`` with default flags, of one
+  ``icl_sine`` frame 60 time units long (about 19,200 substeps), and of
+  ``burgers`` at ``q1 = 1e300``, which stops at the substep cap (exit 3)
+  after a few seconds;
 * ``study --families burgers,icl_sine --trials 2``, as JSON and as CSV.
 
 It prints every command whose exit code, stdout or stderr differs, and
@@ -45,6 +49,13 @@ EXAMPLES = (
     "2^100000",
     "1e400",
 )
+# (label, flags) of each solve run
+SOLVES = (
+    ("burgers", ("--family", "burgers")),
+    ("icl_sine", ("--family", "icl_sine")),
+    ("icl_sine long frame", ("--family", "icl_sine", "--t-final", "60", "--nt", "2")),
+    ("burgers tiny steps", ("--family", "burgers", "--q1", "1e300", "--nt", "3")),
+)
 DIFF_LINES = 12
 
 
@@ -67,6 +78,8 @@ def _commands(work: Path, run) -> None:
             run(f"tokens {dialect} {i}", "tokens", "--dialect", dialect, "--eq", text)
             run(f"perturb {dialect} {i}", "perturb", "--dialect", dialect, "--eq", text,
                 "--seed", "7")
+    for i, (label, flags) in enumerate(SOLVES):
+        run(f"solve {label}", "solve", *flags, "--output-grid", f"solve_{i}.grid")
     for fmt in ("json", "csv"):
         run(f"study {fmt}", "study", "--families", "burgers,icl_sine", "--trials", "2",
             "--format", fmt)
