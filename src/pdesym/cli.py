@@ -3,12 +3,13 @@
 Subcommands: parse, canon, tokens, perturb, solve, gen, refine, eval,
 study. Every command is deterministic given its flags, input files and
 seed; JSON (or, from ``study --format csv``, CSV) goes to stdout unless
-``--output`` is given. Exit codes: 1 usage error (a bad flag, or a setting
-that ``FilterConfig`` or ``PerturbConfig`` rejects); 3 numeric failure (a
-``NumericError``); 2 data error (any other ``PdesymError``, a
-``ValueError``, an ``OSError`` such as an input path that is a directory,
-or a ``MemoryError`` from a size that cannot be allocated). Each writes
-one JSON line to stderr.
+``--output`` is given. The exception's class decides the exit code: 3 for
+a ``NumericError``; 2 for any other ``PdesymError`` (a malformed file
+included), an ``OSError`` such as an input path that is a directory, or a
+``MemoryError`` from a size that cannot be allocated; 1 for any other
+``ValueError``, which the library raises for an argument it rejects, so
+for a flag value (``--steps 0``, ``--alpha0 abc``, an unknown family) or
+a flag argparse rejects. Each writes one JSON line to stderr.
 """
 from __future__ import annotations
 
@@ -27,10 +28,6 @@ from .canon import canonicalize
 from .errors import MalformedFile, NonFiniteState, NumericError, PdesymError, UnsupportedNode
 from .expr import parse_infix, to_infix
 from .tokens import Dialect, TokenSeq, from_tokens, to_canonical_tokens, to_manual_tokens
-
-
-class _UsageError(Exception):
-    pass
 
 
 # The library grammar requires explicit "*", but equations are often quoted
@@ -56,7 +53,7 @@ def _parse_input(text: str):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _emit(args, payload, fmt: str = "json") -> None:
@@ -99,12 +96,8 @@ _SERIALIZERS = {Dialect.MANUAL: to_manual_tokens, Dialect.CANONICAL: to_canonica
 
 def _config(config, args):
     """The dataclass ``config`` of the flags that ``build_parser`` declares
-    from its fields, ``--seed`` included. A value the class rejects is a
-    usage error."""
-    try:
-        return config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config)})
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    from its fields, ``--seed`` included."""
+    return config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config)})
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +216,13 @@ def _cmd_refine(args) -> None:
 def _cmd_eval(args) -> None:
     eq_true = datagen.equation_from_record(datagen.load_equation_record(args.truth))
     payload: dict = {"truth": args.truth}
-    if args.learned:
+    if args.learned is not None:
         eq_learned = datagen.equation_from_record(datagen.load_equation_record(args.learned))
-    elif args.learned_tokens:
-        seq = TokenSeq(Dialect(args.dialect), tuple(args.learned_tokens.split()))
-        eq_learned = from_tokens(seq)
     else:
-        raise _UsageError("eval needs --learned or --learned-tokens")
+        eq_learned = from_tokens(TokenSeq(Dialect(args.dialect),
+                                          tuple(args.learned_tokens.split())))
     if args.prediction and not args.trajectory:
-        raise _UsageError("eval --prediction needs --trajectory")
+        raise ValueError("eval --prediction needs --trajectory")
     payload["symbolic_error"] = metrics.symbolic_error(
         eq_learned, eq_true, seed=args.seed
     )
@@ -343,8 +334,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="score a learned equation against the truth")
     p.add_argument("--truth", required=True, help="eq_*.json file")
-    p.add_argument("--learned", help="eq_*.json file")
-    p.add_argument("--learned-tokens", help="space-separated token sequence")
+    learned = p.add_mutually_exclusive_group(required=True)
+    learned.add_argument("--learned", help="eq_*.json file")
+    learned.add_argument("--learned-tokens", help="space-separated token sequence")
     p.add_argument("--dialect", choices=dialects, default=Dialect.CANONICAL.value)
     p.add_argument("--trajectory", help="traj_*.grid reference trajectory")
     p.add_argument("--prediction", help="predicted trajectory for rel_l2/R^2")
@@ -374,12 +366,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
-    except _UsageError as exc:
-        return _fail(1, exc)
     except NumericError as exc:
         return _fail(3, exc)
-    except (PdesymError, ValueError, OSError, MemoryError) as exc:
+    except (PdesymError, OSError, MemoryError) as exc:  # MalformedFile before ValueError
         return _fail(2, exc)
+    except ValueError as exc:
+        return _fail(1, exc)
     return 0
 
 

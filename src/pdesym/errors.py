@@ -5,7 +5,10 @@ class PdesymError(Exception):
     """Base class for all package-specific errors.
 
     The class decides the CLI's exit code: a :class:`NumericError` exits 3,
-    and any other ``PdesymError`` exits 2, as bad input does.
+    and any other ``PdesymError`` exits 2, as bad input does. The library
+    raises a plain ``ValueError`` only for an argument it rejects, which
+    the CLI reads as a bad flag value and exits 1; a check on file content
+    raises :class:`MalformedFile`, which is both, and exits 2.
     """
 
 

@@ -34,7 +34,7 @@ gives the same floats.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, perm, sqrt
+from math import factorial, isfinite, perm, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -554,7 +554,8 @@ def law_from_equation(eq: Equation) -> ConservationLaw:
     expanded products ``u*u_x`` (quadratic, q1 = c/2), ``u^2*u_x`` (cubic,
     q1 = c/3) and ``cos(u)*u_x`` (sine, q1 = c). The q1 of flux terms of
     one kind add up. Raises :class:`NotSolvable` for flux terms of two
-    kinds and for anything else.
+    kinds, for a q1 or q2 that is not finite once divided by the ``u_t``
+    coefficient, and for anything else.
     """
     coeff_t = None
     q1 = None
@@ -584,6 +585,8 @@ def law_from_equation(eq: Equation) -> ConservationLaw:
         raise NotSolvable("residual has no recognizable flux term")
     q1 = q1 / coeff_t
     q2 = q2 / coeff_t
+    if not (isfinite(q1) and isfinite(q2)):
+        raise NotSolvable(f"coefficients are not finite: q1 = {q1}, q2 = {q2}")
     if q2 < 0.0:
         raise NotSolvable("negative viscosity is not solvable")
     return ConservationLaw(flux_kind, q1, q2)

@@ -113,7 +113,7 @@ def test_gen_rejects_a_family_named_twice(tmp_path, capsys):
         capsys, "gen", "--out", str(out_dir), "--families", "inviscid_burgers,inviscid_burgers",
         "--params", "1", "--ics", "1", "--seed", "3",
     )
-    assert (code, out) == (2, "")
+    assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "ValueError",
                                "message": "family 'inviscid_burgers' is named twice"}
@@ -123,22 +123,16 @@ def test_gen_rejects_a_family_named_twice(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "tokens", "--bad-flag", "x")
     assert code == 1
-    assert json.loads(err)["error"] == "_UsageError"
+    assert json.loads(err)["error"] == "ValueError"
 
 
-def test_data_error_exit_code(tmp_path, capsys):
+def test_data_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "canon", "--expr", "tan(u)")
     assert code == 2
     assert "UnknownSymbol" in err
     code, _, err = run_cli(capsys, "canon", "--expr", "2^100000")
     assert code == 2
     assert json.loads(err)["error"] == "UnsupportedNode"
-    code, _, err = run_cli(
-        capsys, "solve", "--family", "icl_sine", "--q1", "nan",
-        "--output-grid", str(tmp_path / "traj.grid"),
-    )
-    assert code == 2
-    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_deep_input_is_a_data_error(tmp_path, capsys):
@@ -373,7 +367,7 @@ def test_study_csv_output(tmp_path, capsys):
 ])
 def test_study_rejects_values_it_cannot_report(capsys, flags, message):
     code, out, err = run_cli(capsys, "study", *flags)
-    assert (code, out) == (2, "")
+    assert (code, out) == (1, "")
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert payload["message"].startswith(message)
@@ -398,7 +392,7 @@ def test_seed_is_a_usage_error_where_nothing_reads_it(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--seed", "5")
     assert (code, out) == (1, "")
     assert json.loads(err) == {
-        "error": "_UsageError", "message": "unrecognized arguments: --seed 5",
+        "error": "ValueError", "message": "unrecognized arguments: --seed 5",
     }
 
 
@@ -411,7 +405,7 @@ def test_format_is_a_usage_error_outside_study(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--format", "csv")
     assert (code, out) == (1, "")
     assert json.loads(err) == {
-        "error": "_UsageError", "message": "unrecognized arguments: --format csv",
+        "error": "ValueError", "message": "unrecognized arguments: --format csv",
     }
 
 
@@ -573,7 +567,8 @@ def test_non_finite_grid_samples_are_a_data_error(tmp_path, capsys):
 
 
 def _refine_burgers(tmp_path, capsys, *flags):
-    """``refine`` of a generated burgers record: 8 particles, 2 steps."""
+    """``refine`` of a generated burgers record: 8 particles and 2 steps,
+    unless ``flags`` set them."""
     data = tmp_path / "data"
     if not data.exists():
         run_cli(capsys, "gen", "--out", str(data), "--families", "burgers",
@@ -583,14 +578,14 @@ def _refine_burgers(tmp_path, capsys, *flags):
         capsys, "refine",
         "--equation", str(data / entry["equation"]),
         "--observations", str(data / entry["trajectory"]),
-        *flags, "--particles", "8", "--steps", "2",
+        "--particles", "8", "--steps", "2", *flags,
     )
 
 
-@pytest.mark.parametrize("alpha0", ["nan", "inf", "-inf,0.05", "0.5,0.05,1"])
-def test_malformed_alpha0_is_a_data_error(tmp_path, capsys, alpha0):
+@pytest.mark.parametrize("alpha0", ["nan", "inf", "-inf,0.05", "0.5,0.05,1", "abc"])
+def test_malformed_alpha0_is_a_usage_error(tmp_path, capsys, alpha0):
     code, out, err = _refine_burgers(tmp_path, capsys, f"--alpha0={alpha0}")
-    assert code == 2 and out == ""
+    assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ValueError"
 
 
@@ -686,9 +681,20 @@ def test_eval_prediction_without_a_trajectory_is_a_usage_error(tmp_path, capsys)
 
 
 def test_eval_without_a_learned_equation_is_a_usage_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "eval", "--truth", _burgers_record(tmp_path))
+    truth = _burgers_record(tmp_path)
+    code, out, err = run_cli(capsys, "eval", "--truth", truth)
     assert (code, out) == (1, "")
-    assert json.loads(err)["message"] == "eval needs --learned or --learned-tokens"
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "one of the arguments --learned --learned-tokens is required",
+    }
+    code, out, err = run_cli(capsys, "eval", "--truth", truth, "--learned", truth,
+                             "--learned-tokens", "garbage tokens")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "argument --learned-tokens: not allowed with argument --learned",
+    }
 
 
 @pytest.mark.parametrize("times", [[0.0, 0.04, 0.1], [0.02, 0.06, 0.1]])
@@ -780,29 +786,52 @@ def test_non_finite_filter_settings_are_usage_errors(tmp_path, capsys, flag):
     code, out, err = _refine_burgers(tmp_path, capsys, flag)
     assert (code, out) == (1, "")
     payload = json.loads(err)
-    assert payload["error"] == "_UsageError"
+    assert payload["error"] == "ValueError"
     assert payload["message"].endswith("must be positive and finite")
+
+
+_GRID = ("--output-grid", "{tmp}/traj.grid")
 
 
 @pytest.mark.parametrize("argv,message", [
     (("study", "--families", "burgers", "--particles", "1"), "particles must be >= 2"),
     (("study", "--families", "burgers", "--steps", "0"), "steps must be >= 1"),
+    (("refine", "--particles", "1"), "particles must be >= 2"),
+    (("refine", "--steps", "0"), "steps must be >= 1"),
+    (("refine", "--steps", "99"), "need at least steps+1=100 frames, got 32"),
+    (("refine", "--observations", "{tmp}/one_frame.grid"),
+     "need >= 2 frames with strictly increasing times"),
     (("perturb", "--eq", "u_t + u*u_x", "--swap-prob", "2"), "swap_prob must lie in [0, 1]"),
+    (("solve", "--family", "burgers", "--nx", "4", *_GRID), "nx must be >= 8"),
+    (("solve", "--family", "burgers", "--nt", "1", *_GRID), "nt_out must be >= 2"),
+    (("solve", "--family", "burgers", "--q2", "-1", *_GRID),
+     "viscosity q2 must be finite and >= 0"),
+    (("solve", "--family", "icl_sine", "--q1", "nan", *_GRID), "q1 must be finite"),
+    (("gen", "--out", "{tmp}/gen", "--params", "0"), "counts must be >= 1"),
 ])
-def test_settings_a_config_class_rejects_are_usage_errors(capsys, argv, message):
-    code, out, err = run_cli(capsys, *argv)
+def test_flag_values_the_library_rejects_are_usage_errors(tmp_path, capsys, argv, message):
+    """A ``ValueError`` of the library names an argument it rejects: exit 1
+    with its message. A 1-frame trajectory has fewer frames than the steps
+    asked for, as ``--steps 99`` on 32 frames does."""
+    header, values = _three_frames(0.125)
+    _write_grid(tmp_path / "one_frame.grid", dict(header, nt=1, t=header["t"][:1]), values[:1])
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if argv[0] == "refine":
+        code, out, err = _refine_burgers(tmp_path, capsys, *argv[1:])
+    else:
+        code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": "_UsageError", "message": message}
+    assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("t_final", ["nan", "inf"])
 def test_non_finite_horizon_is_one_json_error_line(tmp_path, t_final):
-    """``solve --t-final inf`` (or nan) writes its data error to stderr and
+    """``solve --t-final inf`` (or nan) writes its usage error to stderr and
     nothing else: no numpy warning escapes from forming the output times,
     and the message names the horizon."""
     proc = _cli_process("solve", "--family", "burgers", "--t-final", t_final, "--nt", "3",
                         "--output-grid", str(tmp_path / "traj.grid"))
-    assert (proc.returncode, proc.stdout) == (2, "")
+    assert (proc.returncode, proc.stdout) == (1, "")
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "ValueError",

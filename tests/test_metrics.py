@@ -611,6 +611,11 @@ def test_law_extraction_requires_time_derivative():
         law_from_equation(parse_infix("u_t = 0.5*u_xx"))
     with pytest.raises(NotSolvable, match="negative viscosity"):
         law_from_equation(parse_infix("u_t + u*u_x + 0.1*u_xx"))
+    # each coefficient is finite, but not once divided by u_t's
+    with pytest.raises(NotSolvable, match="q1 = inf, q2 = 0.0"):
+        law_from_equation(parse_infix("1e-300*u_t + 1e300*(u^2)_x"))
+    with pytest.raises(NotSolvable, match="q2 = inf"):
+        law_from_equation(parse_infix("1e-300*u_t + (u^2)_x = 1e300*u_xx"))
     root = Binary("pow", FIELD, Const(0.5))  # no canonical tokens to show it by
     with pytest.raises(NotSolvable, match="a term with no token form"):
         law_from_equation(Equation(Binary("add", Deriv(FIELD, "t", 1), root)))

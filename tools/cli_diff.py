@@ -17,7 +17,14 @@ the commands echo are the same relative paths on both sides:
   ``icl_sine`` frame 60 time units long (about 19,200 substeps), and of
   ``burgers`` at ``q1 = 1e300``, which stops at the substep cap (exit 3)
   after a few seconds;
-* ``study --families burgers,icl_sine --trials 2``, as JSON and as CSV.
+* ``study --families burgers,icl_sine --trials 2``, as JSON and as CSV;
+* commands the CLI rejects, so that exit codes and JSON error lines are
+  compared too: a flag argparse does not know, flag values the library
+  rejects (``refine --process-var nan``, ``--alpha0 abc`` and ``--steps
+  99`` on the manifest's first record, ``solve --q1 nan``, ``study
+  --trials 0``), ``eval`` given both ``--learned`` and ``--learned-tokens``,
+  ``eval`` of a learned law whose q1 overflows once divided by its ``u_t``
+  coefficient, and ``canon`` of an unknown symbol.
 
 It prints every command whose exit code, stdout or stderr differs, and
 every file in the working directory that differs or exists on one side
@@ -56,6 +63,8 @@ SOLVES = (
     ("icl_sine long frame", ("--family", "icl_sine", "--t-final", "60", "--nt", "2")),
     ("burgers tiny steps", ("--family", "burgers", "--q1", "1e300", "--nt", "3")),
 )
+# u_t and u^2 flux terms whose quotient q1 overflows
+OVERFLOW_TOKENS = "+ × 1e-300 ∂ ( u(x,t) , t ) × 1e+300 ∂ ( pow u(x,t) 2 , x )"
 DIFF_LINES = 12
 
 
@@ -83,6 +92,22 @@ def _commands(work: Path, run) -> None:
     for fmt in ("json", "csv"):
         run(f"study {fmt}", "study", "--families", "burgers,icl_sine", "--trials", "2",
             "--format", fmt)
+    eq, traj = f"data/{entries[0]['equation']}", f"data/{entries[0]['trajectory']}"
+    refine = ("refine", "--equation", eq, "--observations", traj)
+    for label, argv in (
+        ("bad flag", ("tokens", "--bad-flag", "x")),
+        ("process-var nan", (*refine, "--process-var", "nan")),
+        ("q1 nan", ("solve", "--family", "burgers", "--q1", "nan", "--output-grid", "nan.grid")),
+        ("alpha0 abc", (*refine, "--alpha0", "abc")),
+        ("steps 99", (*refine, "--steps", "99")),
+        ("trials 0", ("study", "--families", "burgers", "--trials", "0")),
+        ("both learned", ("eval", "--truth", eq, "--learned", eq,
+                          "--learned-tokens", "garbage tokens")),
+        ("overflow", ("eval", "--truth", eq, "--learned-tokens", OVERFLOW_TOKENS,
+                      "--trajectory", traj)),
+        ("unknown symbol", ("canon", "--expr", "tan(u)")),
+    ):
+        run(f"rejected {label}", *argv)
 
 
 def outputs_of(checkout: Path) -> dict:
