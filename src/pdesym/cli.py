@@ -51,6 +51,18 @@ def _parse_input(text: str):
     return parse_infix(normalize_juxtaposition(text))
 
 
+def _seed(text: str) -> int:
+    """The value of ``--seed`` or ``--ic-seed``; numpy's generators take no
+    negative seed, so argparse rejects one before any file is read."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
+_seed.__name__ = "int"  # a value that is no integer reads "invalid int value"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
@@ -269,7 +281,7 @@ def build_parser() -> _Parser:
     def common(p, seed=True):
         p.add_argument("--output", help="write the report here instead of stdout")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
 
     def config_flags(p, config):
         """A flag of each field of ``config`` but ``seed``, read by :func:`_config`."""
@@ -310,7 +322,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nx", type=int, default=128)
     p.add_argument("--nt", type=int, default=32)
     p.add_argument("--t-final", type=float, default=1.0)
-    p.add_argument("--ic-seed", type=int, default=0)
+    p.add_argument("--ic-seed", type=_seed, default=0)
     p.add_argument("--output-grid", required=True)
     common(p, seed=False)
     p.set_defaults(func=_cmd_solve)

@@ -10,7 +10,10 @@ is propagate -> reweight -> resample:
   start from the observed frame, so inviscid ones of one sign march once in
   rescaled time and each leaves the march where its own interval ends; a
   particle carrying the coefficients that generated noise-free data still
-  reproduces each frame bit for bit. It scores each particle against the
+  reproduces each frame bit for bit. The kernel fails every row it cannot
+  advance (non-finite coefficients, a blow-up, the substep cap); the filter
+  rejects only a negative or NaN viscosity, which the kernel would run as
+  inviscid. Either gets weight zero. It scores each particle against the
   observed frame under the observation model ``u_obs = H(alpha, u_prev) +
   sigma`` with iid per-point Gaussian noise of scale
   ``eps = obs_scale * ||u(., t=0)||_2``, so
@@ -130,18 +133,6 @@ def propagate(ens: ParticleEnsemble, cfg: FilterConfig, rng) -> ParticleEnsemble
     return ParticleEnsemble(ens.particles + noise, ens.weights.copy())
 
 
-def _coefficient_arrays(particles: np.ndarray, template: ConservationLaw):
-    """Per-particle (q1, q2, valid): 1-D particles refine q1 only, 2-D
-    particles refine (q1, q2) jointly. Negative viscosity is invalid."""
-    q1 = particles[:, 0].astype(float)
-    if particles.shape[1] == 1:
-        q2 = np.full(particles.shape[0], template.q2)
-    else:
-        q2 = particles[:, 1].astype(float)
-    valid = np.all(np.isfinite(particles), axis=1) & (q2 >= 0.0)
-    return q1, q2, valid
-
-
 def weights_from_sq_residuals(sq_residuals: np.ndarray, eps: float) -> np.ndarray:
     """Normalized softmax of -r^2/(2 eps^2); infinite entries get weight zero.
 
@@ -165,27 +156,29 @@ def reweight(ens: ParticleEnsemble, u_prev: np.ndarray, u_obs: np.ndarray,
     """Score every particle against one observed transition.
 
     Each particle's coefficients are substituted into the law template and
-    advanced from ``u_prev`` over ``dt_obs``; ``ref_norm`` is the discrete
-    L2 norm of the initial frame, fixing ``eps = obs_scale * ref_norm``.
-    Particles whose simulation blows up receive weight zero. When none has
-    a finite squared residual, :class:`AllWeightsDegenerate` names the
-    cause: no finite simulation, or only residuals that overflowed.
+    every particle is advanced from ``u_prev`` over ``dt_obs`` in one
+    :func:`advance_ensemble` call; ``ref_norm`` is the discrete L2 norm of
+    the initial frame, fixing ``eps = obs_scale * ref_norm``. A particle
+    gets weight zero when the kernel fails its row (non-finite
+    coefficients, a blow-up, the substep cap) or when its viscosity is
+    negative or NaN, the one case the kernel advances (as inviscid) but the
+    filter rejects. When none has a finite squared residual,
+    :class:`AllWeightsDegenerate` names the cause: no finite simulation, or
+    only residuals that overflowed.
     """
     eps = cfg.obs_scale * ref_norm
     if eps <= 0.0:
         raise ZeroCoefficient("observation noise scale vanishes (zero initial norm)")
+    p = ens.particles  # one coefficient refines q1 alone; the template holds q2
+    q2 = np.full(ens.size, law_template.q2) if p.shape[1] == 1 else p[:, 1]
+    states, ok = advance_ensemble(law_template.flux_kind, p[:, 0], q2, u_prev, dt_obs, grid)
+    ok &= q2 >= 0.0  # the kernel runs a negative or NaN viscosity as inviscid
     sq = np.full(ens.size, np.inf)
-    q1, q2, valid = _coefficient_arrays(ens.particles, law_template)
-    idx = np.flatnonzero(valid)
-    if idx.size:
-        states, ok = advance_ensemble(
-            law_template.flux_kind, q1[idx], q2[idx], u_prev, dt_obs, grid
-        )
-        with np.errstate(over="ignore"):  # a residual that overflows is inf
-            diff = u_obs[None, :] - states[ok]
-            sq[idx[ok]] = np.sum(diff * diff, axis=1)
-        if ok.any() and np.isinf(sq).all():
-            raise AllWeightsDegenerate("every finite simulation's squared residual overflowed")
+    with np.errstate(over="ignore"):  # a residual that overflows is inf
+        diff = u_obs[None, :] - states[ok]
+        sq[ok] = np.sum(diff * diff, axis=1)
+    if ok.any() and np.isinf(sq).all():
+        raise AllWeightsDegenerate("every finite simulation's squared residual overflowed")
     weights = weights_from_sq_residuals(sq, eps)
     return ParticleEnsemble(ens.particles.copy(), weights)
 
@@ -208,7 +201,6 @@ def refine(alpha0, obs: ObservationSeq, law_template: ConservationLaw,
     Consumes observation frames 0..steps consecutively; requires at least
     ``steps + 1`` frames.
     """
-    alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=float))
     if obs.times.size < cfg.steps + 1:
         raise ValueError(
             f"need at least steps+1={cfg.steps + 1} frames, got {obs.times.size}"
@@ -217,7 +209,7 @@ def refine(alpha0, obs: ObservationSeq, law_template: ConservationLaw,
     ens = init_ensemble(alpha0, cfg, rng)
     ref_norm = discrete_l2(obs.states[0], obs.grid.dx)
     ess = np.empty(cfg.steps)
-    spread = np.empty((cfg.steps, alpha0.size))
+    spread = np.empty((cfg.steps, ens.particles.shape[1]))
     for k in range(1, cfg.steps + 1):
         ens = propagate(ens, cfg, rng)
         ens = reweight(

@@ -808,11 +808,21 @@ _GRID = ("--output-grid", "{tmp}/traj.grid")
      "viscosity q2 must be finite and >= 0"),
     (("solve", "--family", "icl_sine", "--q1", "nan", *_GRID), "q1 must be finite"),
     (("gen", "--out", "{tmp}/gen", "--params", "0"), "counts must be >= 1"),
+    (("refine", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+    (("gen", "--out", "{tmp}/gen", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+    (("perturb", "--eq", "u_t + u*u_x", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+    (("eval", "--truth", "{tmp}/missing.json", "--learned", "{tmp}/missing.json",
+      "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+    (("study", "--families", "burgers", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+    (("solve", "--family", "burgers", "--ic-seed", "-1", *_GRID),
+     "argument --ic-seed: must be >= 0, got -1"),
 ])
 def test_flag_values_the_library_rejects_are_usage_errors(tmp_path, capsys, argv, message):
     """A ``ValueError`` of the library names an argument it rejects: exit 1
     with its message. A 1-frame trajectory has fewer frames than the steps
-    asked for, as ``--steps 99`` on 32 frames does."""
+    asked for, as ``--steps 99`` on 32 frames does. numpy's generators take
+    no negative seed, so argparse rejects one, naming its flag, before any
+    file is read."""
     header, values = _three_frames(0.125)
     _write_grid(tmp_path / "one_frame.grid", dict(header, nt=1, t=header["t"][:1]), values[:1])
     argv = [arg.format(tmp=tmp_path) for arg in argv]

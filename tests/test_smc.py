@@ -166,19 +166,37 @@ def test_true_coefficient_outweighs_offset_particle():
     assert out.weights[0] > out.weights[1]
 
 
-def test_negative_viscosity_particles_are_rejected():
-    obs, law = _observations(family="burgers", q1=0.5, q2=0.05)
-    cfg = FilterConfig(particles=3, seed=10)
-    ens = ParticleEnsemble(
-        np.array([[0.5, 0.05], [0.5, -0.01], [0.5, 0.04]]), np.full(3, 1 / 3)
-    )
-    out = reweight(
-        ens, obs.states[0], obs.states[1], law, cfg,
-        float(obs.times[1] - obs.times[0]), obs.grid,
-        discrete_l2(obs.states[0], obs.grid.dx),
-    )
-    assert out.weights[1] == 0.0
-    assert out.weights[0] > 0.0 and out.weights[2] > 0.0
+_NAN, _INF = np.nan, np.inf
+
+
+@pytest.mark.parametrize("family,particles,invalid", [
+    # one coefficient: q1 alone, under an inviscid and under a viscous template
+    ("inviscid_burgers", [[0.5], [_NAN], [0.45], [_INF], [-_INF], [0.55]], [1, 3, 4]),
+    ("burgers", [[0.5], [_NAN], [0.45], [_INF], [-_INF], [0.55]], [1, 3, 4]),
+    ("burgers", [[0.5, 0.05], [0.5, -0.01], [0.5, 0.04], [_NAN, 0.05], [_INF, 0.05],
+                 [-_INF, 0.05], [0.5, _NAN], [0.5, -_INF], [0.5, _INF], [0.45, 0.06]],
+     [1, 3, 4, 5, 6, 7, 8]),
+])
+def test_negative_viscosity_particles_are_rejected(family, particles, invalid):
+    """A negative viscosity and non-finite coefficients get weight exactly
+    zero without an error, and the other particles weigh as they would
+    without them."""
+    obs, law = _observations(family=family, q1=0.5, q2=0.05 if family == "burgers" else 0.0)
+    particles = np.array(particles)
+    valid = np.setdiff1d(np.arange(len(particles)), invalid)
+
+    def weights(p):
+        cfg = FilterConfig(particles=len(p), seed=10)
+        return reweight(
+            ParticleEnsemble(p, np.full(len(p), 1 / len(p))), obs.states[0], obs.states[1],
+            law, cfg, float(obs.times[1] - obs.times[0]), obs.grid,
+            discrete_l2(obs.states[0], obs.grid.dx),
+        ).weights
+
+    out = weights(particles)
+    assert np.all(out[invalid] == 0.0)
+    assert np.all(out[valid] > 0.0)
+    np.testing.assert_allclose(out[valid], weights(particles[valid]), rtol=1e-12, atol=0.0)
 
 
 def test_batched_advance_matches_scalar_solver_bitwise():

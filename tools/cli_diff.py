@@ -24,7 +24,9 @@ the commands echo are the same relative paths on both sides:
   99`` on the manifest's first record, ``solve --q1 nan``, ``study
   --trials 0``), ``eval`` given both ``--learned`` and ``--learned-tokens``,
   ``eval`` of a learned law whose q1 overflows once divided by its ``u_t``
-  coefficient, and ``canon`` of an unknown symbol.
+  coefficient, ``canon`` of an unknown symbol, and a negative seed
+  (``refine --seed -1`` on the manifest's first record, ``solve --ic-seed
+  -1``).
 
 It prints every command whose exit code, stdout or stderr differs, and
 every file in the working directory that differs or exists on one side
@@ -106,6 +108,9 @@ def _commands(work: Path, run) -> None:
         ("overflow", ("eval", "--truth", eq, "--learned-tokens", OVERFLOW_TOKENS,
                       "--trajectory", traj)),
         ("unknown symbol", ("canon", "--expr", "tan(u)")),
+        ("seed -1", (*refine, "--seed", "-1")),
+        ("ic-seed -1", ("solve", "--family", "burgers", "--ic-seed", "-1",
+                        "--output-grid", "seed.grid")),
     ):
         run(f"rejected {label}", *argv)
 
