@@ -170,13 +170,12 @@ _NAN, _INF = np.nan, np.inf
 
 
 @pytest.mark.parametrize("family,particles,invalid", [
-    # one coefficient: q1 alone, under an inviscid and under a viscous template
     ("inviscid_burgers", [[0.5], [_NAN], [0.45], [_INF], [-_INF], [0.55]], [1, 3, 4]),
     ("burgers", [[0.5], [_NAN], [0.45], [_INF], [-_INF], [0.55]], [1, 3, 4]),
     ("burgers", [[0.5, 0.05], [0.5, -0.01], [0.5, 0.04], [_NAN, 0.05], [_INF, 0.05],
                  [-_INF, 0.05], [0.5, _NAN], [0.5, -_INF], [0.5, _INF], [0.45, 0.06]],
      [1, 3, 4, 5, 6, 7, 8]),
-])
+], ids=["q1-inviscid", "q1-viscous", "q1-q2"])
 def test_negative_viscosity_particles_are_rejected(family, particles, invalid):
     """A negative viscosity and non-finite coefficients get weight exactly
     zero without an error, and the other particles weigh as they would
